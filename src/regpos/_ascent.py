@@ -1,9 +1,12 @@
-"""Multistart projected ascent on spheres for ratio objectives.
+"""One batched multistart ascent for ratio extrema on spheres.
 
-Numerical core shared by section/projection radii, relative out-radii and
-heuristic support values: extremize |P z| / gauge(z) over z in the column
-span of Z.  Every iterate is a feasible evaluation, so reported maxima are
-certified lower bounds and reported minima certified upper bounds.
+Every radius the experiments report reduces to one primitive: extremize
+num(z) / gauge(z) over unit z in the column span of Z, for a stack of S
+problems at once.  The numerator is |P z| (P = I when absent) or, for
+relative out-radii, another body's gauge.  Every iterate is a feasible
+evaluation, so reported maxima are certified lower bounds and reported
+minima certified upper bounds.  Ellipsoids with a quadratic numerator take
+an exact stacked eigenvalue route instead.
 """
 
 from __future__ import annotations
@@ -15,6 +18,14 @@ _EPS = 1e-300
 
 def _unit(W):
     return W / np.maximum(np.linalg.norm(W, axis=-1, keepdims=True), 1e-30)
+
+
+def _mT(A):
+    return np.swapaxes(A, -1, -2)
+
+
+def _is_body(P):
+    return hasattr(P, "_ascent_subgrad")
 
 
 def ascend(fun_grad, W0, iters=120, step0=0.25, max_step=2.0):
@@ -40,215 +51,103 @@ def ascend(fun_grad, W0, iters=120, step0=0.25, max_step=2.0):
     return W, f
 
 
-def _ratio_fun_grad(body, Z, P, sign):
-    """log(|P z| / gauge(z)) (times sign) and its Riemannian-free gradient in w."""
+def _log_gauge(body, X):
+    """Gauge of body on (S, t, n) points and the gradient of its log."""
+    g, Y = body._ascent_subgrad(X.reshape(-1, X.shape[-1]))
+    g = g.reshape(X.shape[:-1])
+    return g, Y.reshape(X.shape) / np.maximum(g[..., None], _EPS)
+
+
+def _ratio_fun_grad(body, Zs, Ps, sign):
+    """sign * log(num(z) / gauge(z)) at z = Z w, and its gradient in w."""
+    ZT = _mT(Zs)
 
     def fun_grad(W):
-        lead = W.shape[:-1]
-        Xz = W @ Z.T if Z is not None else W
-        flat = Xz.reshape(-1, body.dim)
-        g, Y = body._ascent_subgrad(flat)
-        g = g.reshape(lead)
-        Y = Y.reshape(lead + (body.dim,))
-        if P is None:
-            num = np.linalg.norm(Xz, axis=-1)
-            dnum = Xz / np.maximum(num[..., None] ** 2, _EPS)
+        X = W @ ZT
+        if _is_body(Ps):
+            num, dnum = _log_gauge(Ps, X)
         else:
-            q = Xz @ P.T
-            num = np.linalg.norm(q, axis=-1)
-            dnum = (q @ P) / np.maximum(num[..., None] ** 2, _EPS)
+            Q = X if Ps is None else X @ _mT(Ps)
+            num = np.linalg.norm(Q, axis=-1)
+            dnum = (Q if Ps is None else Q @ Ps) / np.maximum(num[..., None] ** 2, _EPS)
+        g, dg = _log_gauge(body, X)
         f = sign * (np.log(np.maximum(num, _EPS)) - np.log(np.maximum(g, _EPS)))
-        dz = sign * (dnum - Y / np.maximum(g[..., None], _EPS))
-        grad = dz @ Z if Z is not None else dz
-        return f, grad
+        return f, (sign * (dnum - dg)) @ Zs
 
     return fun_grad
 
 
-def _ratio_value(body, Z, P, W):
-    Xz = W @ Z.T if Z is not None else W
-    lead = Xz.shape[:-1]
-    g = body._gauge(Xz.reshape(-1, body.dim)).reshape(lead)
-    num = np.linalg.norm(Xz if P is None else Xz @ P.T, axis=-1)
-    return num / np.maximum(g, _EPS), Xz
+def _ellipsoid_ratio(body, Zs, Ps, mode):
+    """Exact extrema for an ellipsoid and a quadratic numerator, all S at once.
 
-
-def _ellipsoid_ratio(body, Z, P, mode):
-    from scipy.linalg import eigh
-
-    n = body.dim
-    Zm = Z if Z is not None else np.eye(n)
-    M = Zm.T @ body.A @ Zm
-    if P is None:
-        N = Zm.T @ Zm
-    else:
-        PZ = P @ Zm
-        N = PZ.T @ PZ
-    vals, vecs = eigh(N, M)
-    idx = -1 if mode == "max" else 0
-    w = vecs[:, idx]
-    return float(np.sqrt(max(vals[idx], 0.0))), Zm @ w
-
-
-def ratio_extremum(
-    body,
-    Z=None,
-    P=None,
-    mode="max",
-    rng=None,
-    starts=64,
-    iters=200,
-    probes=1000,
-    polish=120,
-    return_argvec=False,
-):
-    """Extremize |P z| / gauge(z) over unit z in col(Z); exact for ellipsoids."""
-    if body.family == "ellipsoid":
-        val, zstar = _ellipsoid_ratio(body, Z, P, mode)
-        return (val, zstar) if return_argvec else val
-    rng = np.random.default_rng(0) if rng is None else rng
-    d = body.dim if Z is None else Z.shape[1]
-    sign = 1.0 if mode == "max" else -1.0
-    fg = _ratio_fun_grad(body, Z, P, sign)
-
-    W = _unit(np.vstack([rng.standard_normal((probes, d)), np.eye(d)]))
-    f0, _ = fg(W)
-    order = np.argsort(-f0)[: min(starts, W.shape[0])]
-    W0 = W[order]
-    Wb, fb = ascend(fg, W0, iters=iters)
-    best = int(np.argmax(fb))
-    Wbest = Wb[best : best + 1]
-    if polish:
-        Wbest, _ = ascend(fg, Wbest, iters=polish, step0=1e-2)
-    vals, Xz = _ratio_value(body, Z, P, Wbest)
-    val = float(vals[0])
-    # never report worse than the plain multistart stage
-    stage_vals, _ = _ratio_value(body, Z, P, Wb)
-    pick = float(stage_vals.max()) if mode == "max" else float(stage_vals.min())
-    val = max(val, pick) if mode == "max" else min(val, pick)
-    if return_argvec:
-        return val, Xz[0]
-    return val
-
-
-def ratio_extremum_many(
-    body,
-    Zs,
-    Ps=None,
-    mode="max",
-    rng=None,
-    starts=16,
-    iters=80,
-    probes=64,
-    polish=40,
-):
-    """Batched ratio extrema: Zs is (S, n, d), Ps is None or (S, q, n).
-
-    Returns an (S,) array.  Exact eigen route for ellipsoids.
+    The squared ratio is w^T N w / w^T M w with M = Z^T A Z; whitening by the
+    Cholesky factor M = L L^T turns it into the eigenvalues of L^-1 N L^-T.
+    Returns the (S,) values and the (S, n) extremizers, which have gauge 1.
     """
-    S, n, d = Zs.shape
-    if body.family == "ellipsoid":
-        out = np.empty(S)
-        for i in range(S):
-            out[i], _ = _ellipsoid_ratio(body, Zs[i], None if Ps is None else Ps[i], mode)
-        return out
+    ZT = _mT(Zs)
+    if Ps is None:
+        N = ZT @ Zs
+    elif _is_body(Ps):
+        N = ZT @ Ps.A @ Zs
+    else:
+        PZ = Ps @ Zs
+        N = _mT(PZ) @ PZ
+    LinvT = _mT(np.linalg.inv(np.linalg.cholesky(ZT @ body.A @ Zs)))
+    vals, U = np.linalg.eigh(_mT(LinvT) @ N @ LinvT)
+    idx = -1 if mode == "max" else 0
+    X = Zs @ (LinvT @ U[:, :, idx, None])
+    return np.sqrt(np.maximum(vals[:, idx], 0.0)), X[:, :, 0]
+
+
+def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
+    """(S,) extrema and (S, n) extremizers: probe, ascend the top starts, polish the best."""
+    Zs = np.asarray(Zs, dtype=float)
+    if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
+        return _ellipsoid_ratio(body, Zs, Ps, mode)
     rng = np.random.default_rng(0) if rng is None else rng
+    S, _, d = Zs.shape
     sign = 1.0 if mode == "max" else -1.0
+    fun_grad = _ratio_fun_grad(body, Zs, Ps, sign)
 
-    def fun_grad(W):
-        # W: (S, t, d)
-        Xz = np.einsum("snd,std->stn", Zs, W)
-        lead = Xz.shape[:-1]
-        g, Y = body._ascent_subgrad(Xz.reshape(-1, n))
-        g = g.reshape(lead)
-        Y = Y.reshape(lead + (n,))
-        if Ps is None:
-            num = np.linalg.norm(Xz, axis=-1)
-            dnum = Xz / np.maximum(num[..., None] ** 2, _EPS)
-        else:
-            q = np.einsum("sqn,stn->stq", Ps, Xz)
-            num = np.linalg.norm(q, axis=-1)
-            dq = np.einsum("sqn,stq->stn", Ps, q)
-            dnum = dq / np.maximum(num[..., None] ** 2, _EPS)
-        f = sign * (np.log(np.maximum(num, _EPS)) - np.log(np.maximum(g, _EPS)))
-        dz = sign * (dnum - Y / np.maximum(g[..., None], _EPS))
-        grad = np.einsum("snd,stn->std", Zs, dz)
-        return f, grad
-
-    W = _unit(rng.standard_normal((S, probes, d)))
-    f0, _ = fun_grad(W)
-    order = np.argsort(-f0, axis=1)[:, :starts]
-    W0 = np.take_along_axis(W, order[:, :, None], axis=1)
-    Wb, fb = ascend(fun_grad, W0, iters=iters)
+    probe = rng.standard_normal((S, probes, d))
+    W = _unit(np.concatenate([probe, np.broadcast_to(np.eye(d), (S, d, d))], axis=1))
+    # probe `starts` rows at a time, so no evaluation is wider than the ascent's
+    f0 = np.concatenate([fun_grad(W[:, i : i + starts])[0] for i in range(0, W.shape[1], starts)], axis=1)
+    order = np.argsort(-f0, axis=1)[:, :starts, None]
+    W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters)
     if polish:
-        top = np.argmax(fb, axis=1)
-        Wtop = np.take_along_axis(Wb, top[:, None, None], axis=1)
-        Wp, fp = ascend(fun_grad, Wtop, iters=polish, step0=1e-2)
-        fb = np.concatenate([fb, fp], axis=1)
-    fbest = fb.max(axis=1)
-    return np.exp(sign * fbest)
+        top = np.argmax(f, axis=1)[:, None, None]
+        Wp, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2)
+        W, f = np.concatenate([W, Wp], axis=1), np.concatenate([f, fp], axis=1)
+    best = np.take_along_axis(W, np.argmax(f, axis=1)[:, None, None], axis=1)
+    return np.exp(sign * f.max(axis=1)), (best @ _mT(Zs))[:, 0]
 
 
-def sphere_gauge_range(body, rng=None, starts=64, iters=200, probes=1000):
-    """Heuristic (min, max) of the gauge over the Euclidean unit sphere."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = body.dim
+def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iters=80, probes=64, polish=40):
+    """Batched ratio extrema over unit z in col(Zs[i]): an (S,) array.
 
-    def make(sign):
-        def fun_grad(W):
-            g, Y = body._ascent_subgrad(W)
-            f = sign * np.log(np.maximum(g, _EPS))
-            return f, sign * Y / np.maximum(g[..., None], _EPS)
-
-        return fun_grad
-
-    probe_pts = _unit(np.vstack([rng.standard_normal((probes, n)), np.eye(n)]))
-    gp = body._gauge(probe_pts)
-    out = []
-    for sign in (+1.0, -1.0):
-        fg = make(sign)
-        f0 = sign * np.log(np.maximum(gp, _EPS))
-        order = np.argsort(-f0)[: min(starts, probe_pts.shape[0])]
-        _, fb = ascend(fg, probe_pts[order], iters=iters)
-        out.append(float(np.exp(sign * fb.max())))
-    gmax, gmin = out
-    return gmin, gmax
+    Zs is (S, n, d).  The numerator is |z| when Ps is None, |Ps[i] z| for an
+    (S, q, n) stack, or the gauge of Ps when it is a body.  Exact for
+    ellipsoids with a quadratic numerator; else maxima are lower bounds and
+    minima upper bounds.
+    """
+    return _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0]
 
 
-def gauge_ratio_max(L, K, rng=None, starts=64, iters=200, probes=1000):
-    """max_x ||x||_L / ||x||_K over the sphere (heuristic lower bound)."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = K.dim
-
-    def fun_grad(W):
-        gK, YK = K._ascent_subgrad(W)
-        gL, YL = L._ascent_subgrad(W)
-        f = np.log(np.maximum(gL, _EPS)) - np.log(np.maximum(gK, _EPS))
-        grad = YL / np.maximum(gL[..., None], _EPS) - YK / np.maximum(gK[..., None], _EPS)
-        return f, grad
-
-    W = _unit(np.vstack([rng.standard_normal((probes, n)), np.eye(n)]))
-    f0, _ = fun_grad(W)
-    order = np.argsort(-f0)[: min(starts, W.shape[0])]
-    Wb, fb = ascend(fun_grad, W[order], iters=iters)
-    best = int(np.argmax(fb))
-    Wp, fp = ascend(fun_grad, Wb[best : best + 1], iters=120, step0=1e-2)
-    return float(np.exp(max(fb.max(), fp.max())))
+def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=200, probes=1000,
+                   polish=120, return_argvec=False):
+    """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
+    and P a (q, n) matrix or a body; optionally also the boundary extremizer."""
+    Zs = np.eye(body.dim)[None] if Z is None else np.asarray(Z, dtype=float)[None]
+    Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
+    vals, X = _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)
+    return (float(vals[0]), X[0]) if return_argvec else float(vals[0])
 
 
-def support_estimate(body, y, rng=None, starts=32, iters=150, probes=400, return_point=False):
-    """Heuristic h_K(y) = max_z <z, y> / gauge(z); returns the boundary maximizer too."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    y = np.asarray(y, dtype=float)
-    P = y[None, :]
-    val, zstar = ratio_extremum(
-        body, Z=None, P=P, mode="max", rng=rng, starts=starts, iters=iters, probes=probes,
-        return_argvec=True,
-    )
-    if not return_point:
-        return val
-    g = body._gauge(zstar[None])[0]
-    point = zstar / max(g, _EPS)
-    if float(point @ y) < 0:
-        point = -point
-    return val, point
+def support_estimate(body, Y, rng=None, starts=32, iters=150, probes=400):
+    """Heuristic h_K(y) = max_z <z, y> / gauge(z) per row of Y, and boundary maximizers."""
+    S, n = Y.shape
+    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", rng,
+                         starts, iters, probes, 120)
+    points = X / np.maximum(body._gauge(X), _EPS)[:, None]
+    return vals, np.where(((points * Y).sum(-1) < 0)[:, None], -points, points)

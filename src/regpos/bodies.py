@@ -84,8 +84,6 @@ class ConvexBody:
             raise DegenerateBodyError("dimension must be >= 1")
         self.dim = dim
         self.unconditional = False           # invariant under coordinate sign flips
-        self.permutation_symmetric = False   # invariant under coordinate permutations
-        self.circled = False                 # invariant under the paired-plane rotations
         self._radii_cache: Radii | None = None
         self._polar_cache: ConvexBody | None = None
 
@@ -215,7 +213,6 @@ class WeightedLp(ConvexBody):
         self.scales = s
         s.setflags(write=False)
         self.unconditional = True
-        self.permutation_symmetric = bool(np.all(s == s[0]))
 
     @classmethod
     def from_weights(cls, p, weights):
@@ -351,9 +348,6 @@ class Ellipsoid(ConvexBody):
         self._eigvecs = V
         self._Ainv = (V / w) @ V.T
         self.unconditional = bool(np.allclose(A, np.diag(np.diag(A)), atol=1e-14 * w[-1]))
-        self.permutation_symmetric = self.unconditional and bool(
-            np.allclose(np.diag(A), A[0, 0])
-        )
 
     def _gauge(self, X):
         return np.sqrt(np.maximum(np.einsum("mi,ij,mj->m", X, self.A, X), 0.0))
@@ -591,8 +585,6 @@ class PolarBody(ConvexBody):
         self.base = base
         self.exact = base.exact
         self.unconditional = base.unconditional
-        self.permutation_symmetric = base.permutation_symmetric
-        self.circled = base.circled
 
     def _gauge(self, X):
         return self.base._support(X)
@@ -633,7 +625,6 @@ class Complexified(ConvexBody):
     def __init__(self, base: ConvexBody):
         super().__init__(2 * base.dim)
         self.base = base
-        self.circled = True
 
     def _combo_gauge(self, X, Y, theta):
         # gauge_K(cos t * x + sin t * y) batched over rows for scalar theta array (m,)
@@ -682,12 +673,12 @@ class Complexified(ConvexBody):
         # heuristic via boundary search; flagged by exact = False
         from ._ascent import support_estimate
 
-        return np.array([support_estimate(self, y) for y in Y2])
+        return support_estimate(self, Y2)[0]
 
     def _support_argmax(self, Y2):
         from ._ascent import support_estimate
 
-        return np.array([support_estimate(self, y, return_point=True)[1] for y in Y2])
+        return support_estimate(self, Y2)[1]
 
     def _compute_radii(self):
         rb, Rb, exact = self.base.radii
@@ -752,14 +743,10 @@ def relative_out_radius(K: ConvexBody, L: ConvexBody, rng=None, starts=64, iters
     """R_L(K) = max_x ||x||_L / ||x||_K, the out-radius of K in the norm of L."""
     if K.dim != L.dim:
         raise ValueError("dimension mismatch between bodies")
-    if isinstance(K, Ellipsoid) and isinstance(L, Ellipsoid):
-        from scipy.linalg import eigh
+    from ._ascent import ratio_extremum
 
-        lam = eigh(L.A, K.A, eigvals_only=True)
-        return float(np.sqrt(lam[-1]))
-    from ._ascent import gauge_ratio_max
-
-    return gauge_ratio_max(L, K, rng=rng, starts=starts, iters=iters)
+    # exact generalized eigenvalue route when both bodies are ellipsoids
+    return ratio_extremum(K, P=L, rng=rng, starts=starts, iters=iters)
 
 
 def ball(n: int) -> Ellipsoid:
@@ -809,9 +796,11 @@ def from_spec(spec: dict) -> ConvexBody:
 
 def _gauge_range_on_sphere(K: ConvexBody, bracket=None, starts=64, iters=200, probes=1000):
     """Heuristic (min, max) of the gauge over the unit sphere by multistart ascent."""
-    from ._ascent import sphere_gauge_range
+    from ._ascent import ratio_extremum
 
-    lo, hi = sphere_gauge_range(K, starts=starts, iters=iters, probes=probes)
+    # max |x| / gauge(x) = 1 / min gauge on the sphere, and likewise for the max
+    lo = 1.0 / ratio_extremum(K, mode="max", starts=starts, iters=iters, probes=probes)
+    hi = 1.0 / ratio_extremum(K, mode="min", starts=starts, iters=iters, probes=probes)
     if bracket is not None:
         lo = max(lo, bracket[0])
         hi = min(hi, bracket[1]) if bracket[1] is not None else hi

@@ -43,16 +43,35 @@ def _load_config(path):
     return cfg
 
 
+def _get(cfg, key, default, kind):
+    """cfg[key] (or the default) converted by kind; a bad value is a ConfigError."""
+    value = cfg.get(key, default)
+    if value is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
 def _build_bodies(cfg, default_n=16):
     entries = cfg.get("bodies")
-    n = int(cfg.get("n", default_n))
+    n = _get(cfg, "n", default_n, int)
     if entries is None:
         return default_zoo(n)
     out = []
     for e in entries:
         try:
             if "preset" in e:
-                body = preset(e["preset"], int(e.get("dim", n)))
+                body = preset(e["preset"], _get(e, "dim", n, int))
                 name = e.get("name", e["preset"])
             else:
                 body = bd.from_spec(e)
@@ -64,15 +83,16 @@ def _build_bodies(cfg, default_n=16):
 
 
 def _single_body(cfg, default_n=32):
-    if "body" in cfg:
-        e = cfg["body"]
+    n = _get(cfg, "n", default_n, int)
+    e = cfg.get("body")
+    if e is None:
+        return bd.cross_polytope(n)
+    try:
         if isinstance(e, dict) and "preset" in e:
-            return preset(e["preset"], int(e.get("dim", cfg.get("n", default_n))))
-        try:
-            return bd.from_spec(e)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad body spec: {exc}")
-    return bd.cross_polytope(int(cfg.get("n", default_n)))
+            return preset(e["preset"], _get(e, "dim", n, int))
+        return bd.from_spec(e)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad body spec: {exc}")
 
 
 @contextlib.contextmanager
@@ -115,8 +135,8 @@ def _cmd_ellpos(args, cfg):
     bodies = _build_bodies(cfg)
     with _writer(args.out, "ellpos") as w:
         rows = ex.run_ell_positions(
-            bodies, samples=int(cfg.get("samples", 20000)), seed=args.seed,
-            tol=float(cfg.get("tol", 1e-6)), threads=args.threads, writer=w,
+            bodies, samples=_get(cfg, "samples", 20000, int), seed=args.seed,
+            tol=_get(cfg, "tol", 1e-6, float), threads=args.threads, writer=w,
         )
     for r in rows:
         print(f"{r['body']:12s} n={r['n']:3d} ell2={r['objective']:.4f} "
@@ -129,8 +149,8 @@ def _cmd_regpos(args, cfg):
     bodies = [(n, b) for n, b in _build_bodies(cfg) if b.as_weighted_lp() is not None]
     with _writer(args.out, "regpos") as w:
         rows = ex.run_regular_positions(
-            bodies, alpha=float(cfg.get("alpha", 0.75)),
-            samples=int(cfg.get("samples", 20000)), seed=args.seed,
+            bodies, alpha=_get(cfg, "alpha", 0.75, float),
+            samples=_get(cfg, "samples", 20000, int), seed=args.seed,
             threads=args.threads, writer=w,
         )
     bad = 0
@@ -147,8 +167,8 @@ def _cmd_sections(args, cfg):
     bodies = _build_bodies(cfg)
     with _writer(args.out, "sections") as w:
         rows = ex.run_section_tables(
-            bodies, k_grid=cfg.get("k_grid"), samples=int(cfg.get("samples", 400)),
-            c=float(cfg.get("c", 0.5)), seed=args.seed, writer=w,
+            bodies, k_grid=_get(cfg, "k_grid", None, _ints), samples=_get(cfg, "samples", 400, int),
+            c=_get(cfg, "c", 0.5, float), seed=args.seed, writer=w,
         )
     for r in rows:
         print(f"{r['body']:12s} n={r['n']:3d} k={r['k']:3d} cr_k={r['cr_k']:.4f} "
@@ -160,8 +180,8 @@ def _cmd_sections(args, cfg):
 def _cmd_lowmstar(args, cfg):
     with _writer(args.out, "lowmstar") as w:
         summary = ex.run_lowmstar_check(
-            n_list=tuple(cfg.get("n_list", (16, 32, 64))),
-            samples=int(cfg.get("samples", 1000)), c=float(cfg.get("c", 0.5)),
+            n_list=_get(cfg, "n_list", (16, 32, 64), _ints),
+            samples=_get(cfg, "samples", 1000, int), c=_get(cfg, "c", 0.5, float),
             seed=args.seed, writer=w, threads=args.threads,
         )
     for (name, n), val in summary["C_emp"].items():
@@ -174,14 +194,16 @@ def _cmd_lowmstar(args, cfg):
 
 def _cmd_qs(args, cfg):
     K = _single_body(cfg)
-    k = int(cfg.get("k", 8))
-    alpha = cfg.get("alpha")
+    k = _get(cfg, "k", 8, int)
+    if not 1 <= k <= K.dim // 2:
+        raise ConfigError(f"qs needs 1 <= k <= n/2, got k={k} with n={K.dim}")
+    c = _get(cfg, "c", 0.5, float)
     with _writer(args.out, "qs") as w:
         s = ex.run_qs_experiment(
-            K, None if alpha is None else float(alpha), k,
-            trials=int(cfg.get("trials", 500)), seed=args.seed,
-            c=float(cfg.get("c", 0.5)), fp_samples=int(cfg.get("fp_samples", 20000)),
-            report_samples=int(cfg.get("report_samples", 400)),
+            K, _get(cfg, "alpha", None, float), k,
+            trials=_get(cfg, "trials", 500, int), seed=args.seed,
+            c=c, fp_samples=_get(cfg, "fp_samples", 20000, int),
+            report_samples=_get(cfg, "report_samples", 400, int),
             writer=w, threads=args.threads,
         )
     print(f"n={s.n} k={s.k} alpha={s.alpha:.4f} trials={s.trials}")
@@ -190,7 +212,7 @@ def _cmd_qs(args, cfg):
         print(f"  {name}: d_sop={q['d_section_of_projection']:.4f} "
               f"d_pos={q['d_projection_of_section']:.4f}")
     print(f"exceedance: sop={s.exceed_sop:.4f} pos={s.exceed_pos:.4f} "
-          f"(bound 2e^-ck = {2*np.exp(-float(cfg.get('c', 0.5))*k):.4f})")
+          f"(bound 2e^-ck = {2*np.exp(-c*k):.4f})")
     row = {
         "n": s.n, "k": s.k, "alpha": s.alpha, "trials": s.trials,
         "P_emp": s.P_emp, "threshold": s.threshold,
@@ -206,10 +228,10 @@ def _cmd_curve(args, cfg):
     K = _single_body(cfg)
     with _writer(args.out, "curve") as w:
         res = ex.run_regularity_curve(
-            K, alphas=tuple(cfg.get("alphas", (0.6, 0.75, 1.0))),
-            samples=int(cfg.get("samples", 400)), seed=args.seed,
-            c=float(cfg.get("c", 0.5)), fp_samples=int(cfg.get("fp_samples", 20000)),
-            k_grid=cfg.get("k_grid"), writer=w, threads=args.threads,
+            K, alphas=_get(cfg, "alphas", (0.6, 0.75, 1.0), _floats),
+            samples=_get(cfg, "samples", 400, int), seed=args.seed,
+            c=_get(cfg, "c", 0.5, float), fp_samples=_get(cfg, "fp_samples", 20000, int),
+            k_grid=_get(cfg, "k_grid", None, _ints), writer=w, threads=args.threads,
         )
     for pt in res["curve"]:
         print(f"alpha={pt['alpha']:.3f} P_emp={pt['P_emp']:.4f} "

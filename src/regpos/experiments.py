@@ -608,7 +608,7 @@ def _check_gelfand(seed):
     # c_k upper bound: codim-1 sections of diag(1/4,1,1) reach 1 within 5%
     vals = section_radius_sample(bd.Ellipsoid(np.diag([0.25, 1, 1])), 2, 1500, rng)
     ub = float(vals.min())
-    if not 1.0 <= ub * 1.0000001 and ub <= 1.05:
+    if not (1.0 <= ub * 1.0000001 and ub <= 1.05):
         return False, f"c_2 upper bound {ub:.4f} not within 5% of 1"
     # monotone nonincreasing on an ellipsoid (clamped regime)
     E = bd.Ellipsoid(np.diag(np.geomspace(1.0 / 16, 1, 16)))
@@ -733,23 +733,16 @@ def run_qs_experiment(
     threshold = Rbar**2
 
     rng = _rng(seed, 3)
-    m1 = n - k + 1
-    m2 = n - 2 * k + 2
-    Q = sp.haar_grassmannian_batch(rng, n, m1, trials)
-    F_bases = Q
-    E_bases = Q[:, :, :m2]
-    D = Q[:, :, m2:]  # F minus E, dimension k-1
-    Qfull, _ = np.linalg.qr(D, mode="complete")
-    Dperp = Qfull[:, :, k - 1 :]  # (trials, n, n-k+1)
-    Pts = np.swapaxes(E_bases, 1, 2)  # (trials, m2, n) projector rows
+    F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
+    Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
 
     def batch(body, Zs):
         sub = np.random.default_rng(rng.integers(2**63))
         return ratio_extremum_many(body, Zs, Ps=Pts, mode="max", rng=sub, **ratio_opts)
 
-    R_a_body = batch(Kbar, Dperp)    # R((P_F Kbar) cap E)
-    R_b_body = batch(Kbar, F_bases)  # R(P_E (Kbar cap F))
-    R_a_pol = batch(Kpol, Dperp)
+    R_a_body = batch(Kbar, E2_bases)  # R((P_F Kbar) cap E)
+    R_b_body = batch(Kbar, F_bases)   # R(P_E (Kbar cap F))
+    R_a_pol = batch(Kpol, E2_bases)
     R_b_pol = batch(Kpol, F_bases)
     sub = np.random.default_rng(rng.integers(2**63))
     RF_body = ratio_extremum_many(Kbar, F_bases, mode="max", rng=sub, **ratio_opts)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import bodies as bd
-from .gaussian import GaussianSample, ell, ell_star
+from .gaussian import GaussianSample, _map_blocks, ell, ell_star
 from .interpolation import InterpolationPair, interpolate
 
 __all__ = [
@@ -88,9 +88,6 @@ class PositionMap:
     def compose(self, other: "PositionMap") -> "PositionMap":
         return PositionMap(self.matrix @ other.matrix, other.inverse @ self.inverse)
 
-    def rows(self):
-        return [list(map(float, row)) for row in self.matrix]
-
     def __repr__(self):
         kind = "diag" if self.diagonal else "full"
         return f"<PositionMap {kind} dim={self.dim} det={self.det:.3g}>"
@@ -107,12 +104,6 @@ class EllPositionResult:
     objective_at_identity: float
     product: float | None = None
     product_se: float | None = None
-
-
-def _map_block_results(sample, fn, threads):
-    from .gaussian import _map_blocks
-
-    return _map_blocks(sample, fn, threads)
 
 
 class _DiagObjective:
@@ -135,7 +126,7 @@ class _DiagObjective:
 
         val = 0.0
         grad = np.zeros(self.n)
-        for v, gr in _map_block_results(self.sample, blockfn, self.threads):
+        for v, gr in _map_blocks(self.sample, blockfn, self.threads):
             val += v
             grad += gr
         M = self.sample.count
@@ -181,7 +172,7 @@ class _FullObjective:
 
         val = 0.0
         Gw = np.zeros((n, n))
-        for v, gw in _map_block_results(self.sample, blockfn, self.threads):
+        for v, gw in _map_blocks(self.sample, blockfn, self.threads):
             val += v
             Gw += gw
         M = self.sample.count
@@ -297,7 +288,7 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> P
 
     sa = sb = saa = sbb = sab = 0.0
     m = 0
-    for pa, pb, paa, pbb, pab, pm in _map_block_results(sample, blockfn, threads):
+    for pa, pb, paa, pbb, pab, pm in _map_blocks(sample, blockfn, threads):
         sa += pa
         sb += pb
         saa += paa

@@ -26,6 +26,7 @@ __all__ = [
     "SectionBody",
     "haar_grassmannian",
     "haar_flag",
+    "haar_flag_batch",
     "section",
     "project",
     "out_radius",
@@ -78,14 +79,6 @@ class Subspace:
         """Coordinates of ambient points in this basis (left-inverse of the injection)."""
         return np.asarray(x, dtype=float) @ self.basis
 
-    def embed(self, u):
-        """Ambient representative of carrier coordinates."""
-        return np.asarray(u, dtype=float) @ self.basis.T
-
-    def rows(self):
-        """Row-major basis listing for JSON records."""
-        return [list(map(float, row)) for row in self.basis]
-
 
 @dataclass(frozen=True)
 class Flag:
@@ -119,42 +112,41 @@ class Flag:
         return Subspace(np.hstack([Cf, self.E.basis]))
 
 
-def _haar_basis(rng, n, m):
-    while True:
-        G = rng.standard_normal((n, m))
-        Q, R = np.linalg.qr(G)
-        d = np.diag(R)
-        if np.all(d != 0):
-            return Q * np.sign(d)
-
-
-def haar_grassmannian(rng, n: int, m: int) -> Subspace:
-    """Haar-distributed m-dimensional subspace of R^n."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    return Subspace(_haar_basis(rng, n, m))
-
-
-def haar_flag(rng, n: int, k: int) -> Flag:
-    """Haar-distributed flag (F, E): F uniform, and E uniform inside F.
-
-    Both spans come from one orthonormalized Gaussian matrix; the leading
-    n-2k+2 columns span E, all n-k+1 columns span F.
-    """
-    if not 1 <= k <= n // 2:
-        raise ValueError("need 1 <= k <= n/2")
-    m1 = n - k + 1
-    m2 = n - 2 * k + 2
-    Q = _haar_basis(rng, n, m1)
-    return Flag(F=Subspace(Q), E=Subspace(Q[:, :m2]), k=k)
-
-
 def haar_grassmannian_batch(rng, n, m, count):
     """(count, n, m) stack of Haar bases (batched QR)."""
     G = rng.standard_normal((count, n, m))
     Q, R = np.linalg.qr(G)
     d = np.einsum("sii->si", R)
     return Q * np.sign(np.where(d == 0, 1.0, d))[:, None, :]
+
+
+def haar_flag_batch(rng, n, k, count):
+    """(F, E, E2) stacks of count Haar flags, with E2 = F^perp + E.
+
+    F is uniform on G_{n, n-k+1} and E uniform inside F: the leading
+    n-2k+2 columns of one Haar basis span E, all n-k+1 columns span F.  E2
+    is the orthocomplement of the k-1 trailing columns, so F contains
+    E2^perp and F cap E2 = E.
+    """
+    if not 1 <= k <= n // 2:
+        raise ValueError("need 1 <= k <= n/2")
+    m2 = n - 2 * k + 2
+    F = haar_grassmannian_batch(rng, n, n - k + 1, count)
+    Q, _ = np.linalg.qr(F[:, :, m2:], mode="complete")
+    return F, F[:, :, :m2], Q[:, :, k - 1 :]
+
+
+def haar_grassmannian(rng, n: int, m: int) -> Subspace:
+    """Haar-distributed m-dimensional subspace of R^n."""
+    if not 1 <= m <= n:
+        raise ValueError("need 1 <= m <= n")
+    return Subspace(haar_grassmannian_batch(rng, n, m, 1)[0])
+
+
+def haar_flag(rng, n: int, k: int) -> Flag:
+    """Haar-distributed flag (F, E): F uniform, and E uniform inside F."""
+    F, E, _ = haar_flag_batch(rng, n, k, 1)
+    return Flag(F=Subspace(F[0]), E=Subspace(E[0]), k=k)
 
 
 # ----------------------------------------------------------------------

@@ -250,6 +250,35 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["sections", "--config", str(badbody)]) == 2
 
 
+def test_cli_bad_config_values_exit_2(tmp_path, capsys):
+    # a value of the wrong type, and a qs flag parameter beyond n/2
+    for cmd, cfg in (("sections", {"samples": "abc"}),
+                     ("qs", {"n": 8, "k": 5}),
+                     ("qs", {"body": {"preset": "b1", "dim": "x"}})):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_regpos_outputs_identical_across_threads(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "bodies": [{"preset": "b1", "dim": 8}, {"preset": "wlp1.5", "dim": 8}],
+        "samples": 4000,
+    }))
+    outs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"t{threads}")
+        assert main(["regpos", "--config", str(cfg), "--seed", "5", "--threads", threads,
+                     "--out", out]) == 0
+        outs.append(out)
+    files = sorted(os.listdir(outs[0]))
+    assert files == ["regpos.jsonl", "regpos_summary.csv"]
+    for f in files:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+
+
 def test_cli_props_subset_green(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"names": ["support_duality", "polar_involution"]}))

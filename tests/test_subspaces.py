@@ -222,6 +222,46 @@ def test_batched_section_out_radii():
         assert vals[i] == pytest.approx(lam[0] ** -0.5, rel=1e-10)
 
 
+def test_stacked_ellipsoid_route_matches_per_subspace_eigvalsh():
+    from regpos._ascent import _ellipsoid_ratio
+
+    n, m, q, count = 9, 5, 6, 40
+    rng = np.random.default_rng(21)
+    K = bd.Ellipsoid(np.diag(np.geomspace(0.1, 10.0, n)))
+    Zs = sp.haar_grassmannian_batch(rng, n, m, count)
+    Ps = rng.standard_normal((count, q, n))
+    for P, mode in ((None, "max"), (Ps, "max"), (None, "min"), (Ps, "min")):
+        vals, X = _ellipsoid_ratio(K, Zs, P, mode)
+        for i in range(count):
+            Z = Zs[i]
+            N = Z.T @ Z if P is None else (P[i] @ Z).T @ (P[i] @ Z)
+            # whiten by the symmetric inverse square root of Z^T A Z
+            w, V = np.linalg.eigh(Z.T @ K.A @ Z)
+            H = (V / np.sqrt(w)) @ V.T
+            lam = np.linalg.eigvalsh(H @ N @ H)
+            assert vals[i] == pytest.approx(np.sqrt(lam[-1] if mode == "max" else lam[0]), rel=1e-12)
+        # the extremizers lie on the boundary and attain the values
+        assert np.abs(K.gauge(X) - 1.0).max() <= 1e-12
+        num = np.linalg.norm(X if P is None else np.einsum("sqn,sn->sq", P, X), axis=1)
+        assert np.abs(num - vals).max() <= 1e-12 * vals.max()
+
+
+def test_ascent_never_exceeds_b1_hyperplane_pair_formula():
+    from regpos._ascent import ratio_extremum, ratio_extremum_many
+
+    n, count = 8, 50
+    bases = sp.haar_grassmannian_batch(np.random.default_rng(22), n, n - 1, count)
+    normals = np.linalg.qr(bases, mode="complete")[0][:, :, -1]
+    A = np.abs(normals)
+    i, j = np.triu_indices(n, 1)
+    exact = (np.hypot(A[:, i], A[:, j]) / (A[:, i] + A[:, j])).max(axis=1)
+    K = bd.cross_polytope(n)
+    many = ratio_extremum_many(K, bases, rng=np.random.default_rng(0))
+    assert np.all(many <= exact * (1 + 1e-9))
+    for s in range(0, count, 10):
+        assert ratio_extremum(K, Z=bases[s], rng=np.random.default_rng(s)) <= exact[s] * (1 + 1e-9)
+
+
 # ----------------------------------------------------------------------
 # nested projection identity
 # ----------------------------------------------------------------------
