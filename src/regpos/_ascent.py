@@ -46,7 +46,7 @@ def ascend(fun_grad, W0, iters=120, step0=0.25, max_step=2.0):
         f = np.where(better, fc, f)
         G = np.where(bm, Gc, G)
         steps = np.where(better, np.minimum(steps * 1.3, max_step), steps * 0.5)
-        if float(steps.max()) < 1e-12:
+        if float(steps.max(initial=0.0)) < 1e-12:
             break
     return W, f
 

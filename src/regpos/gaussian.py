@@ -4,13 +4,16 @@ approximation with common random numbers.
 A GaussianSample is a deterministic function of (seed, count, dim): block b
 is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
 agree across sample sizes and evaluation can run block-parallel with a
-fixed-order reduction (results do not depend on the thread count).
+fixed-order reduction (results do not depend on the thread count).  The
+whole (M, N) array is drawn once, on first use, and is then held read-only
+for the sample's lifetime (M * N * 8 bytes); blocks are views into it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -32,7 +35,7 @@ BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class GaussianSample:
-    """M standard Gaussian vectors in R^N, recreated deterministically."""
+    """M standard Gaussian vectors in R^N, drawn deterministically on first use."""
 
     seed: int
     count: int
@@ -42,22 +45,28 @@ class GaussianSample:
         if self.count < 2:
             raise ValueError("need at least two sample vectors")
 
+    @cached_property
+    def array(self):
+        """The read-only (M, N) sample; block b holds the draws of the b-th spawn."""
+        arr = np.empty((self.count, self.dim))
+        children = np.random.SeedSequence([int(self.seed), int(self.dim)]).spawn(self.n_blocks())
+        for b, child in enumerate(children):
+            np.random.default_rng(child).standard_normal(out=arr[b * BLOCK : (b + 1) * BLOCK])
+        arr.setflags(write=False)
+        return arr
+
     def n_blocks(self):
         return (self.count + BLOCK - 1) // BLOCK
 
     def block(self, b: int):
-        size = min(BLOCK, self.count - b * BLOCK)
-        ss = np.random.SeedSequence([int(self.seed), int(self.dim)])
-        child = ss.spawn(b + 1)[b]
-        return np.random.default_rng(child).standard_normal((size, self.dim))
+        return self.array[b * BLOCK : (b + 1) * BLOCK]
 
     def blocks(self):
-        for b in range(self.n_blocks()):
-            yield self.block(b)
+        return map(self.block, range(self.n_blocks()))
 
     def vectors(self):
-        """The full (M, N) array; prefer blocks() in bulk paths."""
-        return np.concatenate(list(self.blocks()), axis=0)
+        """The full read-only (M, N) array."""
+        return self.array
 
     def sign_symmetrized(self):
         """Sample closed under all coordinate sign flips (2^N copies per vector).
@@ -75,30 +84,18 @@ class GaussianSample:
         return (base[:, None, :] * signs[None, :, :]).reshape(-1, self.dim)
 
 
-class FixedSample:
-    """Sample interface over a materialized (M, N) array (e.g. symmetrized draws)."""
+class FixedSample(GaussianSample):
+    """A sample over a given (M, N) array (e.g. symmetrized draws)."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__   # two arrays of one shape differ
 
     def __init__(self, array, seed=-1):
         arr = np.array(array, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("need an (M, N) array with M >= 2")
-        self.array = arr
         arr.setflags(write=False)
-        self.seed = seed
-        self.count, self.dim = arr.shape
-
-    def n_blocks(self):
-        return (self.count + BLOCK - 1) // BLOCK
-
-    def block(self, b):
-        return self.array[b * BLOCK : (b + 1) * BLOCK]
-
-    def blocks(self):
-        for b in range(self.n_blocks()):
-            yield self.block(b)
-
-    def vectors(self):
-        return self.array
+        super().__init__(seed, *arr.shape)
+        self.__dict__["array"] = arr   # the value of the cached property, never drawn
 
 
 @dataclass(frozen=True)
@@ -114,23 +111,19 @@ class EllEstimate:
         return self.value - k * self.se, self.value + k * self.se
 
 
-def _map_blocks(sample, fn, threads=1):
-    """fn(block) per block, reduced in fixed block order regardless of threads."""
-    nb = sample.n_blocks()
-    if threads and threads > 1 and nb > 1:
+def _map_blocks(blocks, fn, threads=1):
+    """fn per row block (e.g. of sample.blocks()), in fixed block order regardless
+    of threads; callers sum the results in that order."""
+    blocks = list(blocks)
+    if threads and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(lambda b: fn(sample.block(b)), range(nb)))
-    return [fn(sample.block(b)) for b in range(nb)]
+            return list(ex.map(fn, blocks))
+    return [fn(G) for G in blocks]
 
 
 def _moments(sample, values_fn, threads=1):
-    parts = _map_blocks(sample, lambda G: _block_moments(values_fn(G)), threads)
-    s = sq = 0.0
-    m = 0
-    for bs, bsq, bm in parts:
-        s += bs
-        sq += bsq
-        m += bm
+    parts = _map_blocks(sample.blocks(), lambda G: _block_moments(values_fn(G)), threads)
+    s, sq, m = map(sum, zip(*parts))
     mean = s / m
     var = max(sq / m - mean * mean, 0.0) * m / (m - 1)
     return mean, var, m
@@ -148,63 +141,57 @@ def _estimate(sample, values_fn, p, threads=1):
     return EllEstimate(value, se, m, 2)
 
 
-def ell(K, p: int, sample: GaussianSample, threads=1) -> EllEstimate:
-    """ell_p(K) = (E ||G_N||_K^p)^(1/p) for p in {1, 2}."""
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
+# name -> (per-row values on a block G, the power p of the estimate)
+_FUNCTIONALS = {
+    "ell": (lambda K, G: K._gauge(G), 1),
+    "ell2": (lambda K, G: K._gauge(G) ** 2, 2),
+    "ell_star": (lambda K, G: K._support(G), 1),
+    "ell2_star": (lambda K, G: K._support(G) ** 2, 2),
+    "mstar": (lambda K, G: K._support(G / np.linalg.norm(G, axis=1, keepdims=True)), 1),
+}
+
+
+def _estimate_functional(K, name, sample, threads):
+    if name not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional {name!r}")
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
-    fn = (lambda G: K._gauge(G)) if p == 1 else (lambda G: K._gauge(G) ** 2)
-    return _estimate(sample, fn, p, threads)
+    fn, p = _FUNCTIONALS[name]
+    return _estimate(sample, lambda G: fn(K, G), p, threads)
+
+
+def _power_name(p, names):
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    return names[int(p) - 1]
+
+
+def ell(K, p: int, sample: GaussianSample, threads=1) -> EllEstimate:
+    """ell_p(K) = (E ||G_N||_K^p)^(1/p) for p in {1, 2}."""
+    return _estimate_functional(K, _power_name(p, ("ell", "ell2")), sample, threads)
 
 
 def ell_star(K, p: int, sample: GaussianSample, threads=1) -> EllEstimate:
     """ell*_p(K) = ell_p(K polar), evaluated through the support function."""
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    if sample.dim != K.dim:
-        raise ValueError("sample dimension does not match the body")
-    fn = (lambda G: K._support(G)) if p == 1 else (lambda G: K._support(G) ** 2)
-    return _estimate(sample, fn, p, threads)
+    return _estimate_functional(K, _power_name(p, ("ell_star", "ell2_star")), sample, threads)
 
 
 def mstar(K, sample: GaussianSample, threads=1) -> EllEstimate:
     """M*(K), the spherical mean of the support function (normalized Gaussians)."""
-    if sample.dim != K.dim:
-        raise ValueError("sample dimension does not match the body")
-
-    def fn(G):
-        U = G / np.linalg.norm(G, axis=1, keepdims=True)
-        return K._support(U)
-
-    return _estimate(sample, fn, 1, threads)
-
-
-_FUNCTIONALS = {
-    "ell": lambda K, G: K._gauge(G),
-    "ell2": lambda K, G: K._gauge(G) ** 2,
-    "ell_star": lambda K, G: K._support(G),
-    "ell2_star": lambda K, G: K._support(G) ** 2,
-    "mstar": lambda K, G: K._support(G / np.linalg.norm(G, axis=1, keepdims=True)),
-}
+    return _estimate_functional(K, "mstar", sample, threads)
 
 
 def crn_pair(bodyA, bodyB, functional: str, sample: GaussianSample, threads=1):
     """Both functionals on the identical Gaussian sample (variance reduction)."""
     if bodyA.dim != bodyB.dim:
         raise ValueError("bodies must share a dimension")
-    if functional not in _FUNCTIONALS:
-        raise ValueError(f"unknown functional {functional!r}")
-    fn = _FUNCTIONALS[functional]
-    p = 2 if functional.startswith("ell2") else 1
-    estA = _estimate(sample, lambda G: fn(bodyA, G), p, threads)
-    estB = _estimate(sample, lambda G: fn(bodyB, G), p, threads)
-    return estA, estB
+    return (_estimate_functional(bodyA, functional, sample, threads),
+            _estimate_functional(bodyB, functional, sample, threads))
 
 
 def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample, threads=1) -> EllEstimate:
     """Paired-difference estimator of functional(A) - functional(B) under CRN."""
-    fn = _FUNCTIONALS[functional]
+    fn = _FUNCTIONALS[functional][0]
     mean, var, m = _moments(sample, lambda G: fn(bodyA, G) - fn(bodyB, G), threads)
     return EllEstimate(mean, np.sqrt(var / m), m, 1)
 

@@ -106,33 +106,66 @@ class EllPositionResult:
     product_se: float | None = None
 
 
+# a power-form row sum at or above this has lost at most n*eps to underflowed terms
+_POWER_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
 class _DiagObjective:
-    """psi(w) = mean_j gauge(e^w * g_j)^2 over traceless w (w is recentered)."""
+    """psi(w) = mean_j gauge(e^w * g_j)^2 over traceless w (w is recentered).
+
+    For a weighted l_p body with finite p and scales s this is the power form
+    psi(w) = mean_j m^2 (sum_i a_ji c_i)^(2/p) with a_ji = (|g_ji| / m)^p, m the
+    largest |g_ji| of the block, and c_i = (s_i e^(w_i))^p: A is computed once
+    per solve, and each call is the two matvecs A c and A^T (A c)^(2/p - 1) per
+    block.  Other bodies, and blocks whose row sums come near underflow (large
+    p), go through the gauge subgradient.
+    """
 
     def __init__(self, K, sample, threads=1):
-        self.K = K
-        self.sample = sample
-        self.threads = threads
-        self.n = K.dim
+        self.K, self.threads, self.count = K, threads, sample.count
+        self.blocks = list(sample.blocks())
+        form = K.as_weighted_lp()
+        self.powers = None
+        if form is not None and np.isfinite(form[0]):
+            self.p, self.log_s = form[0], np.log(form[1])
+            self.powers = _map_blocks(self.blocks, self._block_powers, threads)
+
+    def _block_powers(self, G):
+        # divided by the block max to keep the powers in range; in place, sparing two temporaries
+        A = np.abs(G)
+        m = A.max(initial=np.finfo(float).tiny)
+        np.power(np.divide(A, m, out=A), self.p, out=A)
+        return A, m * m
+
+    def _subgrad_block(self, G, es):
+        X = G * es
+        g, Y = self.K._gauge_subgrad(X)
+        return float((g * g).sum()), 2.0 * np.einsum("m,mi,mi->i", g, Y, X)
 
     def __call__(self, w):
         wt = w - w.mean()
         es = np.exp(wt)
+        if self.powers is None:
+            parts = _map_blocks(self.blocks, lambda G: self._subgrad_block(G, es), self.threads)
+        else:
+            # c is divided by its max e^top to stay in range; psi scales by e^(2 top / p)
+            u = self.p * (self.log_s + wt)
+            top = u.max()
+            c = np.exp(u - top)
+            unit = np.exp(2.0 * top / self.p)
+            # einsum, not BLAS: the sums must not depend on the BLAS thread count
+            def blockfn(b):
+                A, m2 = self.powers[b]
+                S = np.einsum("mi,i->m", A, c)
+                if S.min() < _POWER_FLOOR:
+                    return self._subgrad_block(self.blocks[b], es)
+                r = m2 * S ** (2.0 / self.p - 1.0)
+                return unit * float((S * r).sum()), unit * 2.0 * c * np.einsum("mi,m->i", A, r)
 
-        def blockfn(G):
-            X = G * es
-            g, Y = self.K._gauge_subgrad(X)
-            return float((g * g).sum()), 2.0 * np.einsum("m,mi,mi->i", g, Y, X)
-
-        val = 0.0
-        grad = np.zeros(self.n)
-        for v, gr in _map_blocks(self.sample, blockfn, self.threads):
-            val += v
-            grad += gr
-        M = self.sample.count
-        grad = grad / M
-        grad -= grad.mean()
-        return val / M, grad
+            parts = _map_blocks(range(len(self.blocks)), blockfn, self.threads)
+        val, grad = map(sum, zip(*parts))
+        grad = grad / self.count
+        return val / self.count, grad - grad.mean()
 
 
 def _dexp_factor(lam):
@@ -170,13 +203,9 @@ class _FullObjective:
             g, Y = self.K._gauge_subgrad(X)
             return float((g * g).sum()), (2.0 * g[:, None] * Y).T @ G
 
-        val = 0.0
-        Gw = np.zeros((n, n))
-        for v, gw in _map_blocks(self.sample, blockfn, self.threads):
-            val += v
-            Gw += gw
+        val, Gw = map(sum, zip(*_map_blocks(self.sample.blocks(), blockfn, self.threads)))
         M = self.sample.count
-        Gw /= M
+        Gw = Gw / M
         Phi = _dexp_factor(lam)
         Gs = Q @ (Phi * (Q.T @ Gw @ Q)) @ Q.T
         Gs = 0.5 * (Gs + Gs.T)
@@ -286,15 +315,7 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> P
             float((b * b).sum()), float((a * b).sum()), a.size,
         )
 
-    sa = sb = saa = sbb = sab = 0.0
-    m = 0
-    for pa, pb, paa, pbb, pab, pm in _map_blocks(sample, blockfn, threads):
-        sa += pa
-        sb += pb
-        saa += paa
-        sbb += pbb
-        sab += pab
-        m += pm
+    sa, sb, saa, sbb, sab, m = map(sum, zip(*_map_blocks(sample.blocks(), blockfn, threads)))
     mua, mub = sa / m, sb / m
     va = max(saa / m - mua**2, 0.0) * m / (m - 1)
     vb = max(sbb / m - mub**2, 0.0) * m / (m - 1)

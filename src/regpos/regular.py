@@ -43,26 +43,29 @@ def _require_tractable_unconditional(K):
     return form
 
 
-def _interpolant_for(K_form, theta, log_t):
-    pK, sK = K_form
-    # T^{-1} B_2 is the diagonal ellipsoid ||t * x||_2 <= 1, i.e. scales t
-    s_T = np.exp(log_t)
-    pair = InterpolationPair(bd.WeightedLp(pK, sK), bd.WeightedLp(2.0, s_T), theta)
-    return interpolate(pair)
-
-
 def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
-                    solver_tol: float = 1e-8, start=None, threads: int = 1) -> PositionMap:
-    """F(T): the diagonal det-1 map putting [K, T^{-1} B_2]_theta in SAA ell-position."""
-    form = _require_tractable_unconditional(K)
+                    solver_tol: float = 1e-8, start: PositionMap | None = None,
+                    threads: int = 1) -> PositionMap:
+    """F(T): the diagonal det-1 map putting [K, T^{-1} B_2]_theta in SAA ell-position.
+
+    `start`, if given, must be an earlier return value of this function for the
+    same K and theta: the solve warm-starts from its chart solution, shifted by
+    the change of interpolant scales.
+    """
+    pK, sK = _require_tractable_unconditional(K)
     if not T.diagonal:
         raise ValueError("T must be diagonal")
-    Kth = _interpolant_for(form, theta, T.log_diag())
-    res = solve_ell_position(
-        Kth, sample, mode="diagonal", tol=solver_tol, start=start,
-        threads=threads, compute_product=False,
-    )
-    return res.T
+    if start is not None and not hasattr(start, "_interpolant_log_scales"):
+        raise ValueError("start must be an earlier return value of fixed_point_map")
+    # T^{-1} B_2 is the diagonal ellipsoid ||t * x||_2 <= 1, i.e. scales t
+    T_ball = bd.WeightedLp(2.0, np.diag(T.matrix))
+    Kth = interpolate(InterpolationPair(bd.WeightedLp(pK, sK), T_ball, theta))
+    log_s = np.log(Kth.scales)
+    x0 = None if start is None else start._chart_solution - (log_s - start._interpolant_log_scales)
+    F = solve_ell_position(Kth, sample, mode="diagonal", tol=solver_tol, start=x0,
+                           threads=threads, compute_product=False).T
+    F._interpolant_log_scales = log_s
+    return F
 
 
 @dataclass
@@ -98,29 +101,20 @@ def find_regular_position(
     and the returned position body is a*T(K) with the balance scale a
     equalizing ell and ell* of the interpolant.
     """
-    form = _require_tractable_unconditional(K)
-    pK, sK = form
+    pK, sK = _require_tractable_unconditional(K)
     theta = theta_of_alpha(alpha)
     if sample is None:
         sample = GaussianSample(seed, samples, K.dim)
-    n = K.dim
-    log_t = np.zeros(n)
-    warm = None
-    s_prev = None
+    log_t = np.zeros(K.dim)
+    F = None
     trace = []
     residual = np.inf
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        Kth = _interpolant_for(form, theta, log_t)
-        s_now = np.log(Kth.scales)
-        start = None if warm is None else warm - (s_now - s_prev)
-        res = solve_ell_position(
-            Kth, sample, mode="diagonal", tol=solver_tol, start=start,
-            threads=threads, compute_product=False,
-        )
-        warm, s_prev = res.T._chart_solution, s_now
-        f = np.log(np.diag(res.T.matrix))
+        F = fixed_point_map(K, PositionMap.from_diag(np.exp(log_t)), theta, sample,
+                            solver_tol=solver_tol, start=F, threads=threads)
+        f = np.log(np.diag(F.matrix))
         residual = float(np.abs(log_t - f).max())
         trace.append(residual)
         if residual <= tol:
@@ -162,14 +156,11 @@ def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, *,
 
     Near a fixed point this re-solve must return (close to) the identity.
     """
-    form = _require_tractable_unconditional(K)
-    pK, sK = form
-    t = np.diag(result.T.matrix)
-    TK_form = (pK, sK / t)
-    Kth = _interpolant_for(TK_form, result.theta, np.zeros(K.dim))
-    res = solve_ell_position(Kth, result.sample, mode="diagonal", tol=solver_tol,
-                             threads=threads, compute_product=False)
-    return float(np.abs(np.log(np.diag(res.T.matrix))).max())
+    pK, sK = _require_tractable_unconditional(K)
+    TK = bd.WeightedLp(pK, sK / np.diag(result.T.matrix))
+    F = fixed_point_map(TK, PositionMap.identity(K.dim), result.theta, result.sample,
+                        solver_tol=solver_tol, threads=threads)
+    return float(np.abs(np.log(np.diag(F.matrix))).max())
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,19 @@ def test_sample_reproducible_and_prefix_stable():
     assert not np.array_equal(short, other)
 
 
+def test_sample_equals_per_block_spawn_draws_and_is_read_only():
+    s = GaussianSample(42, 40000, 8)
+    for b, size in enumerate([16384, 16384, 7232]):
+        child = np.random.SeedSequence([42, 8]).spawn(b + 1)[b]
+        expected = np.random.default_rng(child).standard_normal((size, 8))
+        assert np.array_equal(s.block(b), expected)
+        with pytest.raises(ValueError):
+            s.block(b)[0, 0] = 0.0
+    assert np.array_equal(np.concatenate(list(s.blocks())), s.vectors())
+    with pytest.raises(ValueError):
+        s.vectors()[0, 0] = 0.0
+
+
 def test_sample_block_mean_band():
     s = GaussianSample(7, 30000, 4)
     G = s.vectors()

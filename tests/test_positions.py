@@ -1,12 +1,14 @@
 """ell-position solver tests: closed forms, symmetry restriction, local
 optimality and the balance scaling."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from regpos import bodies as bd
 from regpos.gaussian import FixedSample, GaussianSample, ell
-from regpos.positions import PositionMap, balance_scale, ell_product, solve_ell_position
+from regpos.positions import PositionMap, _DiagObjective, balance_scale, ell_product, solve_ell_position
 
 
 SAMPLE = GaussianSample(101, 20000, 8)
@@ -30,6 +32,37 @@ def test_position_map_apply_and_compose():
     assert K.gauge([2.0, 0.0]) == pytest.approx(1.0)
     TT = T.compose(T)
     assert np.allclose(TT.matrix, np.diag([4.0, 0.25]))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 18 / 7, 6.0, 24.0, 1000.0])
+def test_power_form_objective_matches_gauge_subgradient(p, monkeypatch):
+    if p <= 24:
+        # these p stay on the power form: no block falls back to the gauge subgradient
+        monkeypatch.setattr(_DiagObjective, "_subgrad_block", lambda *a: pytest.fail("fell back"))
+    n = 6
+    sample = GaussianSample(17, 20000, n)   # two blocks, so threads=2 splits them
+    G = sample.vectors()
+    for span, w in itertools.product((1.0, 20.0), (np.zeros(n), np.random.default_rng(3).uniform(-2.0, 2.0, n))):
+        K = bd.WeightedLp(p, np.exp(np.linspace(-span, span, n)))
+        # the gauge-subgradient form over the whole sample, as the reference
+        X = G * np.exp(w - w.mean())
+        g, Y = K._gauge_subgrad(X)
+        ref_grad = 2.0 * (g[:, None] * Y * X).mean(axis=0)
+        ref_grad -= ref_grad.mean()
+        for threads in (1, 2):
+            val, grad = _DiagObjective(K, sample, threads)(w)
+            assert val == pytest.approx(np.mean(g * g), rel=1e-10)
+            assert np.abs(grad - ref_grad).max() <= 1e-10 * np.abs(ref_grad).max()
+
+
+def test_large_p_weighted_lp_is_solved():
+    # |g|^1000 overflows unless the powers are normalized; a NaN objective ends at the identity
+    s = np.exp(np.linspace(-1.0, 1.0, 8))
+    res = solve_ell_position(bd.WeightedLp(1000.0, s), SAMPLE, tol=1e-6, compute_product=False)
+    assert np.isfinite(res.objective)
+    # the symmetric optimum T = diag(s), normalized, up to the sampling band
+    t = np.log(np.diag(res.T.matrix))
+    assert np.abs(t - (np.log(s) - np.log(s).mean())).max() <= 0.05
 
 
 def test_ball_is_solved_at_saa_scale():

@@ -51,6 +51,8 @@ def test_fixed_point_map_requires_diagonal_and_tractable():
             bd.PolytopeH(np.random.default_rng(1).standard_normal((6, 3))),
             PositionMap.identity(3), 0.5, s,
         )
+    with pytest.raises(ValueError, match="start"):
+        fixed_point_map(bd.ball(3), PositionMap.identity(3), 0.5, s, start=PositionMap.identity(3))
 
 
 def test_find_regular_position_ellipsoid_closed_form():
@@ -64,6 +66,16 @@ def test_find_regular_position_ellipsoid_closed_form():
     # exact-expectation limit is diag(v^(1/2))/geomean: the position rounds K
     Kbar_unscaled = fp.T.apply(bd.Ellipsoid(np.diag(v)))
     assert Kbar_unscaled.radii.R / Kbar_unscaled.radii.r <= 1.05
+
+
+def test_find_regular_position_alpha_near_half():
+    # alpha = 0.501 makes the interpolant an l_p body with p near 1000, where
+    # unnormalized powers |g|^p overflow and the solve would stop at the identity
+    s = np.array([1.0, 1.5, 2.0, 3.0])
+    fp = find_regular_position(bd.WeightedLp(np.inf, s), 0.501, seed=3, samples=4000, tol=1e-6)
+    assert fp.converged and fp.iterations > 1
+    # symmetric optimum diag(s), normalized, up to the sampling band
+    assert np.abs(fp.T.log_diag() - (np.log(s) - np.log(s).mean())).max() <= 0.05
 
 
 def test_find_regular_position_b1_symmetry_forces_identity():

@@ -262,6 +262,15 @@ def test_ascent_never_exceeds_b1_hyperplane_pair_formula():
         assert ratio_extremum(K, Z=bases[s], rng=np.random.default_rng(s)) <= exact[s] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("body", [bd.cross_polytope(4), bd.Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))])
+def test_ratio_extremum_many_empty_stack(body):
+    from regpos._ascent import ratio_extremum_many
+
+    for Ps in (None, np.zeros((0, 2, 4))):
+        vals = ratio_extremum_many(body, np.zeros((0, 4, 3)), Ps)
+        assert vals.shape == (0,)
+
+
 # ----------------------------------------------------------------------
 # nested projection identity
 # ----------------------------------------------------------------------
