@@ -46,7 +46,6 @@ from .regular import (
     RegularityReport,
     find_regular_position,
     fixed_point_map,
-    gelfand_upper,
     random_gelfand,
     regularity_report,
 )

@@ -28,7 +28,7 @@ def _is_body(P):
     return hasattr(P, "_ascent_subgrad")
 
 
-def ascend(fun_grad, W0, iters=120, step0=0.25, max_step=2.0):
+def ascend(fun_grad, W0, iters=120, step0=0.25):
     """Maximize f over unit rows by projected gradient with per-row adaptive steps.
 
     fun_grad maps (..., d) unit rows to (f, grad) of shapes (...), (..., d).
@@ -45,7 +45,7 @@ def ascend(fun_grad, W0, iters=120, step0=0.25, max_step=2.0):
         W = np.where(bm, cand, W)
         f = np.where(better, fc, f)
         G = np.where(bm, Gc, G)
-        steps = np.where(better, np.minimum(steps * 1.3, max_step), steps * 0.5)
+        steps = np.where(better, np.minimum(steps * 1.3, 2.0), steps * 0.5)
         if float(steps.max(initial=0.0)) < 1e-12:
             break
     return W, f
@@ -135,19 +135,18 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iter
 
 
 def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=200, probes=1000,
-                   polish=120, return_argvec=False):
+                   polish=120):
     """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
-    and P a (q, n) matrix or a body; optionally also the boundary extremizer."""
+    and P a (q, n) matrix or a body."""
     Zs = np.eye(body.dim)[None] if Z is None else np.asarray(Z, dtype=float)[None]
     Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
-    vals, X = _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)
-    return (float(vals[0]), X[0]) if return_argvec else float(vals[0])
+    return float(_extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0][0])
 
 
-def support_estimate(body, Y, rng=None, starts=32, iters=150, probes=400):
+def support_estimate(body, Y):
     """Heuristic h_K(y) = max_z <z, y> / gauge(z) per row of Y, and boundary maximizers."""
     S, n = Y.shape
-    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", rng,
-                         starts, iters, probes, 120)
+    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", None,
+                         32, 150, 400, 120)
     points = X / np.maximum(body._gauge(X), _EPS)[:, None]
     return vals, np.where(((points * Y).sum(-1) < 0)[:, None], -points, points)

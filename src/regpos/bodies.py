@@ -21,6 +21,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
+from ._ascent import ratio_extremum, support_estimate
+
 __all__ = [
     "ConvexBody",
     "WeightedLp",
@@ -69,6 +71,18 @@ def _check_points(x, dim):
     single = X.ndim == 1
     lead = X.shape[:-1]
     return X.reshape(-1, dim), lead, single
+
+
+def _soft_max_ascent(L, lift):
+    """_ascent_subgrad of a gauge max_j |L_j| of linear forms: the max-kink is
+    softened to the gradient of the q=24 norm of L, lifted back by `lift`."""
+    q = 24.0
+    A = np.abs(L)
+    g = A.max(axis=-1)
+    m = np.maximum(g, 1e-300)
+    gq = m * ((A / m[:, None]) ** q).sum(axis=-1) ** (1.0 / q)
+    Y = lift(np.sign(L) * (A / gq[:, None]) ** (q - 1.0))
+    return g, Y * (g / gq)[:, None]
 
 
 class ConvexBody:
@@ -273,14 +287,7 @@ class WeightedLp(ConvexBody):
     def _ascent_subgrad(self, X):
         if not np.isinf(self.p):
             return self._gauge_subgrad(X)
-        # soften the max-kink: direction of the high-power norm, exact values
-        q = 24.0
-        g = self._gauge(X)
-        Z = np.abs(self.scales * X)
-        m = np.maximum(Z.max(axis=-1), 1e-300)
-        gq = m * ((Z / m[:, None]) ** q).sum(axis=-1) ** (1.0 / q)
-        Y = self.scales * np.sign(X) * (Z / gq[:, None]) ** (q - 1.0)
-        return g, Y * (g / gq)[:, None]
+        return _soft_max_ascent(self.scales * X, lambda C: self.scales * C)
 
     def _support(self, Y):
         return WeightedLp(self.conjugate_p, 1.0 / self.scales)._gauge(Y)
@@ -416,13 +423,7 @@ class PolytopeH(ConvexBody):
         return g, Y
 
     def _ascent_subgrad(self, X):
-        q = 24.0
-        g = self._gauge(X)
-        A = np.abs(X @ self.rows.T)
-        m = np.maximum(A.max(axis=-1), 1e-300)
-        gq = m * ((A / m[:, None]) ** q).sum(axis=-1) ** (1.0 / q)
-        Y = (np.sign(X @ self.rows.T) * (A / gq[:, None]) ** (q - 1.0)) @ self.rows
-        return g, Y * (g / gq)[:, None]
+        return _soft_max_ascent(X @ self.rows.T, lambda C: C @ self.rows)
 
     def _support(self, Y):
         return self.polar()._gauge(Y)
@@ -671,13 +672,9 @@ class Complexified(ConvexBody):
 
     def _support(self, Y2):
         # heuristic via boundary search; flagged by exact = False
-        from ._ascent import support_estimate
-
         return support_estimate(self, Y2)[0]
 
     def _support_argmax(self, Y2):
-        from ._ascent import support_estimate
-
         return support_estimate(self, Y2)[1]
 
     def _compute_radii(self):
@@ -739,14 +736,12 @@ def complexify(K: ConvexBody) -> Complexified:
     return Complexified(K)
 
 
-def relative_out_radius(K: ConvexBody, L: ConvexBody, rng=None, starts=64, iters=200) -> float:
+def relative_out_radius(K: ConvexBody, L: ConvexBody, rng=None) -> float:
     """R_L(K) = max_x ||x||_L / ||x||_K, the out-radius of K in the norm of L."""
     if K.dim != L.dim:
         raise ValueError("dimension mismatch between bodies")
-    from ._ascent import ratio_extremum
-
     # exact generalized eigenvalue route when both bodies are ellipsoids
-    return ratio_extremum(K, P=L, rng=rng, starts=starts, iters=iters)
+    return ratio_extremum(K, P=L, rng=rng)
 
 
 def ball(n: int) -> Ellipsoid:
@@ -794,14 +789,12 @@ def from_spec(spec: dict) -> ConvexBody:
     raise ValueError(f"unknown body family {fam!r}")
 
 
-def _gauge_range_on_sphere(K: ConvexBody, bracket=None, starts=64, iters=200, probes=1000):
+def _gauge_range_on_sphere(K: ConvexBody, bracket=None):
     """Heuristic (min, max) of the gauge over the unit sphere by multistart ascent."""
-    from ._ascent import ratio_extremum
-
     # max |x| / gauge(x) = 1 / min gauge on the sphere, and likewise for the max
-    lo = 1.0 / ratio_extremum(K, mode="max", starts=starts, iters=iters, probes=probes)
-    hi = 1.0 / ratio_extremum(K, mode="min", starts=starts, iters=iters, probes=probes)
+    lo = 1.0 / ratio_extremum(K, mode="max")
+    hi = 1.0 / ratio_extremum(K, mode="min")
     if bracket is not None:
         lo = max(lo, bracket[0])
-        hi = min(hi, bracket[1]) if bracket[1] is not None else hi
+        hi = min(hi, bracket[1])
     return lo, hi

@@ -43,56 +43,76 @@ def _load_config(path):
     return cfg
 
 
-def _get(cfg, key, default, kind):
-    """cfg[key] (or the default) converted by kind; a bad value is a ConfigError."""
+def _int(value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
+def _num(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        raise TypeError("not a finite number")
+    return float(value)
+
+
+# a larger alpha puts theta so near 1 that the balance scale overflows
+_ALPHA = (0.5, 100.0)
+
+
+def _list_of(kind):
+    def convert(value):
+        if not isinstance(value, list) or not value:
+            raise TypeError("not a non-empty list")
+        return tuple(map(kind, value))
+    return convert
+
+
+def _get(cfg, key, default, kind, lo=None, hi=np.inf):
+    """cfg[key] (or the default) converted by kind, every value in (lo, hi]
+    when lo is given; a bad value is a ConfigError.  A key whose default is
+    None may be null."""
     value = cfg.get(key, default)
-    if value is None:
+    if value is None and default is None:
         return None
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
-
-
-def _ints(values):
-    return tuple(int(v) for v in values)
-
-
-def _floats(values):
-    return tuple(float(v) for v in values)
-
-
-def _build_bodies(cfg, default_n=16):
-    entries = cfg.get("bodies")
-    n = _get(cfg, "n", default_n, int)
-    if entries is None:
-        return default_zoo(n)
-    out = []
-    for e in entries:
-        try:
-            if "preset" in e:
-                body = preset(e["preset"], _get(e, "dim", n, int))
-                name = e.get("name", e["preset"])
-            else:
-                body = bd.from_spec(e)
-                name = e.get("name", body.family)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad body entry {e!r}: {exc}")
-        out.append((name, body))
+    if lo is not None and not all(lo < v <= hi for v in np.atleast_1d(out)):
+        raise ConfigError(f"bad value for {key!r}: {value!r} (need values in ({lo}, {hi}])")
     return out
 
 
-def _single_body(cfg, default_n=32):
-    n = _get(cfg, "n", default_n, int)
-    e = cfg.get("body")
-    if e is None:
-        return bd.cross_polytope(n)
+def _body_entry(e, n):
+    """(name, body) for a zoo preset {"preset", "dim"} or a spec of the DSL."""
+    if not isinstance(e, dict):
+        raise ConfigError(f"bad body entry {e!r}: not an object")
     try:
-        if isinstance(e, dict) and "preset" in e:
-            return preset(e["preset"], _get(e, "dim", n, int))
-        return bd.from_spec(e)
+        if "preset" in e:
+            body = preset(e["preset"], _get(e, "dim", n, _int, 1))
+            name = e.get("name", e["preset"])
+        else:
+            body = bd.from_spec(e)
+            name = e.get("name", body.family)
     except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"bad body spec: {exc}")
+        raise ConfigError(f"bad body entry {e!r}: {exc}")
+    return str(name), body
+
+
+def _build_bodies(cfg):
+    n = _get(cfg, "n", 16, _int, 1)
+    entries = cfg.get("bodies")
+    if entries is None:
+        return default_zoo(n)
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"bad value for 'bodies': {entries!r} (need a non-empty list)")
+    return [_body_entry(e, n) for e in entries]
+
+
+def _single_body(cfg):
+    n = _get(cfg, "n", 32, _int, 1)
+    e = cfg.get("body")
+    return bd.cross_polytope(n) if e is None else _body_entry(e, n)[1]
 
 
 @contextlib.contextmanager
@@ -108,22 +128,29 @@ def _writer(out, name):
         w.close()
 
 
-def _summary_csv(out, name, rows, fieldnames):
+def _summary_csv(out, name, rows):
     if out is None or not rows:
         return
     os.makedirs(out, exist_ok=True)
-    write_csv(os.path.join(out, f"{name}_summary.csv"), rows, fieldnames)
+    write_csv(os.path.join(out, f"{name}_summary.csv"), rows, list(rows[0]))
 
 
 def _cmd_props(args, cfg):
-    results = ex.run_property_suites(seed=args.seed, names=cfg.get("names"))
+    known = [name for name, _ in ex._CHECKS]
+
+    def suites(value):
+        if not isinstance(value, list) or not set(value) <= set(known):
+            raise ValueError(f"need a list of suite names from {known}")
+        return value
+
+    results = ex.run_property_suites(seed=args.seed, names=_get(cfg, "names", None, suites))
     rows = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
+        # wall-clock seconds go to stdout only, so the CSV is identical across runs
         print(f"{status} {r.name:28s} ({r.elapsed:5.1f}s)  {r.detail}")
-        rows.append({"name": r.name, "passed": int(r.passed), "detail": r.detail,
-                     "seconds": f"{r.elapsed:.2f}"})
-    _summary_csv(args.out, "props", rows, ["name", "passed", "detail", "seconds"])
+        rows.append({"name": r.name, "passed": int(r.passed), "detail": r.detail})
+    _summary_csv(args.out, "props", rows)
     failed = [r.name for r in results if not r.passed]
     if failed:
         print(f"{len(failed)} suite(s) failed: {', '.join(failed)}", file=sys.stderr)
@@ -135,13 +162,13 @@ def _cmd_ellpos(args, cfg):
     bodies = _build_bodies(cfg)
     with _writer(args.out, "ellpos") as w:
         rows = ex.run_ell_positions(
-            bodies, samples=_get(cfg, "samples", 20000, int), seed=args.seed,
-            tol=_get(cfg, "tol", 1e-6, float), threads=args.threads, writer=w,
+            bodies, samples=_get(cfg, "samples", 20000, _int, 1), seed=args.seed,
+            tol=_get(cfg, "tol", 1e-6, _num, 0), threads=args.threads, writer=w,
         )
     for r in rows:
         print(f"{r['body']:12s} n={r['n']:3d} ell2={r['objective']:.4f} "
               f"residual={r['residual']:.2e} product/nlog(1+n)={r['product_over_nlogn']:.3f}")
-    _summary_csv(args.out, "ellpos", rows, list(rows[0]) if rows else [])
+    _summary_csv(args.out, "ellpos", rows)
     return 0
 
 
@@ -149,8 +176,8 @@ def _cmd_regpos(args, cfg):
     bodies = [(n, b) for n, b in _build_bodies(cfg) if b.as_weighted_lp() is not None]
     with _writer(args.out, "regpos") as w:
         rows = ex.run_regular_positions(
-            bodies, alpha=_get(cfg, "alpha", 0.75, float),
-            samples=_get(cfg, "samples", 20000, int), seed=args.seed,
+            bodies, alpha=_get(cfg, "alpha", 0.75, _num, *_ALPHA),
+            samples=_get(cfg, "samples", 20000, _int, 1), seed=args.seed,
             threads=args.threads, writer=w,
         )
     bad = 0
@@ -159,7 +186,7 @@ def _cmd_regpos(args, cfg):
               f"iters={r['iterations']:3d} balance={r['balance']:.4f} "
               f"certificate={r['certificate']:.2e} converged={r['converged']}")
         bad += not r["converged"]
-    _summary_csv(args.out, "regpos", rows, list(rows[0]) if rows else [])
+    _summary_csv(args.out, "regpos", rows)
     return 1 if bad else 0
 
 
@@ -167,43 +194,41 @@ def _cmd_sections(args, cfg):
     bodies = _build_bodies(cfg)
     with _writer(args.out, "sections") as w:
         rows = ex.run_section_tables(
-            bodies, k_grid=_get(cfg, "k_grid", None, _ints), samples=_get(cfg, "samples", 400, int),
-            c=_get(cfg, "c", 0.5, float), seed=args.seed, writer=w,
+            bodies, k_grid=_get(cfg, "k_grid", None, _list_of(_int), 0, min(b.dim for _, b in bodies)),
+            samples=_get(cfg, "samples", 400, _int, 99), c=_get(cfg, "c", 0.5, _num, 0),
+            seed=args.seed, writer=w,
         )
     for r in rows:
         print(f"{r['body']:12s} n={r['n']:3d} k={r['k']:3d} cr_k={r['cr_k']:.4f} "
               f"ci=[{r['ci_lo']:.4f},{r['ci_hi']:.4f}] upper={r['c_k_upper']:.4f}")
-    _summary_csv(args.out, "sections", rows, list(rows[0]) if rows else [])
+    _summary_csv(args.out, "sections", rows)
     return 0
 
 
 def _cmd_lowmstar(args, cfg):
     with _writer(args.out, "lowmstar") as w:
         summary = ex.run_lowmstar_check(
-            n_list=_get(cfg, "n_list", (16, 32, 64), _ints),
-            samples=_get(cfg, "samples", 1000, int), c=_get(cfg, "c", 0.5, float),
+            n_list=_get(cfg, "n_list", [16, 32, 64], _list_of(_int), 1),
+            samples=_get(cfg, "samples", 1000, _int, 99), c=_get(cfg, "c", 0.5, _num, 0),
             seed=args.seed, writer=w, threads=args.threads,
         )
     for (name, n), val in summary["C_emp"].items():
         print(f"{name:12s} n={n:3d}  C_emp = {val:.3f}")
     print(f"max C_emp = {summary['C_emp_max']:.3f}")
-    _summary_csv(args.out, "lowmstar", summary["rows"],
-                 list(summary["rows"][0]) if summary["rows"] else [])
+    _summary_csv(args.out, "lowmstar", summary["rows"])
     return 0 if summary["C_emp_max"] <= 3.0 else 1
 
 
 def _cmd_qs(args, cfg):
     K = _single_body(cfg)
-    k = _get(cfg, "k", 8, int)
-    if not 1 <= k <= K.dim // 2:
-        raise ConfigError(f"qs needs 1 <= k <= n/2, got k={k} with n={K.dim}")
-    c = _get(cfg, "c", 0.5, float)
+    k = _get(cfg, "k", 8, _int, 0, K.dim // 2)
+    c = _get(cfg, "c", 0.5, _num, 0)
     with _writer(args.out, "qs") as w:
         s = ex.run_qs_experiment(
-            K, _get(cfg, "alpha", None, float), k,
-            trials=_get(cfg, "trials", 500, int), seed=args.seed,
-            c=c, fp_samples=_get(cfg, "fp_samples", 20000, int),
-            report_samples=_get(cfg, "report_samples", 400, int),
+            K, _get(cfg, "alpha", None, _num, *_ALPHA), k,
+            trials=_get(cfg, "trials", 500, _int, 0), seed=args.seed,
+            c=c, fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
+            report_samples=_get(cfg, "report_samples", 400, _int, 99),
             writer=w, threads=args.threads,
         )
     print(f"n={s.n} k={s.k} alpha={s.alpha:.4f} trials={s.trials}")
@@ -220,7 +245,7 @@ def _cmd_qs(args, cfg):
         "d90_pos": s.quantiles["q90"]["d_projection_of_section"],
         "exceed_sop": s.exceed_sop, "exceed_pos": s.exceed_pos,
     }
-    _summary_csv(args.out, "qs", [row], list(row))
+    _summary_csv(args.out, "qs", [row])
     return 0
 
 
@@ -228,16 +253,16 @@ def _cmd_curve(args, cfg):
     K = _single_body(cfg)
     with _writer(args.out, "curve") as w:
         res = ex.run_regularity_curve(
-            K, alphas=_get(cfg, "alphas", (0.6, 0.75, 1.0), _floats),
-            samples=_get(cfg, "samples", 400, int), seed=args.seed,
-            c=_get(cfg, "c", 0.5, float), fp_samples=_get(cfg, "fp_samples", 20000, int),
-            k_grid=_get(cfg, "k_grid", None, _ints), writer=w, threads=args.threads,
+            K, alphas=_get(cfg, "alphas", [0.6, 0.75, 1.0], _list_of(_num), *_ALPHA),
+            samples=_get(cfg, "samples", 400, _int, 99), seed=args.seed,
+            c=_get(cfg, "c", 0.5, _num, 0), fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
+            k_grid=_get(cfg, "k_grid", None, _list_of(_int), 0, K.dim), writer=w, threads=args.threads,
         )
     for pt in res["curve"]:
         print(f"alpha={pt['alpha']:.3f} P_emp={pt['P_emp']:.4f} "
               f"shape=C/sqrt(a-1/2)~{pt['reference_shape']:.3f} "
               f"converged={pt['fp_converged']}")
-    _summary_csv(args.out, "curve", res["rows"], list(res["rows"][0]) if res["rows"] else [])
+    _summary_csv(args.out, "curve", res["rows"])
     if args.out:
         write_csv(os.path.join(args.out, "curve_alpha.csv"), res["curve"],
                   list(res["curve"][0]))

@@ -28,6 +28,7 @@ from .interpolation import InterpolationPair, interpolate, property_suite, surro
 from .positions import solve_ell_position
 from .records import ExperimentRecord, JsonlWriter, measured
 from .regular import (
+    SURVEY,
     balanced_interpolant_functionals,
     ell_position_certificate,
     find_regular_position,
@@ -696,11 +697,6 @@ class QSSummary:
     outcomes: list = field(default_factory=list)
 
 
-def _qs_quantile_levels(k, c, trials):
-    lv = 1.0 - max(np.exp(-c * k), 10.0 / trials)
-    return {"q50": 0.5, "q90": 0.9, "q_exp": float(lv)}
-
-
 def run_qs_experiment(
     K,
     alpha: float | None,
@@ -711,7 +707,6 @@ def run_qs_experiment(
     c: float = 0.5,
     fp_samples: int = 20000,
     report_samples: int = 400,
-    ratio_opts: dict | None = None,
     writer: JsonlWriter | None = None,
     threads: int = 1,
 ) -> QSSummary:
@@ -723,12 +718,11 @@ def run_qs_experiment(
         raise ValueError("need 1 <= k <= n/2")
     if alpha is None:
         alpha = 0.5 + 1.0 / np.log(n / k)
-    ratio_opts = dict(starts=8, iters=50, probes=48) if ratio_opts is None else ratio_opts
 
     fp = find_regular_position(K, alpha, seed=seed, samples=fp_samples, threads=threads)
     Kbar = fp.body
     Kpol = Kbar.polar()
-    report = regularity_report(Kbar, alpha, samples=report_samples, c=c, seed=seed + 1, **ratio_opts)
+    report = regularity_report(Kbar, alpha, samples=report_samples, c=c, seed=seed + 1)
     Rbar = report.P_emp * (n / k) ** alpha
     threshold = Rbar**2
 
@@ -736,23 +730,21 @@ def run_qs_experiment(
     F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
     Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
 
-    def batch(body, Zs):
+    def batch(body, Zs, Ps=None):
         sub = np.random.default_rng(rng.integers(2**63))
-        return ratio_extremum_many(body, Zs, Ps=Pts, mode="max", rng=sub, **ratio_opts)
+        return ratio_extremum_many(body, Zs, Ps=Ps, mode="max", rng=sub, **SURVEY)
 
-    R_a_body = batch(Kbar, E2_bases)  # R((P_F Kbar) cap E)
-    R_b_body = batch(Kbar, F_bases)   # R(P_E (Kbar cap F))
-    R_a_pol = batch(Kpol, E2_bases)
-    R_b_pol = batch(Kpol, F_bases)
-    sub = np.random.default_rng(rng.integers(2**63))
-    RF_body = ratio_extremum_many(Kbar, F_bases, mode="max", rng=sub, **ratio_opts)
-    sub = np.random.default_rng(rng.integers(2**63))
-    RF_pol = ratio_extremum_many(Kpol, F_bases, mode="max", rng=sub, **ratio_opts)
+    R_a_body = batch(Kbar, E2_bases, Pts)  # R((P_F Kbar) cap E)
+    R_b_body = batch(Kbar, F_bases, Pts)   # R(P_E (Kbar cap F))
+    R_a_pol = batch(Kpol, E2_bases, Pts)
+    R_b_pol = batch(Kpol, F_bases, Pts)
+    RF_body = batch(Kbar, F_bases)         # R(Kbar cap F)
+    RF_pol = batch(Kpol, F_bases)
 
     d_sop = np.maximum(R_a_body * R_b_pol, 1.0)  # (P_F Kbar) cap E
     d_pos = np.maximum(R_b_body * R_a_pol, 1.0)  # P_E (Kbar cap F)
 
-    levels = _qs_quantile_levels(k, c, trials)
+    levels = {"q50": 0.5, "q90": 0.9, "q_exp": float(1.0 - max(np.exp(-c * k), 10.0 / trials))}
     quantiles = {
         name: {
             "d_section_of_projection": float(np.quantile(d_sop, q)),
@@ -805,9 +797,8 @@ def run_qs_experiment(
     return summary
 
 
-def _quantile_ci(values, q, boot=200, seed=0):
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(values), size=(boot, len(values)))
+def _quantile_ci(values, q):
+    idx = np.random.default_rng(0).integers(0, len(values), size=(200, len(values)))
     stats = np.quantile(np.asarray(values)[idx], q, axis=1)
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
@@ -823,9 +814,7 @@ def run_lowmstar_check(
     c: float = 0.5,
     seed: int = 0,
     *,
-    bodies=None,
     ell_samples: int = 100000,
-    ratio_opts: dict | None = None,
     writer: JsonlWriter | None = None,
     threads: int = 1,
 ):
@@ -834,11 +823,10 @@ def run_lowmstar_check(
     Haar subspaces are shared across bodies at each (n, k) (common random
     numbers); rows report per-(body, n, k) contributions.
     """
-    ratio_opts = dict(starts=8, iters=50, probes=48) if ratio_opts is None else ratio_opts
     rows = []
     summaries = {}
     for n in n_list:
-        zoo = default_zoo(n) if bodies is None else bodies(n)
+        zoo = default_zoo(n)
         sample = GaussianSample(seed + n, ell_samples, n)
         ells = {name: ell_star(K, 1, sample, threads=threads) for name, K in zoo}
         for k in default_k_grid(n):
@@ -850,7 +838,7 @@ def run_lowmstar_check(
                     values = np.full(samples, K.radii.R)
                 else:
                     sub = np.random.default_rng(rng.integers(2**63))
-                    values = ratio_extremum_many(K, bases, mode="max", rng=sub, **ratio_opts)
+                    values = ratio_extremum_many(K, bases, mode="max", rng=sub, **SURVEY)
                 g = random_gelfand(K, k, samples, c, rng=rng, values=values)
                 ratio = np.sqrt(k) * g.value / ells[name].value
                 rows.append({
@@ -889,20 +877,18 @@ def run_regularity_curve(
     c: float = 0.5,
     fp_samples: int = 20000,
     k_grid=None,
-    ratio_opts: dict | None = None,
     writer: JsonlWriter | None = None,
     threads: int = 1,
 ):
     """Sweep alpha, build the position, and emit per-(alpha, k) cr tables with
     P_emp(alpha) and the reference shape 1/sqrt(alpha - 1/2) (recorded, not
     asserted)."""
-    ratio_opts = dict(starts=8, iters=50, probes=48) if ratio_opts is None else ratio_opts
     rows = []
     curve = []
     for ai, alpha in enumerate(alphas):
         fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples, threads=threads)
         rep = regularity_report(fp.body, alpha, k_grid=k_grid, samples=samples,
-                                c=c, seed=seed + 1000 + ai, **ratio_opts)
+                                c=c, seed=seed + 1000 + ai)
         for which in ("body", "polar"):
             for k, g in zip(rep.k_grid, rep.cr[which]):
                 rows.append({
@@ -929,6 +915,7 @@ def run_regularity_curve(
                     "fp_residual": measured(fp.residual, exact=True),
                 },
             ))
+        del fp   # frees its sample and power table before the next fixed point
     return {"rows": rows, "curve": curve}
 
 
@@ -991,24 +978,21 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, threads=1, 
                     "rad_bound_sqrt_2nphi": measured(bound, exact=True),
                 },
             ))
+        del fp   # frees its sample and power table before the next fixed point
     return rows
 
 
-def run_section_tables(bodies, k_grid=None, samples=400, c=0.5, seed=0, writer=None,
-                       ratio_opts=None):
+def run_section_tables(bodies, k_grid=None, samples=400, c=0.5, seed=0, writer=None):
     """Random Gelfand tables cr_k with CIs and c_k upper bounds per body."""
-    ratio_opts = dict(starts=8, iters=50, probes=48) if ratio_opts is None else ratio_opts
     rows = []
     for name, K in bodies:
         grid = default_k_grid(K.dim) if k_grid is None else k_grid
         for k in grid:
-            rng = _rng(seed, K.dim, k, 5)
-            values = section_radius_sample(K, int(k), samples, rng, **ratio_opts)
-            g = random_gelfand(K, int(k), samples, c, rng=rng, values=values)
+            g = random_gelfand(K, int(k), samples, c, rng=_rng(seed, K.dim, k, 5))
             rows.append({
                 "body": name, "n": K.dim, "k": int(k), "cr_k": g.value,
                 "ci_lo": g.ci[0], "ci_hi": g.ci[1], "level": g.level,
-                "clamped": g.clamped, "c_k_upper": float(values.min()),
+                "clamped": g.clamped, "c_k_upper": g.upper,
             })
             if writer is not None:
                 writer.write(ExperimentRecord(
@@ -1016,7 +1000,7 @@ def run_section_tables(bodies, k_grid=None, samples=400, c=0.5, seed=0, writer=N
                     params={"k": int(k), "c": c, "samples": samples},
                     measured={
                         "cr_k": measured(g.value, ci=g.ci),
-                        "c_k_upper": measured(float(values.min()), exact=True),
+                        "c_k_upper": measured(g.upper, exact=True),
                     },
                 ))
     return rows

@@ -6,7 +6,10 @@ is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
 agree across sample sizes and evaluation can run block-parallel with a
 fixed-order reduction (results do not depend on the thread count).  The
 whole (M, N) array is drawn once, on first use, and is then held read-only
-for the sample's lifetime (M * N * 8 bytes); blocks are views into it.
+for the sample's lifetime (M * N * 8 bytes); blocks are views into it.  A
+weighted l_p ell-position solve on the sample adds a read-only power table of
+the same size for its p, kept for the sample's lifetime until a solve with
+another p replaces it.
 """
 
 from __future__ import annotations
@@ -106,9 +109,6 @@ class EllEstimate:
     se: float
     count: int
     p: int
-
-    def band(self, k=3.0):
-        return self.value - k * self.se, self.value + k * self.se
 
 
 def _map_blocks(blocks, fn, threads=1):

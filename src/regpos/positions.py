@@ -49,7 +49,6 @@ class PositionMap:
         d = np.diag(M)
         self.diagonal = bool(np.allclose(M, np.diag(d)))
         self.det = float(np.linalg.det(M))
-        self.det_normalized = bool(abs(abs(self.det) - 1.0) <= 1e-10)
 
     @property
     def adjoint_inverse(self):
@@ -72,10 +71,6 @@ class PositionMap:
         if normalize:
             t = t / np.exp(np.log(t).mean())
         return cls(np.diag(t), np.diag(1.0 / t))
-
-    def normalized(self) -> "PositionMap":
-        s = abs(self.det) ** (1.0 / self.dim)
-        return PositionMap(self.matrix / s, self.inverse * s)
 
     def log_diag(self):
         if not self.diagonal:
@@ -110,15 +105,35 @@ class EllPositionResult:
 _POWER_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
+def _block_powers(G, p):
+    """(|G| / m)^p, read-only, and m^2 for m the largest |g| of the block."""
+    # in place, sparing two temporaries
+    A = np.abs(G)
+    m = A.max(initial=np.finfo(float).tiny)
+    np.power(np.divide(A, m, out=A), p, out=A)
+    A.setflags(write=False)
+    return A, m * m
+
+
+def _power_table(sample, p, threads=1):
+    """_block_powers of every block, built once per (sample, p): every solve of
+    a fixed point and of its certificate shares one p, so the last is kept."""
+    cached = sample.__dict__.get("_power_table")
+    if cached is None or cached[0] != p:
+        cached = p, _map_blocks(sample.blocks(), lambda G: _block_powers(G, p), threads)
+        sample.__dict__["_power_table"] = cached
+    return cached[1]
+
+
 class _DiagObjective:
     """psi(w) = mean_j gauge(e^w * g_j)^2 over traceless w (w is recentered).
 
     For a weighted l_p body with finite p and scales s this is the power form
     psi(w) = mean_j m^2 (sum_i a_ji c_i)^(2/p) with a_ji = (|g_ji| / m)^p, m the
-    largest |g_ji| of the block, and c_i = (s_i e^(w_i))^p: A is computed once
-    per solve, and each call is the two matvecs A c and A^T (A c)^(2/p - 1) per
-    block.  Other bodies, and blocks whose row sums come near underflow (large
-    p), go through the gauge subgradient.
+    largest |g_ji| of the block, and c_i = (s_i e^(w_i))^p: A comes from the
+    sample's power table, and each call is the two matvecs A c and
+    A^T (A c)^(2/p - 1) per block.  Other bodies, and blocks whose row sums
+    come near underflow (large p), go through the gauge subgradient.
     """
 
     def __init__(self, K, sample, threads=1):
@@ -128,14 +143,7 @@ class _DiagObjective:
         self.powers = None
         if form is not None and np.isfinite(form[0]):
             self.p, self.log_s = form[0], np.log(form[1])
-            self.powers = _map_blocks(self.blocks, self._block_powers, threads)
-
-    def _block_powers(self, G):
-        # divided by the block max to keep the powers in range; in place, sparing two temporaries
-        A = np.abs(G)
-        m = A.max(initial=np.finfo(float).tiny)
-        np.power(np.divide(A, m, out=A), self.p, out=A)
-        return A, m * m
+            self.powers = _power_table(sample, self.p, threads)
 
     def _subgrad_block(self, G, es):
         X = G * es

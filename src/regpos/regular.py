@@ -4,8 +4,8 @@ random Gelfand number estimators and regularity reports.
 The map F sends a diagonal determinant-one T to the diagonal map putting
 [K, T^{-1} B_2]_theta into SAA ell-position; a fixed point T = F(T) makes
 [T(K), B_2]_theta itself ell-positioned.  Iterates are averaged in log
-space, T_{m+1} = T_m^{1-beta} F(T_m)^beta, which stays exactly on the
-diagonal det-1 manifold; convergence is monitored by
+space, T_{m+1} = (T_m F(T_m))^{1/2}, which stays exactly on the diagonal
+det-1 manifold; convergence is monitored by
 ||log T - log F(T)||_inf and divergent runs are reported, never hidden.
 """
 
@@ -31,9 +31,13 @@ __all__ = [
     "ell_position_certificate",
     "section_radius_sample",
     "random_gelfand",
-    "gelfand_upper",
     "regularity_report",
+    "SURVEY",
 ]
+
+# ratio-ascent effort of every survey of section radii: cr_k tables,
+# regularity reports, low-M* constants and QS distances
+SURVEY = dict(starts=8, iters=50, probes=48)
 
 
 def _require_tractable_unconditional(K):
@@ -44,8 +48,7 @@ def _require_tractable_unconditional(K):
 
 
 def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
-                    solver_tol: float = 1e-8, start: PositionMap | None = None,
-                    threads: int = 1) -> PositionMap:
+                    start: PositionMap | None = None, threads: int = 1) -> PositionMap:
     """F(T): the diagonal det-1 map putting [K, T^{-1} B_2]_theta in SAA ell-position.
 
     `start`, if given, must be an earlier return value of this function for the
@@ -62,7 +65,7 @@ def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
     Kth = interpolate(InterpolationPair(bd.WeightedLp(pK, sK), T_ball, theta))
     log_s = np.log(Kth.scales)
     x0 = None if start is None else start._chart_solution - (log_s - start._interpolant_log_scales)
-    F = solve_ell_position(Kth, sample, mode="diagonal", tol=solver_tol, start=x0,
+    F = solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8, start=x0,
                            threads=threads, compute_product=False).T
     F._interpolant_log_scales = log_s
     return F
@@ -89,13 +92,11 @@ def find_regular_position(
     sample: GaussianSample | None = None,
     seed: int = 0,
     samples: int = 20000,
-    beta: float = 0.5,
     tol: float = 1e-5,
     max_iter: int = 200,
-    solver_tol: float = 1e-8,
     threads: int = 1,
 ) -> FixedPointResult:
-    """Damped iteration T_{m+1} = T_m^(1-beta) F(T_m)^beta on diagonal maps.
+    """Damped iteration T_{m+1} = (T_m F(T_m))^(1/2) on diagonal maps.
 
     On success [T(K), B_2]_theta is in SAA ell-position to solver tolerance,
     and the returned position body is a*T(K) with the balance scale a
@@ -113,14 +114,14 @@ def find_regular_position(
     converged = False
     for iterations in range(1, max_iter + 1):
         F = fixed_point_map(K, PositionMap.from_diag(np.exp(log_t)), theta, sample,
-                            solver_tol=solver_tol, start=F, threads=threads)
+                            start=F, threads=threads)
         f = np.log(np.diag(F.matrix))
         residual = float(np.abs(log_t - f).max())
         trace.append(residual)
         if residual <= tol:
             converged = True
             break
-        log_t = (1.0 - beta) * log_t + beta * f
+        log_t = 0.5 * log_t + 0.5 * f
         log_t -= log_t.mean()
 
     T = PositionMap.from_diag(np.exp(log_t), normalize=True)
@@ -151,7 +152,7 @@ def balanced_interpolant_functionals(result: FixedPointResult, *, threads: int =
 
 
 def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, *,
-                             solver_tol: float = 1e-8, threads: int = 1) -> float:
+                             threads: int = 1) -> float:
     """||log T'||_inf for T' the SAA ell-position map of [T(K), B_2]_theta.
 
     Near a fixed point this re-solve must return (close to) the identity.
@@ -159,7 +160,7 @@ def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, *,
     pK, sK = _require_tractable_unconditional(K)
     TK = bd.WeightedLp(pK, sK / np.diag(result.T.matrix))
     F = fixed_point_map(TK, PositionMap.identity(K.dim), result.theta, result.sample,
-                        solver_tol=solver_tol, threads=threads)
+                        threads=threads)
     return float(np.abs(np.log(np.diag(F.matrix))).max())
 
 
@@ -177,10 +178,11 @@ class GelfandEstimate:
     k: int
     samples: int
     c: float
+    upper: float     # min over the sampled F of R(K cap F): an upper bound on c_k
 
 
-def section_radius_sample(K, k: int, samples: int, rng, *, starts=8, iters=50, probes=48):
-    """R(K cap F) over Haar F in G_{n, n-k+1}: an (samples,) array."""
+def section_radius_sample(K, k: int, samples: int, rng):
+    """R(K cap F) over Haar F in G_{n, n-k+1} at the SURVEY effort: an (samples,) array."""
     n = K.dim
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -189,43 +191,25 @@ def section_radius_sample(K, k: int, samples: int, rng, *, starts=8, iters=50, p
         return np.full(samples, K.radii.R)
     bases = haar_grassmannian_batch(rng, n, m, samples)
     sub = np.random.default_rng(rng.integers(2**63))
-    return section_out_radii(K, bases, rng=sub, starts=starts, iters=iters, probes=probes)
+    return section_out_radii(K, bases, rng=sub, **SURVEY)
 
 
-def _upper_quantile(values, q):
-    """Smallest R with #(values > R)/len <= q."""
-    v = np.sort(values)
-    s = v.size
-    m = s - int(np.floor(q * s))
-    return float(v[max(m - 1, 0)])
-
-
-def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng=None, seed=0,
-                   bootstrap: int = 200, clamp: int = 10, values=None, **opts) -> GelfandEstimate:
-    """Empirical quantile of R(K cap F) at level max(exp(-c k), clamp/samples),
-    with a bootstrap confidence interval; clamping is recorded."""
+def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None) -> GelfandEstimate:
+    """Empirical quantile of R(K cap F) at level max(exp(-c k), 10/samples),
+    with a 200-resample bootstrap CI; clamping is recorded.  The radii are
+    `values` if given, else section_radius_sample draws them from rng."""
     if samples < 100:
         raise ValueError("need at least 100 subspace samples")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k])) if rng is None else rng
     if values is None:
-        values = section_radius_sample(K, k, samples, rng, **opts)
+        values = section_radius_sample(K, k, samples, rng)
     q_nominal = float(np.exp(-c * k))
-    q = max(q_nominal, clamp / samples)
-    cr = _upper_quantile(values, q)
-    idx = rng.integers(0, samples, size=(bootstrap, samples))
-    boots = np.sort(values[idx], axis=1)
-    m = samples - int(np.floor(q * samples))
-    stats = boots[:, max(m - 1, 0)]
+    q = max(q_nominal, 10 / samples)
+    # order statistic j is the smallest R with #(values > R) <= q * samples
+    j = max(samples - int(np.floor(q * samples)) - 1, 0)
+    stats = np.sort(values[rng.integers(0, samples, size=(200, samples))], axis=1)[:, j]
     ci = (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
-    return GelfandEstimate(cr, ci, q, q > q_nominal, k, samples, c)
-
-
-def gelfand_upper(K, k: int, samples: int, *, rng=None, seed=0, values=None, **opts) -> float:
-    """min over sampled subspaces of R(K cap F): an upper bound on c_k, reported as a bound."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k, 1])) if rng is None else rng
-    if values is None:
-        values = section_radius_sample(K, k, samples, rng, **opts)
-    return float(values.min())
+    return GelfandEstimate(float(np.sort(values)[j]), ci, q, q > q_nominal, k, samples, c,
+                           float(values.min()))
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +224,6 @@ class RegularityReport:
     n: int
     k_grid: list
     cr: dict                 # {"body": [GelfandEstimate...], "polar": [...]}
-    upper: dict              # {"body": [float...], "polar": [...]}
     slopes: dict             # least-squares exponent of log cr vs log(n/k)
     P_emp: float
 
@@ -259,7 +242,7 @@ def default_k_grid(n: int):
 
 
 def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
-                      c: float = 0.5, seed: int = 0, **opts) -> RegularityReport:
+                      c: float = 0.5, seed: int = 0) -> RegularityReport:
     """Per-k random Gelfand estimates for the position body and its polar,
     the fitted regularity exponent, and the measured constant
     P_emp = max_k k^alpha cr_k / n^alpha over both bodies."""
@@ -268,13 +251,10 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
         k_grid = default_k_grid(n)
     duo = {"body": Kbar, "polar": Kbar.polar()}
     cr = {name: [] for name in duo}
-    upper = {name: [] for name in duo}
     for bi, (name, B) in enumerate(duo.items()):
         for k in k_grid:
             rng = np.random.default_rng(np.random.SeedSequence([seed, bi, int(k)]))
-            values = section_radius_sample(B, int(k), samples, rng, **opts)
-            cr[name].append(random_gelfand(B, int(k), samples, c, rng=rng, values=values))
-            upper[name].append(float(values.min()))
+            cr[name].append(random_gelfand(B, int(k), samples, c, rng=rng))
     logs = np.log(np.asarray(k_grid, dtype=float) / n)
     slopes = {}
     for name in duo:
@@ -287,5 +267,5 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
     )
     return RegularityReport(
         alpha=float(alpha), c=float(c), n=n, k_grid=list(map(int, k_grid)),
-        cr=cr, upper=upper, slopes=slopes, P_emp=float(P_emp),
+        cr=cr, slopes=slopes, P_emp=float(P_emp),
     )

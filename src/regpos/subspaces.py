@@ -176,15 +176,6 @@ class SectionBody(bd.ConvexBody):
         self.exact = parent.exact and mode == "section"
         self._comp = carrier.complement().basis if mode == "projection" else None
 
-    # -- section oracles -------------------------------------------------
-
-    def _section_gauge(self, U):
-        return self.parent._gauge(U @ self.carrier.basis.T)
-
-    def _section_subgrad(self, U):
-        g, Y = self.parent._gauge_subgrad(U @ self.carrier.basis.T)
-        return g, Y @ self.carrier.basis
-
     def _ascent_subgrad(self, U):
         if self.mode != "section":
             return self._gauge_subgrad(U)
@@ -219,23 +210,21 @@ class SectionBody(bd.ConvexBody):
                 val, wstar = float(res2.fun), res2.x
         return val, wstar
 
-    def _projection_gauge(self, U):
-        X0 = U @ self.carrier.basis.T
-        return np.array([self._fiber_min_one(x0)[0] for x0 in X0])
-
     # -- ConvexBody interface ----------------------------------------------
 
     def _gauge(self, U):
+        X0 = U @ self.carrier.basis.T
         if self.mode == "section":
-            return self._section_gauge(U)
-        return self._projection_gauge(U)
+            return self.parent._gauge(X0)
+        return np.array([self._fiber_min_one(x0)[0] for x0 in X0])
 
     def _gauge_subgrad(self, U):
+        X0 = U @ self.carrier.basis.T
         if self.mode == "section":
-            return self._section_subgrad(U)
+            g, Y = self.parent._gauge_subgrad(X0)
+            return g, Y @ self.carrier.basis
         # envelope theorem: the subgradient of the fiber minimum is the
         # parent subgradient at the minimizer, restricted to the carrier
-        X0 = U @ self.carrier.basis.T
         g = np.empty(U.shape[0])
         Y = np.empty_like(U)
         for i, x0 in enumerate(X0):
@@ -252,10 +241,9 @@ class SectionBody(bd.ConvexBody):
         return self.polar()._gauge(V)
 
     def _make_polar(self):
-        other = "projection" if self.mode == "section" else "section"
-        if other == "section":
-            return section(self.parent.polar(), self.carrier)
-        return project(self.parent.polar(), self.carrier)
+        if self.mode == "section":
+            return project(self.parent.polar(), self.carrier)
+        return section(self.parent.polar(), self.carrier)
 
     def _compute_radii(self):
         return bd.Radii(in_radius(self), out_radius(self), False)
@@ -377,13 +365,11 @@ def in_radius(S: bd.ConvexBody, rng=None, **opts) -> float:
     return ratio_extremum(body, Z=Z, mode="min", rng=rng, **opts)
 
 
-def geometric_distance_to_ball(S: bd.ConvexBody, rng=None, **opts) -> float:
+def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
     """d_G(S, B_2) = R(S)/r(S) >= 1."""
     if isinstance(S, bd.Ellipsoid):
         return S.radii.R / S.radii.r
-    R = out_radius(S, rng=rng, **opts)
-    r = in_radius(S, rng=rng, **opts)
-    return max(R / r, 1.0)
+    return max(out_radius(S) / in_radius(S), 1.0)
 
 
 def section_out_radii(K: bd.ConvexBody, bases, rng=None, starts=16, iters=80, probes=64):

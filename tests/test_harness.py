@@ -7,8 +7,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regpos import bodies as bd
+from regpos import experiments
 from regpos.cli import main
 from regpos.experiments import (
     binomial_ci,
@@ -261,6 +263,99 @@ def test_cli_bad_config_values_exit_2(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+_RUNS = ["run_property_suites", "run_ell_positions", "run_regular_positions", "run_section_tables",
+         "run_lowmstar_check", "run_qs_experiment", "run_regularity_curve"]
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Any experiment run fails the test: config errors must come first."""
+    for name in _RUNS:
+        monkeypatch.setattr(experiments, name, lambda *a, **k: pytest.fail("ran on a bad config"))
+
+
+_BAD_CONFIGS = [
+    ("sections", {"bodies": 5}),
+    ("props", {"names": 5}),
+    ("sections", {"n": -3}),
+    ("qs", {"n": -3}),
+    ("sections", {"k_grid": [0]}),
+    ("sections", {"samples": 5}),
+    ("regpos", {"alpha": 0.4}),
+    ("qs", {"alpha": 0.4}),
+    ("qs", {"trials": 0}),
+]
+
+
+@pytest.mark.parametrize("cmd, cfg", _BAD_CONFIGS, ids=[f"{c}-{json.dumps(g)}" for c, g in _BAD_CONFIGS])
+def test_cli_config_errors_exit_2_before_any_run(cmd, cfg, tmp_path, capsys, no_runs):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([cmd, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_NOT_LIST = st.one_of(st.integers(), st.text(max_size=3), st.just([]),
+                      st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_NOT_INT = st.one_of(st.text(max_size=3), st.booleans(), st.floats(), st.none(), _NOT_LIST.filter(
+    lambda v: not isinstance(v, int)))
+_NOT_NUM = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just([1.0]),
+                     st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+def _ints(most=None, least=None):
+    """Invalid integer values: wrong types, and integers outside (most, least)."""
+    bad = [_NOT_INT]
+    if most is not None:
+        bad.append(st.integers(max_value=most))
+    if least is not None:
+        bad.append(st.integers(min_value=least))
+    return st.one_of(bad)
+
+
+def _nums(most, least=None):
+    bad = [_NOT_NUM, st.floats(max_value=most)]
+    if least is not None:
+        bad.append(st.floats(min_value=least, exclude_min=True))
+    return st.one_of(bad)
+
+
+def _lists(bad_item):
+    return st.one_of(_NOT_LIST, st.lists(bad_item, min_size=1, max_size=3))
+
+
+_ALPHA = _nums(0.5, 100.0)
+_BODY = st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                  st.just({"preset": "nope"}), st.just({"family": "weighted_lp", "p": 0.5, "weights": [1]}),
+                  st.just({"preset": "b1", "dim": 0}))
+# command -> {key: invalid values}; the base configs default to n = 16 (32 for qs/curve)
+_INVALID = {
+    "props": {"names": st.one_of(st.integers(), st.text(max_size=3), st.lists(st.text(max_size=3), min_size=1))},
+    "ellpos": {"n": _ints(1), "bodies": _lists(_BODY), "samples": _ints(1), "tol": _nums(0.0)},
+    "regpos": {"n": _ints(1), "bodies": _lists(_BODY), "samples": _ints(1), "alpha": _ALPHA},
+    "sections": {"n": _ints(1), "bodies": _lists(_BODY), "samples": _ints(99), "c": _nums(0.0),
+                 "k_grid": _lists(_ints(0, 17))},
+    "lowmstar": {"n_list": _lists(_ints(1)), "samples": _ints(99), "c": _nums(0.0)},
+    "qs": {"n": _ints(1), "body": _BODY, "k": _ints(0, 17), "alpha": _ALPHA.filter(lambda a: a is not None),
+           "trials": _ints(0), "fp_samples": _ints(1), "report_samples": _ints(99), "c": _nums(0.0)},
+    "curve": {"n": _ints(1), "body": _BODY, "alphas": _lists(_ALPHA), "samples": _ints(99),
+              "fp_samples": _ints(1), "c": _nums(0.0), "k_grid": _lists(_ints(0, 33))},
+}
+_CASES = [(cmd, key, bad) for cmd, keys in _INVALID.items() for key, bad in keys.items()]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_CASES).flatmap(lambda c: st.tuples(st.just(c[0]), st.just(c[1]), c[2])))
+def test_cli_invalid_config_values_exit_2(tmp_path, capsys, no_runs, case):
+    cmd, key, value = case
+    if key == "names" and isinstance(value, list):
+        value = [name + "?" for name in value]   # no suite name ends in "?"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    assert main([cmd, "--config", str(path)]) == 2, (cmd, key, value)
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_regpos_outputs_identical_across_threads(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -282,11 +377,13 @@ def test_cli_regpos_outputs_identical_across_threads(tmp_path):
 def test_cli_props_subset_green(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"names": ["support_duality", "polar_involution"]}))
-    rc = main(["props", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 2
-    assert (tmp_path / "o" / "props_summary.csv").exists()
+    csvs = [tmp_path / o / "props_summary.csv" for o in ("o1", "o2")]
+    for path in csvs:
+        assert main(["props", "--config", str(cfg), "--seed", "1", "--out", str(path.parent)]) == 0
+        assert capsys.readouterr().out.count("PASS") == 2
+    # wall-clock seconds go to stdout only: the summary is byte-identical across runs
+    assert csvs[0].read_text().splitlines()[0] == "name,passed,detail"
+    assert filecmp.cmp(csvs[0], csvs[1], shallow=False)
 
 
 def test_cli_sections_deterministic_outputs(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from regpos import bodies as bd
+from regpos import positions
 from regpos.gaussian import GaussianSample
 from regpos.positions import PositionMap
 from regpos.regular import (
@@ -12,7 +13,6 @@ from regpos.regular import (
     ell_position_certificate,
     find_regular_position,
     fixed_point_map,
-    gelfand_upper,
     random_gelfand,
     regularity_report,
     section_radius_sample,
@@ -76,6 +76,21 @@ def test_find_regular_position_alpha_near_half():
     assert fp.converged and fp.iterations > 1
     # symmetric optimum diag(s), normalized, up to the sampling band
     assert np.abs(fp.T.log_diag() - (np.log(s) - np.log(s).mean())).max() <= 0.05
+
+
+def test_power_table_built_once_per_sample_and_p(monkeypatch):
+    # every solve of the fixed point and of its certificate shares one p
+    builds = []
+    build = positions._block_powers
+    monkeypatch.setattr(positions, "_block_powers", lambda G, p: builds.append(p) or build(G, p))
+    K = bd.cross_polytope(6)
+    sample = GaussianSample(9, 20000, 6)   # two blocks
+    fp = find_regular_position(K, 0.75, sample=sample)
+    ell_position_certificate(fp, K)
+    assert fp.iterations > 1
+    assert len(builds) == sample.n_blocks() == 2 and len(set(builds)) == 1
+    assert not any(A.flags.writeable for A, _ in positions._power_table(sample, builds[0]))
+    assert len(builds) == 2
 
 
 def test_find_regular_position_b1_symmetry_forces_identity():
@@ -160,10 +175,10 @@ def test_gelfand_upper_bound_example():
     K = bd.Ellipsoid(np.diag([0.25, 1.0, 1.0]))
     rng = np.random.default_rng(6)
     vals = section_radius_sample(K, 2, 1500, rng)
-    ub = gelfand_upper(K, 2, 1500, values=vals)
+    ub = random_gelfand(K, 2, 1500, rng=rng, values=vals).upper
     assert 1.0 - 1e-9 <= ub <= 1.05
     # min over a chain is nonincreasing when the sample budget grows
-    assert gelfand_upper(K, 2, 1500, values=vals[:500]) >= ub
+    assert random_gelfand(K, 2, 500, rng=rng, values=vals[:500]).upper >= ub
 
 
 def test_section_radius_values_bounded_by_radii():
@@ -196,7 +211,8 @@ def test_regularity_report_fields():
     K = bd.cross_polytope(8)
     rep = regularity_report(K, 0.75, samples=150, seed=3)
     assert set(rep.cr) == {"body", "polar"}
-    assert len(rep.upper["body"]) == len(rep.k_grid)
-    assert all(u <= c.value + 1e-12 for u, c in zip(rep.upper["body"], rep.cr["body"]))
+    upper = [g.upper for g in rep.cr["body"]]
+    assert len(upper) == len(rep.k_grid)
+    assert all(u <= c.value + 1e-12 for u, c in zip(upper, rep.cr["body"]))
     assert isinstance(rep.slopes["polar"], float)
     assert default_k_grid(8) == [1, 2, 4]
