@@ -17,7 +17,9 @@ _EPS = 1e-300
 
 
 def _unit(W):
-    return W / np.maximum(np.linalg.norm(W, axis=-1, keepdims=True), 1e-30)
+    """The rows of a fresh array W scaled to unit length, in place."""
+    W /= np.maximum(np.sqrt(np.vecdot(W, W)), 1e-30)[..., None]
+    return W
 
 
 def _mT(A):
@@ -28,51 +30,73 @@ def _is_body(P):
     return hasattr(P, "_ascent_subgrad")
 
 
+def _tangent(G, W):
+    """G minus its component along the unit rows W, in place."""
+    G -= np.vecdot(G, W)[..., None] * W
+    return G
+
+
 def ascend(fun_grad, W0, iters=120, step0=0.25):
     """Maximize f over unit rows by projected gradient with per-row adaptive steps.
 
-    fun_grad maps (..., d) unit rows to (f, grad) of shapes (...), (..., d).
+    fun_grad maps (..., d) unit rows to fresh (f, grad) arrays of shapes (...),
+    (..., d).  G holds the tangent gradient at the accepted rows W.
     """
-    W = _unit(np.asarray(W0, dtype=float))
+    W = _unit(np.array(W0, dtype=float))
     f, G = fun_grad(W)
+    _tangent(G, W)
     steps = np.full(f.shape, step0)
     for _ in range(iters):
-        Gt = G - (G * W).sum(-1, keepdims=True) * W
-        cand = _unit(W + steps[..., None] * Gt)
+        cand = _unit(W + steps[..., None] * G)
         fc, Gc = fun_grad(cand)
         better = fc > f
         bm = better[..., None]
-        W = np.where(bm, cand, W)
-        f = np.where(better, fc, f)
-        G = np.where(bm, Gc, G)
-        steps = np.where(better, np.minimum(steps * 1.3, 2.0), steps * 0.5)
+        np.copyto(W, cand, where=bm)
+        np.copyto(f, fc, where=better)
+        np.copyto(G, _tangent(Gc, cand), where=bm)
+        steps *= np.where(better, 1.3, 0.5)
+        np.minimum(steps, 2.0, out=steps)
         if float(steps.max(initial=0.0)) < 1e-12:
             break
     return W, f
 
 
-def _log_gauge(body, X):
-    """Gauge of body on (S, t, n) points and the gradient of its log."""
-    g, Y = body._ascent_subgrad(X.reshape(-1, X.shape[-1]))
-    g = g.reshape(X.shape[:-1])
-    return g, Y.reshape(X.shape) / np.maximum(g[..., None], _EPS)
-
-
 def _ratio_fun_grad(body, Zs, Ps, sign):
-    """sign * log(num(z) / gauge(z)) at z = Z w, and its gradient in w."""
-    ZT = _mT(Zs)
+    """sign * log(num(z) / gauge(z)) at z = Z w, and its gradient in w.
+
+    The columns of each Z are orthonormal, so a section numerator |Z w| is 1
+    on unit w and its gradient is radial, which the ascent's tangent
+    projection removes: with Ps None only the gauge is evaluated.
+    """
+    # contiguous transposes: batched matmul on a transposed view is slower
+    ZT = np.ascontiguousarray(_mT(Zs))
+    PsZ = None if Ps is None or _is_body(Ps) else Ps @ Zs
+    PsZT = None if PsZ is None else np.ascontiguousarray(_mT(PsZ))
+
+    def log_gauge(K, X, s):
+        """s * log gauge_K at the (S, t, n) points X and its gradient in w."""
+        g, Y = K._ascent_subgrad(X.reshape(-1, X.shape[-1]))
+        g = np.maximum(g.reshape(X.shape[:-1]), _EPS)
+        G = Y.reshape(X.shape) @ Zs
+        G *= (s / g)[..., None]
+        return s * np.log(g), G
 
     def fun_grad(W):
         X = W @ ZT
-        if _is_body(Ps):
-            num, dnum = _log_gauge(Ps, X)
+        f, G = log_gauge(body, X, -sign)
+        if Ps is None:
+            return f, G
+        if PsZ is None:
+            fn, Gn = log_gauge(Ps, X, sign)
         else:
-            Q = X if Ps is None else X @ _mT(Ps)
-            num = np.linalg.norm(Q, axis=-1)
-            dnum = (Q if Ps is None else Q @ Ps) / np.maximum(num[..., None] ** 2, _EPS)
-        g, dg = _log_gauge(body, X)
-        f = sign * (np.log(np.maximum(num, _EPS)) - np.log(np.maximum(g, _EPS)))
-        return f, (sign * (dnum - dg)) @ Zs
+            Q = W @ PsZT
+            num2 = np.maximum(np.vecdot(Q, Q), _EPS)
+            fn = (0.5 * sign) * np.log(num2)
+            Gn = Q @ PsZ
+            Gn *= (sign / num2)[..., None]
+        f += fn
+        G += Gn
+        return f, G
 
     return fun_grad
 
@@ -99,6 +123,15 @@ def _ellipsoid_ratio(body, Zs, Ps, mode):
     return np.sqrt(np.maximum(vals[:, idx], 0.0)), X[:, :, 0]
 
 
+def _orthonormal(Zs):
+    """Zs as a float (S, n, d) stack, after checking Z^T Z = I to 1e-8 for every Z."""
+    Zs = np.asarray(Zs, dtype=float)
+    gram = _mT(Zs) @ Zs
+    if gram.size and np.abs(gram - np.eye(Zs.shape[-1])).max() > 1e-8:
+        raise ValueError("subspace bases must have orthonormal columns (Z^T Z = I to 1e-8)")
+    return Zs
+
+
 def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
     """(S,) extrema and (S, n) extremizers: probe, ascend the top starts, polish the best."""
     Zs = np.asarray(Zs, dtype=float)
@@ -109,8 +142,8 @@ def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
     sign = 1.0 if mode == "max" else -1.0
     fun_grad = _ratio_fun_grad(body, Zs, Ps, sign)
 
-    probe = rng.standard_normal((S, probes, d))
-    W = _unit(np.concatenate([probe, np.broadcast_to(np.eye(d), (S, d, d))], axis=1))
+    W = _unit(np.concatenate([rng.standard_normal((S, probes, d)), np.broadcast_to(np.eye(d), (S, d, d))],
+                             axis=1))
     # probe `starts` rows at a time, so no evaluation is wider than the ascent's
     f0 = np.concatenate([fun_grad(W[:, i : i + starts])[0] for i in range(0, W.shape[1], starts)], axis=1)
     order = np.argsort(-f0, axis=1)[:, :starts, None]
@@ -126,11 +159,13 @@ def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
 def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iters=80, probes=64, polish=40):
     """Batched ratio extrema over unit z in col(Zs[i]): an (S,) array.
 
-    Zs is (S, n, d).  The numerator is |z| when Ps is None, |Ps[i] z| for an
-    (S, q, n) stack, or the gauge of Ps when it is a body.  Exact for
-    ellipsoids with a quadratic numerator; else maxima are lower bounds and
-    minima upper bounds.
+    Zs is (S, n, d) with orthonormal columns; other bases raise ValueError.
+    The numerator is |z| when Ps is None, |Ps[i] z| for an (S, q, n) stack,
+    or the gauge of Ps when it is a body.  Exact for ellipsoids with a
+    quadratic numerator; else maxima are lower bounds and minima upper
+    bounds.
     """
+    Zs = _orthonormal(Zs)
     return _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0]
 
 
@@ -138,7 +173,7 @@ def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=
                    polish=120):
     """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
     and P a (q, n) matrix or a body."""
-    Zs = np.eye(body.dim)[None] if Z is None else np.asarray(Z, dtype=float)[None]
+    Zs = np.eye(body.dim)[None] if Z is None else _orthonormal(np.asarray(Z, dtype=float)[None])
     Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
     return float(_extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0][0])
 

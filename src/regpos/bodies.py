@@ -75,14 +75,22 @@ def _check_points(x, dim):
 
 def _soft_max_ascent(L, lift):
     """_ascent_subgrad of a gauge max_j |L_j| of linear forms: the max-kink is
-    softened to the gradient of the q=24 norm of L, lifted back by `lift`."""
+    softened to the gradient of the q=24 norm of L, lifted back by `lift`.
+
+    With R = |L| / g and S = sum_j R_j^q, that gradient rescaled by the exact
+    gauge g is lift(sign(L) R^(q-1)) / S: one power per entry.  S >= 1 on
+    nonzero rows, whose largest R is exactly 1; zero rows give a zero direction.
+    """
     q = 24.0
     A = np.abs(L)
     g = A.max(axis=-1)
-    m = np.maximum(g, 1e-300)
-    gq = m * ((A / m[:, None]) ** q).sum(axis=-1) ** (1.0 / q)
-    Y = lift(np.sign(L) * (A / gq[:, None]) ** (q - 1.0))
-    return g, Y * (g / gq)[:, None]
+    A /= np.where(g > 0, g, 1.0)[:, None]
+    Y = A ** (q - 1.0)
+    S = np.vecdot(Y, A)
+    S[g == 0] = 1.0
+    Y = lift(np.copysign(Y, L, out=Y))
+    Y /= S[:, None]
+    return g, Y
 
 
 class ConvexBody:
@@ -268,21 +276,28 @@ class WeightedLp(ConvexBody):
     def _gauge_subgrad(self, X):
         s = self.scales
         p = self.p
-        g = self._gauge(X)
         if p == 1:
-            return g, s * np.sign(X)
+            Y = np.sign(X)
+            Y *= s
+            return np.vecdot(np.abs(X), s), Y
+        Z = np.abs(s * X)
         if np.isinf(p):
-            Z = np.abs(s * X)
             idx = Z.argmax(axis=-1)
             Y = np.zeros_like(X)
             rows = np.arange(X.shape[0])
             Y[rows, idx] = s[idx] * np.sign(X[rows, idx])
-            return g, Y
-        safe = np.where(g > 0, g, 1.0)
-        T = np.abs(s * X) / safe[:, None]
-        Y = s * np.sign(X) * T ** (p - 1.0)
-        Y[g == 0] = 0.0
-        return g, Y
+            return Z[rows, idx], Y
+        m = Z.max(axis=-1)
+        # one power per entry: with R = |s x| / m and S = sum R^p, the gauge is
+        # m S^(1/p) and the gradient s sign(x) R^(p-1) S^((1-p)/p)
+        Z /= np.where(m > 0, m, 1.0)[:, None]
+        Y = Z ** (p - 1.0)
+        S = np.vecdot(Y, Z)
+        S[m == 0] = 1.0     # S >= 1 on nonzero rows, whose largest R is exactly 1
+        Y *= (S ** ((1.0 - p) / p))[:, None]
+        Y *= s
+        np.copysign(Y, X, out=Y)
+        return m * S ** (1.0 / p), Y
 
     def _ascent_subgrad(self, X):
         if not np.isinf(self.p):
@@ -591,10 +606,10 @@ class PolarBody(ConvexBody):
         return self.base._support(X)
 
     def _gauge_subgrad(self, X):
-        argmax = getattr(self.base, "_support_argmax", None)
-        if argmax is None:
+        support_argmax = getattr(self.base, "_support_with_argmax", None)
+        if support_argmax is None:
             raise NotImplementedError(f"no support maximizer for {self.base.family}")
-        return self.base._support(X), argmax(X)
+        return support_argmax(X)
 
     def _support(self, Y):
         return self.base._gauge(Y)
@@ -674,8 +689,9 @@ class Complexified(ConvexBody):
         # heuristic via boundary search; flagged by exact = False
         return support_estimate(self, Y2)[0]
 
-    def _support_argmax(self, Y2):
-        return support_estimate(self, Y2)[1]
+    def _support_with_argmax(self, Y2):
+        """Support values and their boundary maximizers, from one search."""
+        return support_estimate(self, Y2)
 
     def _compute_radii(self):
         rb, Rb, exact = self.base.radii

@@ -1,6 +1,8 @@
 """Body oracle tests: gauges, supports, polarity, linear images,
 complexification and relative out-radii against stated oracles."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -361,3 +363,117 @@ def test_subgradient_supports_gauge():
         # a gauge subgradient y satisfies <y, x> = gauge(x) and polar-gauge(y) <= 1
         assert np.abs(np.einsum("mi,mi->m", Y, X) - g).max() <= 1e-9 * g.max()
         assert K.polar().gauge(Y).max() <= 1 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# ascent kernels against the two-power formulas
+# ----------------------------------------------------------------------
+
+
+def _two_power_lp(s, p, x):
+    """Gauge and gradient of ||s x||_p by the two-power formulas
+    g = m (sum (|s x| / m)^p)^(1/p) and dg = s sign(x) (|s x| / g)^(p-1),
+    evaluated in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        P = Decimal(p)
+        z = [abs(Decimal(si) * Decimal(xi)) for si, xi in zip(s, x)]
+        m = max(z)
+        if m == 0:
+            return 0.0, np.zeros(len(x))
+        g = m * sum((zi / m) ** P for zi in z) ** (1 / P)
+        y = [float(Decimal(si) * (zi / g) ** (P - 1)) * np.sign(xi) if zi else 0.0
+             for si, zi, xi in zip(s, z, x)]
+        return float(g), np.array(y)
+
+
+def _two_power_soft_max(L, lift):
+    """The q=24 smoothing by its two-power formula: with gq the q-norm of L,
+    lift(sign(L) (|L| / gq)^(q-1)) g / gq, the powers in 50-digit decimals."""
+    q = Decimal(24)
+    g, C = np.zeros(L.shape[0]), np.zeros(L.shape)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for r, row in enumerate(L):
+            a = [abs(Decimal(v)) for v in row]
+            m = max(a)
+            if m == 0:
+                continue
+            gq = m * sum((v / m) ** q for v in a) ** (1 / q)
+            C[r] = [float((v / gq) ** (q - 1) * m / gq) * np.sign(x) for v, x in zip(a, row)]
+            g[r] = float(m)
+    return g, lift(C)
+
+
+def _kernel_points(n):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, n))
+    X[::5, ::3] = 0.0          # zero entries
+    X[1::6, 2] = 1e-200        # entries near 1e-200 beside O(1) ones
+    X[2::7] *= 1e-200          # whole rows near 1e-200
+    X[3] = 0.0
+    return X
+
+
+def _assert_rows_agree(Y, Yref, rtol=1e-13):
+    scale = np.abs(Yref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(Y - Yref) <= rtol * scale)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 3.0, 6.0, 24.0, 1000.0])
+def test_weighted_lp_subgrad_matches_two_power_formula(p):
+    n = 10
+    s = np.random.default_rng(8).uniform(0.5, 2.0, n)
+    K = bd.WeightedLp(p, s)
+    X = _kernel_points(n)
+    g, Y = K._gauge_subgrad(X)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(Y))
+    ref = [_two_power_lp(s, p, x) for x in X]
+    gref = np.array([r[0] for r in ref])
+    assert np.all(np.abs(g - gref) <= 1e-13 * gref)
+    _assert_rows_agree(Y, np.array([r[1] for r in ref]))
+
+
+@pytest.mark.parametrize("K", [
+    bd.cube(10),
+    bd.WeightedLp(np.inf, np.linspace(0.5, 2.0, 10)),
+    bd.PolytopeH(np.random.default_rng(9).standard_normal((16, 10))),
+], ids=["cube", "weighted_cube", "polytope_h"])
+def test_soft_max_direction_matches_two_power_formula(K):
+    X = _kernel_points(10)
+    g, Y = K._ascent_subgrad(X)
+    assert np.all(np.isfinite(Y))
+    if isinstance(K, bd.PolytopeH):
+        gref, Yref = _two_power_soft_max(X @ K.rows.T, lambda C: C @ K.rows)
+    else:
+        gref, Yref = _two_power_soft_max(K.scales * X, lambda C: K.scales * C)
+    assert np.array_equal(g, gref)
+    _assert_rows_agree(Y, Yref)
+
+
+@pytest.mark.parametrize("K", [
+    bd.cube(4),
+    bd.PolytopeH(np.random.default_rng(10).standard_normal((6, 4))),
+    bd.WeightedLp(3.0, np.ones(4)),
+    bd.cross_polytope(4),
+], ids=["cube", "polytope_h", "l3", "l1"])
+def test_zero_row_gives_zero_gauge_and_direction(K):
+    X = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, -2.0, 0.5, 0.0]])
+    for g, Y in (K._ascent_subgrad(X), K._gauge_subgrad(X)):
+        assert g[0] == 0.0 and np.array_equal(Y[0], np.zeros(4))
+        assert np.all(np.isfinite(Y))
+
+
+def test_polar_subgrad_runs_one_support_search(monkeypatch):
+    calls = []
+
+    def counting_search(body, Y):
+        calls.append(Y.shape)
+        return np.full(Y.shape[0], 2.0), Y / 2.0
+
+    monkeypatch.setattr(bd, "support_estimate", counting_search)
+    K = bd.complexify(bd.cross_polytope(2)).polar()
+    X = RNG.standard_normal((5, 4))
+    g, Y = K._gauge_subgrad(X)
+    assert calls == [(5, 4)]
+    assert np.array_equal(g, np.full(5, 2.0)) and np.array_equal(Y, X / 2.0)

@@ -1,6 +1,10 @@
 """Subspace sampling, sections/projections, radii and the nested-projection
 identity, checked against closed-form oracles where they exist."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -260,6 +264,47 @@ def test_ascent_never_exceeds_b1_hyperplane_pair_formula():
     assert np.all(many <= exact * (1 + 1e-9))
     for s in range(0, count, 10):
         assert ratio_extremum(K, Z=bases[s], rng=np.random.default_rng(s)) <= exact[s] * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("body", [bd.cross_polytope(6), bd.Ellipsoid(np.diag(np.linspace(1.0, 2.0, 6)))])
+def test_ratio_extremum_requires_orthonormal_bases(body):
+    from regpos._ascent import ratio_extremum, ratio_extremum_many
+
+    bases = sp.haar_grassmannian_batch(np.random.default_rng(23), 6, 4, 5)
+    ratio_extremum_many(body, bases)
+    ratio_extremum(body, Z=bases[0])
+    for bad in (1.0 + 1e-6, 0.5):
+        scaled = bases.copy()
+        scaled[3, :, 1] *= bad
+        with pytest.raises(ValueError, match="orthonormal"):
+            ratio_extremum_many(body, scaled)
+        with pytest.raises(ValueError, match="orthonormal"):
+            ratio_extremum(body, Z=scaled[3])
+    sheared = bases.copy()
+    sheared[1, :, 0] += 1e-6 * sheared[1, :, 2]
+    with pytest.raises(ValueError, match="orthonormal"):
+        ratio_extremum_many(body, sheared, Ps=np.ones((5, 2, 6)))
+
+
+def test_section_out_radii_identical_across_blas_threads(tmp_path):
+    # the ascent's row sums are vecdot, not BLAS gemv, so the radii do not
+    # depend on the BLAS thread count
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    np.save(tmp_path / "bases.npy", sp.haar_grassmannian_batch(np.random.default_rng(24), 16, 13, 40))
+    script = ("import sys, numpy as np\n"
+              "from regpos import bodies as bd, subspaces as sp\n"
+              "bases = np.load(sys.argv[1])\n"
+              "radii = sp.section_out_radii(bd.cross_polytope(16), bases, rng=np.random.default_rng(25))\n"
+              "np.save(sys.argv[2], radii)\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"radii{threads}.npy"
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "bases.npy"), str(out)],
+                       env=env, check=True, timeout=300)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("body", [bd.cross_polytope(4), bd.Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]))])
