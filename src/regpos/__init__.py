@@ -23,11 +23,8 @@ from .bodies import (
     cross_polytope,
     complexify,
     from_spec,
-    gauge,
     linear_image,
-    polar,
     relative_out_radius,
-    support,
 )
 from .gaussian import EllEstimate, FixedSample, GaussianSample, crn_pair, ell, ell_star, mstar
 from .interpolation import (

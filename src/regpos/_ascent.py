@@ -106,7 +106,7 @@ def _ellipsoid_ratio(body, Zs, Ps, mode):
 
     The squared ratio is w^T N w / w^T M w with M = Z^T A Z; whitening by the
     Cholesky factor M = L L^T turns it into the eigenvalues of L^-1 N L^-T.
-    Returns the (S,) values and the (S, n) extremizers, which have gauge 1.
+    Returns the (S,) values.
     """
     ZT = _mT(Zs)
     if Ps is None:
@@ -117,10 +117,8 @@ def _ellipsoid_ratio(body, Zs, Ps, mode):
         PZ = Ps @ Zs
         N = _mT(PZ) @ PZ
     LinvT = _mT(np.linalg.inv(np.linalg.cholesky(ZT @ body.A @ Zs)))
-    vals, U = np.linalg.eigh(_mT(LinvT) @ N @ LinvT)
-    idx = -1 if mode == "max" else 0
-    X = Zs @ (LinvT @ U[:, :, idx, None])
-    return np.sqrt(np.maximum(vals[:, idx], 0.0)), X[:, :, 0]
+    vals = np.linalg.eigvalsh(_mT(LinvT) @ N @ LinvT)
+    return np.sqrt(np.maximum(vals[:, -1 if mode == "max" else 0], 0.0))
 
 
 def _orthonormal(Zs):
@@ -132,11 +130,16 @@ def _orthonormal(Zs):
     return Zs
 
 
-def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
-    """(S,) extrema and (S, n) extremizers: probe, ascend the top starts, polish the best."""
-    Zs = np.asarray(Zs, dtype=float)
+def _extrema(body, Zs, Ps, mode, *effort):
+    """(S,) extrema: exact eigenvalues for an ellipsoid with a quadratic numerator,
+    else the ascent's at the given (rng, starts, iters, probes, polish)."""
     if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
         return _ellipsoid_ratio(body, Zs, Ps, mode)
+    return _extremize(body, Zs, Ps, mode, *effort)[0]
+
+
+def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
+    """(S,) ascent extrema and (S, n) extremizers: probe, ascend the top starts, polish the best."""
     rng = np.random.default_rng(0) if rng is None else rng
     S, _, d = Zs.shape
     sign = 1.0 if mode == "max" else -1.0
@@ -165,8 +168,7 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iter
     quadratic numerator; else maxima are lower bounds and minima upper
     bounds.
     """
-    Zs = _orthonormal(Zs)
-    return _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0]
+    return _extrema(body, _orthonormal(Zs), Ps, mode, rng, starts, iters, probes, polish)
 
 
 def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=200, probes=1000,
@@ -175,7 +177,7 @@ def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=
     and P a (q, n) matrix or a body."""
     Zs = np.eye(body.dim)[None] if Z is None else _orthonormal(np.asarray(Z, dtype=float)[None])
     Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
-    return float(_extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0][0])
+    return float(_extrema(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0])
 
 
 def support_estimate(body, Y):

@@ -34,9 +34,6 @@ __all__ = [
     "Complexified",
     "DegenerateBodyError",
     "Radii",
-    "gauge",
-    "support",
-    "polar",
     "linear_image",
     "complexify",
     "relative_out_radius",
@@ -170,10 +167,7 @@ class ConvexBody:
         """The dilate a*K."""
         if not (np.isfinite(a) and a > 0):
             raise ValueError("scale factor must be positive and finite")
-        return self._scaled(float(a))
-
-    def _scaled(self, a: float) -> "ConvexBody":
-        return LinearImage(a * np.eye(self.dim), self)
+        return linear_image(float(a), self)
 
     # ------------------------------------------------------------------
     # geometry
@@ -187,8 +181,8 @@ class ConvexBody:
         return self._radii_cache
 
     def _compute_radii(self) -> Radii:
-        lo, hi = _gauge_range_on_sphere(self)
-        return Radii(1.0 / hi, 1.0 / lo, False)
+        # R = max |x| / gauge(x) and r = min |x| / gauge(x) over the sphere
+        return Radii(ratio_extremum(self, mode="min"), ratio_extremum(self, mode="max"), False)
 
     def as_weighted_lp(self):
         """(p, scales) when the body is a weighted l_p ball in the standard basis."""
@@ -310,14 +304,6 @@ class WeightedLp(ConvexBody):
     def _make_polar(self):
         return WeightedLp(self.conjugate_p, 1.0 / self.scales)
 
-    def _scaled(self, a):
-        return WeightedLp(self.p, self.scales / a)
-
-    def diagonal_image(self, t):
-        """T(K) for T = diag(t)."""
-        t = np.asarray(t, dtype=float)
-        return WeightedLp(self.p, self.scales / t)
-
     def as_weighted_lp(self):
         return self.p, self.scales
 
@@ -387,9 +373,6 @@ class Ellipsoid(ConvexBody):
     def _make_polar(self):
         return Ellipsoid(self._Ainv)
 
-    def _scaled(self, a):
-        return Ellipsoid(self.A / (a * a))
-
     def as_weighted_lp(self):
         if self.unconditional:
             return 2.0, np.sqrt(np.diag(self.A))
@@ -446,14 +429,9 @@ class PolytopeH(ConvexBody):
     def _make_polar(self):
         return PolytopeV(self.rows)
 
-    def _scaled(self, a):
-        return PolytopeH(self.rows / a)
-
     def _compute_radii(self):
-        rnorms = np.linalg.norm(self.rows, axis=1)
-        r = 1.0 / float(rnorms.max())
-        lo, _ = _gauge_range_on_sphere(self)
-        return Radii(r, 1.0 / lo, False)
+        r = 1.0 / float(np.linalg.norm(self.rows, axis=1).max())
+        return Radii(r, ratio_extremum(self, mode="max"), False)
 
     def spec(self):
         return {"family": "polytope_h", "rows": [list(map(float, row)) for row in self.rows]}
@@ -510,9 +488,6 @@ class PolytopeV(ConvexBody):
     def _make_polar(self):
         return PolytopeH(self.vertices)
 
-    def _scaled(self, a):
-        return PolytopeV(self.vertices * a)
-
     def _compute_radii(self):
         R = float(np.linalg.norm(self.vertices, axis=1).max())
         # 1/r(K) = max gauge on the sphere = R(K polar) for the H-polytope polar
@@ -545,7 +520,6 @@ class LinearImage(ConvexBody):
         T.setflags(write=False)
         self.Tinv = np.linalg.inv(T)
         self.base = base
-        self._sv = (float(sv[-1]), float(sv[0]))
         diag = np.allclose(T, np.diag(np.diag(T)), atol=1e-14 * sv[0])
         self.unconditional = base.unconditional and diag
         self.exact = base.exact
@@ -576,11 +550,6 @@ class LinearImage(ConvexBody):
             return None
         p, s = form
         return p, s / d
-
-    def _compute_radii(self):
-        rb, Rb, _ = self.base.radii
-        lo, hi = _gauge_range_on_sphere(self, bracket=(1 / (Rb * self._sv[1]), 1 / (rb * self._sv[0])))
-        return Radii(1.0 / hi, 1.0 / lo, False)
 
     def spec(self):
         return {
@@ -694,10 +663,8 @@ class Complexified(ConvexBody):
         return support_estimate(self, Y2)
 
     def _compute_radii(self):
-        rb, Rb, exact = self.base.radii
         # gauge(x, y) <= sqrt(g(x)^2 + g(y)^2) <= |(x,y)|/r with equality on E_Re
-        lo, hi = _gauge_range_on_sphere(self, bracket=(1 / (np.sqrt(2) * Rb), 1 / rb))
-        return Radii(rb, 1.0 / lo, False)
+        return Radii(self.base.radii.r, ratio_extremum(self, mode="max"), False)
 
     def spec(self):
         return {"family": "complexify", "base": self.base.spec()}
@@ -706,18 +673,6 @@ class Complexified(ConvexBody):
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
-
-
-def gauge(K: ConvexBody, x):
-    return K.gauge(x)
-
-
-def support(K: ConvexBody, y):
-    return K.support(y)
-
-
-def polar(K: ConvexBody) -> ConvexBody:
-    return K.polar()
 
 
 def _as_matrix(T, dim):
@@ -731,11 +686,8 @@ def linear_image(T, K: ConvexBody) -> ConvexBody:
     """T(K) with closed-form family simplifications where available."""
     M = _as_matrix(T, K.dim)
     d = np.diag(M)
-    if np.allclose(M, np.diag(d)) and np.all(d > 0):
-        if np.allclose(d, d[0]):
-            return K.scale(float(d[0]))
-        if isinstance(K, WeightedLp):
-            return K.diagonal_image(d)
+    if isinstance(K, WeightedLp) and np.allclose(M, np.diag(d)) and np.all(d > 0):
+        return WeightedLp(K.p, K.scales / d)
     if isinstance(K, Ellipsoid):
         Minv = np.linalg.inv(M)
         return Ellipsoid(Minv.T @ K.A @ Minv)
@@ -803,14 +755,3 @@ def from_spec(spec: dict) -> ConvexBody:
     if fam == "complexify":
         return complexify(from_spec(spec["base"]))
     raise ValueError(f"unknown body family {fam!r}")
-
-
-def _gauge_range_on_sphere(K: ConvexBody, bracket=None):
-    """Heuristic (min, max) of the gauge over the unit sphere by multistart ascent."""
-    # max |x| / gauge(x) = 1 / min gauge on the sphere, and likewise for the max
-    lo = 1.0 / ratio_extremum(K, mode="max")
-    hi = 1.0 / ratio_extremum(K, mode="min")
-    if bracket is not None:
-        lo = max(lo, bracket[0])
-        hi = min(hi, bracket[1])
-    return lo, hi

@@ -226,7 +226,7 @@ def _cmd_qs(args, cfg):
     with _writer(args.out, "qs") as w:
         s = ex.run_qs_experiment(
             K, _get(cfg, "alpha", None, _num, *_ALPHA), k,
-            trials=_get(cfg, "trials", 500, _int, 0), seed=args.seed,
+            trials=_get(cfg, "trials", 500, _int, 9), seed=args.seed,
             c=c, fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
             report_samples=_get(cfg, "report_samples", 400, _int, 99),
             writer=w, threads=args.threads,
@@ -251,12 +251,16 @@ def _cmd_qs(args, cfg):
 
 def _cmd_curve(args, cfg):
     K = _single_body(cfg)
+    k_grid = _get(cfg, "k_grid", None, _list_of(_int), 0, K.dim)
+    # the slopes are least-squares fits of log cr_k against log(n/k)
+    if len(set(k_grid or ex.default_k_grid(K.dim))) < 2:
+        raise ConfigError(f"the k grid of curve needs two distinct k (n = {K.dim}, k_grid = {k_grid})")
     with _writer(args.out, "curve") as w:
         res = ex.run_regularity_curve(
             K, alphas=_get(cfg, "alphas", [0.6, 0.75, 1.0], _list_of(_num), *_ALPHA),
             samples=_get(cfg, "samples", 400, _int, 99), seed=args.seed,
             c=_get(cfg, "c", 0.5, _num, 0), fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
-            k_grid=_get(cfg, "k_grid", None, _list_of(_int), 0, K.dim), writer=w, threads=args.threads,
+            k_grid=k_grid, writer=w, threads=args.threads,
         )
     for pt in res["curve"]:
         print(f"alpha={pt['alpha']:.3f} P_emp={pt['P_emp']:.4f} "

@@ -11,10 +11,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import bodies as bd
 from . import subspaces as sp
-from ._ascent import ratio_extremum_many
 from .gaussian import (
     FixedSample,
     GaussianSample,
@@ -25,16 +25,16 @@ from .gaussian import (
     mstar,
 )
 from .interpolation import InterpolationPair, interpolate, property_suite, surrogate
-from .positions import solve_ell_position
+from .positions import ell_product, solve_ell_position
 from .records import ExperimentRecord, JsonlWriter, measured
 from .regular import (
-    SURVEY,
     balanced_interpolant_functionals,
     ell_position_certificate,
     find_regular_position,
     random_gelfand,
     regularity_report,
     section_radius_sample,
+    survey_radii,
     default_k_grid,
 )
 from .zoo import default_zoo, random_h_polytope
@@ -246,7 +246,7 @@ def _check_minimizer_commutant(seed):
     ]
     worst = 0.0
     for name, K in cases:
-        res = solve_ell_position(K, sample, mode="full", tol=1e-10, compute_product=False)
+        res = solve_ell_position(K, sample, mode="full", tol=1e-10)
         T = res.T.matrix
         off = float(np.abs(T - np.diag(np.diag(T))).max())
         scale = float(np.linalg.norm(T))
@@ -369,7 +369,7 @@ def _check_subspace_sampling(seed):
         return False, f"E|P_F v|^2 = {mean:.4f} vs m/n = {target}"
     # flag construction
     fl = sp.haar_flag(rng, 8, 3)
-    E2 = fl.complement_pair()
+    E2 = fl.E2
     checks = [
         fl.F.dim == 6 and fl.E.dim == 4,
         fl.F.contains(fl.E),
@@ -455,7 +455,7 @@ def _check_gaussian(seed):
     # quadrature oracle: ell(B_inf^2) = E max(|g1|, |g2|)
     s2 = GaussianSample(int(seed) + 42, 100000, 2)
     density = lambda t: t * 2 * (2 / np.sqrt(2 * np.pi)) * np.exp(-t * t / 2) * (
-        2 * _phi_cdf(t) - 1.0
+        2 * ndtr(t) - 1.0
     )
     target = quad(density, 0, 12)[0]
     e = ell(bd.cube(2), 1, s2)
@@ -509,16 +509,10 @@ def _check_gaussian(seed):
     return True, "oracle values, CRN identities and contraction bands all hold"
 
 
-def _phi_cdf(t):
-    from scipy.special import ndtr
-
-    return ndtr(t)
-
-
 def _check_positions(seed):
     sample = GaussianSample(int(seed) + 51, 20000, 8)
     # ball: converges, T near identity at the SAA scale, objective never worse
-    res = solve_ell_position(bd.ball(8), sample, tol=1e-8, compute_product=False)
+    res = solve_ell_position(bd.ball(8), sample, tol=1e-8)
     if not res.converged:
         return False, f"ball solve residual {res.residual:.2e}"
     drift = float(np.abs(np.log(np.diag(res.T.matrix))).max())
@@ -532,7 +526,7 @@ def _check_positions(seed):
     rng = _rng(seed, 52)
     for _ in range(3):
         v = np.exp(rng.uniform(-1.5, 1.5, size=8))
-        res = solve_ell_position(bd.Ellipsoid(np.diag(v)), sample, tol=1e-9, compute_product=False)
+        res = solve_ell_position(bd.Ellipsoid(np.diag(v)), sample, tol=1e-9)
         t_closed = np.sqrt(v * m2)
         t_closed /= np.exp(np.log(t_closed).mean())
         err = float(np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max())
@@ -540,7 +534,7 @@ def _check_positions(seed):
             return False, f"ellipsoid closed-form mismatch {err:.2e}"
     # local optimality at the SAA optimum under det-1 perturbations
     K = bd.WeightedLp.from_weights(1.5, 1.0 + np.arange(8) / 7.0)
-    res = solve_ell_position(K, sample, tol=1e-9, compute_product=False)
+    res = solve_ell_position(K, sample, tol=1e-9)
     base_obj = res.objective**2
     w0 = -np.log(np.diag(res.T.matrix))
     obj = lambda w: float(np.mean(K._gauge(G * np.exp(w - w.mean())) ** 2))
@@ -555,8 +549,8 @@ def _check_positions(seed):
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     K1, K2 = bd.Ellipsoid(A), bd.Ellipsoid(Q @ A @ Q.T)
     s1 = GaussianSample(int(seed) + 53, 20000, 5)
-    r1 = solve_ell_position(K1, s1, mode="full", tol=1e-9, compute_product=False)
-    r2 = solve_ell_position(K2, s1, mode="full", tol=1e-9, compute_product=False)
+    r1 = solve_ell_position(K1, s1, mode="full", tol=1e-9)
+    r2 = solve_ell_position(K2, s1, mode="full", tol=1e-9)
     fresh = GaussianSample(int(seed) + 54, 20000, 5)
     e1 = ell(r1.T.apply(K1), 2, fresh)
     e2 = ell(r2.T.apply(K2), 2, fresh)
@@ -716,6 +710,8 @@ def run_qs_experiment(
     n = K.dim
     if not 1 <= k <= n // 2:
         raise ValueError("need 1 <= k <= n/2")
+    if trials < 10:
+        raise ValueError("need at least 10 trials for the q_exp quantile level")
     if alpha is None:
         alpha = 0.5 + 1.0 / np.log(n / k)
 
@@ -730,16 +726,12 @@ def run_qs_experiment(
     F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
     Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
 
-    def batch(body, Zs, Ps=None):
-        sub = np.random.default_rng(rng.integers(2**63))
-        return ratio_extremum_many(body, Zs, Ps=Ps, mode="max", rng=sub, **SURVEY)
-
-    R_a_body = batch(Kbar, E2_bases, Pts)  # R((P_F Kbar) cap E)
-    R_b_body = batch(Kbar, F_bases, Pts)   # R(P_E (Kbar cap F))
-    R_a_pol = batch(Kpol, E2_bases, Pts)
-    R_b_pol = batch(Kpol, F_bases, Pts)
-    RF_body = batch(Kbar, F_bases)         # R(Kbar cap F)
-    RF_pol = batch(Kpol, F_bases)
+    R_a_body = survey_radii(Kbar, E2_bases, rng, Pts)  # R((P_F Kbar) cap E)
+    R_b_body = survey_radii(Kbar, F_bases, rng, Pts)   # R(P_E (Kbar cap F))
+    R_a_pol = survey_radii(Kpol, E2_bases, rng, Pts)
+    R_b_pol = survey_radii(Kpol, F_bases, rng, Pts)
+    RF_body = survey_radii(Kbar, F_bases, rng)         # R(Kbar cap F)
+    RF_pol = survey_radii(Kpol, F_bases, rng)
 
     d_sop = np.maximum(R_a_body * R_b_pol, 1.0)  # (P_F Kbar) cap E
     d_pos = np.maximum(R_b_body * R_a_pol, 1.0)  # P_E (Kbar cap F)
@@ -834,11 +826,7 @@ def run_lowmstar_check(
             m = n - k + 1
             bases = None if m == n else sp.haar_grassmannian_batch(rng, n, m, samples)
             for name, K in zoo:
-                if bases is None:
-                    values = np.full(samples, K.radii.R)
-                else:
-                    sub = np.random.default_rng(rng.integers(2**63))
-                    values = ratio_extremum_many(K, bases, mode="max", rng=sub, **SURVEY)
+                values = np.full(samples, K.radii.R) if bases is None else survey_radii(K, bases, rng)
                 g = random_gelfand(K, k, samples, c, rng=rng, values=values)
                 ratio = np.sqrt(k) * g.value / ells[name].value
                 rows.append({
@@ -930,12 +918,13 @@ def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, threads=1, writer
     for name, K in bodies:
         sample = GaussianSample(seed, samples, K.dim)
         res = solve_ell_position(K, sample, tol=tol, threads=threads)
+        prod = ell_product(res.T.apply(K), sample, threads=threads)
         rows.append({
             "body": name, "n": K.dim, "objective": res.objective,
             "residual": res.residual, "iterations": res.iterations,
             "converged": res.converged, "mode": res.mode,
-            "product": res.product, "product_se": res.product_se,
-            "product_over_nlogn": res.product / (K.dim * np.log(1 + K.dim)),
+            "product": prod.value, "product_se": prod.se,
+            "product_over_nlogn": prod.value / (K.dim * np.log(1 + K.dim)),
         })
         if writer is not None:
             writer.write(ExperimentRecord(
@@ -944,7 +933,7 @@ def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, threads=1, writer
                 measured={
                     "objective": measured(res.objective, exact=True),
                     "residual": measured(res.residual, exact=True),
-                    "product": measured(res.product, se=res.product_se),
+                    "product": measured(prod.value, se=prod.se),
                 },
             ))
     return rows
@@ -956,7 +945,7 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, threads=1, 
     for name, K in bodies:
         fp = find_regular_position(K, alpha, seed=seed, samples=samples, threads=threads)
         cert = ell_position_certificate(fp, K, threads=threads)
-        l, ls, bound = balanced_interpolant_functionals(fp, threads=threads)
+        l, ls, bound = balanced_interpolant_functionals(fp)
         rows.append({
             "body": name, "n": K.dim, "alpha": alpha, "theta": fp.theta,
             "residual": fp.residual, "iterations": fp.iterations,

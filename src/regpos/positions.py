@@ -12,7 +12,7 @@ accepted on strict decrease only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -97,8 +97,6 @@ class EllPositionResult:
     converged: bool
     mode: str
     objective_at_identity: float
-    product: float | None = None
-    product_se: float | None = None
 
 
 # a power-form row sum at or above this has lost at most n*eps to underflowed terms
@@ -230,7 +228,6 @@ def solve_ell_position(
     max_iter: int = 500,
     start=None,
     threads: int = 1,
-    compute_product: bool = True,
 ) -> EllPositionResult:
     """SAA ell-position of K: the returned T minimizes mean ||T^{-1} g_j||_K^2
     over SPD determinant-one maps (diagonal when K is unconditional)."""
@@ -275,8 +272,7 @@ def solve_ell_position(
     if psi > psi_id and start is not None:
         # warm start went sour; fall back to the identity start
         return solve_ell_position(
-            K, sample, mode=mode, tol=tol, max_iter=max_iter, start=None,
-            threads=threads, compute_product=compute_product,
+            K, sample, mode=mode, tol=tol, max_iter=max_iter, start=None, threads=threads,
         )
 
     if mode == "diagonal":
@@ -287,9 +283,8 @@ def solve_ell_position(
         S = obj._chart(x)
         lam, Q = np.linalg.eigh(S)
         T = PositionMap((Q * np.exp(-lam)) @ Q.T, (Q * np.exp(lam)) @ Q.T)
-        T._chart_solution = x
 
-    result = EllPositionResult(
+    return EllPositionResult(
         T=T,
         objective=float(np.sqrt(psi)),
         residual=residual,
@@ -298,11 +293,6 @@ def solve_ell_position(
         mode=mode,
         objective_at_identity=float(np.sqrt(psi_id)),
     )
-    if compute_product:
-        prod = ell_product(T.apply(K), sample, threads=threads)
-        result.product = prod.value
-        result.product_se = prod.se
-    return result
 
 
 class ProductEstimate(NamedTuple):
@@ -332,12 +322,15 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> P
     return ProductEstimate(mua * mub, float(np.sqrt(max(var, 0.0))), mua, mub)
 
 
-def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample, threads: int = 1) -> float:
-    """The a > 0 with ell([aK, B_2]_theta) = ell*([aK, B_2]_theta).
+def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample, threads: int = 1):
+    """(a, ell, ell*): the a > 0 with ell([aK, B_2]_theta) = ell*([aK, B_2]_theta),
+    and the two EllEstimates of that balanced interpolant on the sample.
 
     Scaling K by a scales the interpolant body by a^(1-theta), which divides
     its ell by a^(1-theta) and multiplies its ell* by the same factor, so
-    a = (ell/ell*)^(1/(2(1-theta))) evaluated on [K, B_2]_theta.
+    a = (ell/ell*)^(1/(2(1-theta))) evaluated on [K, B_2]_theta, and the
+    estimates (values and standard errors) of [aK, B_2]_theta are those of
+    [K, B_2]_theta divided and multiplied by a^(1-theta).
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
@@ -346,4 +339,6 @@ def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample, thread
     Kth = interpolate(InterpolationPair(K, bd.WeightedLp(2.0, np.ones(K.dim)), theta))
     l = ell(Kth, 1, sample, threads=threads)
     ls = ell_star(Kth, 1, sample, threads=threads)
-    return float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))
+    a = float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))
+    f = a ** (1.0 - theta)
+    return a, replace(l, value=l.value / f, se=l.se / f), replace(ls, value=ls.value * f, se=ls.se * f)

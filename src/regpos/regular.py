@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
-from .gaussian import GaussianSample, ell, ell_star
+from ._ascent import ratio_extremum_many
+from .gaussian import EllEstimate, GaussianSample
 from .interpolation import InterpolationPair, interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
-from .subspaces import haar_grassmannian_batch, section_out_radii
+from .subspaces import haar_grassmannian_batch
 
 __all__ = [
     "FixedPointResult",
@@ -29,6 +30,7 @@ __all__ = [
     "find_regular_position",
     "balanced_interpolant_functionals",
     "ell_position_certificate",
+    "survey_radii",
     "section_radius_sample",
     "random_gelfand",
     "regularity_report",
@@ -65,8 +67,7 @@ def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
     Kth = interpolate(InterpolationPair(bd.WeightedLp(pK, sK), T_ball, theta))
     log_s = np.log(Kth.scales)
     x0 = None if start is None else start._chart_solution - (log_s - start._interpolant_log_scales)
-    F = solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8, start=x0,
-                           threads=threads, compute_product=False).T
+    F = solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8, start=x0, threads=threads).T
     F._interpolant_log_scales = log_s
     return F
 
@@ -82,6 +83,8 @@ class FixedPointResult:
     balance: float
     body: bd.ConvexBody          # the position body a * T(K)
     sample: GaussianSample
+    ell_interp: EllEstimate      # ell and ell* of the balanced interpolant [body, B_2]_theta
+    ell_star_interp: EllEstimate
     trace: list = field(default_factory=list)
 
 
@@ -100,7 +103,7 @@ def find_regular_position(
 
     On success [T(K), B_2]_theta is in SAA ell-position to solver tolerance,
     and the returned position body is a*T(K) with the balance scale a
-    equalizing ell and ell* of the interpolant.
+    equalizing ell and ell* of the interpolant; the result carries both.
     """
     pK, sK = _require_tractable_unconditional(K)
     theta = theta_of_alpha(alpha)
@@ -126,29 +129,25 @@ def find_regular_position(
 
     T = PositionMap.from_diag(np.exp(log_t), normalize=True)
     TK = bd.WeightedLp(pK, sK / np.diag(T.matrix))
-    a = balance_scale(TK, theta, sample, threads=threads)
+    a, l, ls = balance_scale(TK, theta, sample, threads=threads)
     body = bd.WeightedLp(pK, TK.scales / a)
     return FixedPointResult(
         T=T, alpha=float(alpha), theta=theta, residual=residual,
         iterations=iterations, converged=converged, balance=a, body=body,
-        sample=sample, trace=trace,
+        sample=sample, ell_interp=l, ell_star_interp=ls, trace=trace,
     )
 
 
-def balanced_interpolant_functionals(result: FixedPointResult, *, threads: int = 1):
+def balanced_interpolant_functionals(result: FixedPointResult):
     """(ell, ell*, sqrt(2 n Phi(theta))) for the balanced interpolant
-    [Kbar, B_2]_theta.
+    [Kbar, B_2]_theta, the first two as estimated by the balance pass.
 
     The two functionals must agree within Monte Carlo error (that is what the
     balance scale enforces); the third value is the reference bound both are
     compared against, recorded only, since the SAA position is approximate.
     """
-    n = result.body.dim
-    Kth = interpolate(InterpolationPair(result.body, bd.WeightedLp(2.0, np.ones(n)), result.theta))
-    l = ell(Kth, 1, result.sample, threads=threads)
-    ls = ell_star(Kth, 1, result.sample, threads=threads)
-    bound = float(np.sqrt(2.0 * n * phi(result.theta)))
-    return l, ls, bound
+    bound = float(np.sqrt(2.0 * result.body.dim * phi(result.theta)))
+    return result.ell_interp, result.ell_star_interp, bound
 
 
 def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, *,
@@ -181,6 +180,14 @@ class GelfandEstimate:
     upper: float     # min over the sampled F of R(K cap F): an upper bound on c_k
 
 
+def survey_radii(K, bases, rng, Ps=None):
+    """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None) over unit z in col(bases[i]),
+    for a stack of Haar bases: the ratio ascent at the SURVEY effort, on a
+    substream seeded by one draw from rng.  An (S,) array."""
+    sub = np.random.default_rng(rng.integers(2**63))
+    return ratio_extremum_many(K, bases, Ps=Ps, mode="max", rng=sub, **SURVEY)
+
+
 def section_radius_sample(K, k: int, samples: int, rng):
     """R(K cap F) over Haar F in G_{n, n-k+1} at the SURVEY effort: an (samples,) array."""
     n = K.dim
@@ -189,9 +196,7 @@ def section_radius_sample(K, k: int, samples: int, rng):
     m = n - k + 1
     if m == n:
         return np.full(samples, K.radii.R)
-    bases = haar_grassmannian_batch(rng, n, m, samples)
-    sub = np.random.default_rng(rng.integers(2**63))
-    return section_out_radii(K, bases, rng=sub, **SURVEY)
+    return survey_radii(K, haar_grassmannian_batch(rng, n, m, samples), rng)
 
 
 def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None) -> GelfandEstimate:

@@ -82,10 +82,12 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Flag:
-    """Nested pair F >= E of dimensions n-k+1 and n-2k+2 (the flag manifold G^k)."""
+    """Nested pair F >= E of dimensions n-k+1 and n-2k+2 (the flag manifold G^k),
+    with E2 = F^perp + E: E2 has dimension n-k+1, F contains E2^perp and F cap E2 = E."""
 
     F: Subspace
     E: Subspace
+    E2: Subspace
     k: int
 
     def __post_init__(self):
@@ -94,7 +96,7 @@ class Flag:
             raise ValueError("flag members live in different ambient spaces")
         if not (1 <= self.k <= n // 2):
             raise ValueError("flag parameter requires 1 <= k <= n/2")
-        if self.F.dim != n - self.k + 1 or self.E.dim != n - 2 * self.k + 2:
+        if (self.F.dim, self.E.dim, self.E2.dim) != (n - self.k + 1, n - 2 * self.k + 2, n - self.k + 1):
             raise ValueError("flag member dimensions do not match k")
         if not self.F.contains(self.E):
             raise ValueError("E is not contained in F")
@@ -102,14 +104,6 @@ class Flag:
     @property
     def ambient(self) -> int:
         return self.F.ambient
-
-    def complement_pair(self) -> Subspace:
-        """E2 = F^perp + E, an (n-k+1)-dimensional subspace with
-        E1 = F containing E2^perp and E1 cap E2 = E."""
-        if self.k == 1:
-            return self.E
-        Cf = self.F.complement().basis
-        return Subspace(np.hstack([Cf, self.E.basis]))
 
 
 def haar_grassmannian_batch(rng, n, m, count):
@@ -144,9 +138,9 @@ def haar_grassmannian(rng, n: int, m: int) -> Subspace:
 
 
 def haar_flag(rng, n: int, k: int) -> Flag:
-    """Haar-distributed flag (F, E): F uniform, and E uniform inside F."""
-    F, E, _ = haar_flag_batch(rng, n, k, 1)
-    return Flag(F=Subspace(F[0]), E=Subspace(E[0]), k=k)
+    """Haar-distributed flag (F, E): F uniform, and E uniform inside F; E2 as in haar_flag_batch."""
+    F, E, E2 = haar_flag_batch(rng, n, k, 1)
+    return Flag(F=Subspace(F[0]), E=Subspace(E[0]), E2=Subspace(E2[0]), k=k)
 
 
 # ----------------------------------------------------------------------
@@ -336,39 +330,30 @@ def project(K: bd.ConvexBody, F: Subspace) -> bd.ConvexBody:
 # ----------------------------------------------------------------------
 
 
-def _ratio_target(S):
-    """(body, Z) pair so that section radii become |z|/gauge extrema."""
-    if isinstance(S, SectionBody) and S.mode == "section":
-        return S.parent, S.carrier.basis
-    return S, None
-
-
 def out_radius(S: bd.ConvexBody, rng=None, **opts) -> float:
-    """max |x| over S; exact for ellipsoids, else a certified lower bound."""
-    if isinstance(S, bd.Ellipsoid):
+    """max |x| over S: S.radii.R for a whole body; for a generic section or
+    projection a certified lower bound by ratio ascent."""
+    if not isinstance(S, SectionBody):
         return S.radii.R
-    if isinstance(S, SectionBody) and S.mode == "projection":
+    if S.mode == "projection":
         # R(P_F K) = max_z |P_F z| / gauge_K(z)
-        return ratio_extremum(S.parent, Z=None, P=S.carrier.basis.T, mode="max", rng=rng, **opts)
-    body, Z = _ratio_target(S)
-    return ratio_extremum(body, Z=Z, mode="max", rng=rng, **opts)
+        return ratio_extremum(S.parent, P=S.carrier.basis.T, mode="max", rng=rng, **opts)
+    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="max", rng=rng, **opts)
 
 
 def in_radius(S: bd.ConvexBody, rng=None, **opts) -> float:
-    """max radius of a centered ball inside S (upper-bound heuristic off closed forms)."""
-    if isinstance(S, bd.Ellipsoid):
+    """max radius of a centered ball inside S: S.radii.r for a whole body; for a
+    generic section or projection an upper-bound heuristic."""
+    if not isinstance(S, SectionBody):
         return S.radii.r
-    if isinstance(S, SectionBody) and S.mode == "projection":
+    if S.mode == "projection":
         # r(P_F K) = 1 / R(K polar cap F)
         return 1.0 / out_radius(section(S.parent.polar(), S.carrier), rng=rng, **opts)
-    body, Z = _ratio_target(S)
-    return ratio_extremum(body, Z=Z, mode="min", rng=rng, **opts)
+    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="min", rng=rng, **opts)
 
 
 def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
     """d_G(S, B_2) = R(S)/r(S) >= 1."""
-    if isinstance(S, bd.Ellipsoid):
-        return S.radii.R / S.radii.r
     return max(out_radius(S) / in_radius(S), 1.0)
 
 

@@ -59,7 +59,7 @@ def test_criterion_2_ellipsoid_oracle_equivalence():
         v = np.exp(rng.uniform(-1.5, 1.5, size=n))
         K = bd.Ellipsoid(np.diag(v))
         # solver vs the AM-GM closed form of the SAA objective
-        res = solve_ell_position(K, samples[n], tol=1e-9, compute_product=False)
+        res = solve_ell_position(K, samples[n], tol=1e-9)
         t_closed = np.sqrt(v * mom2[n])
         t_closed /= np.exp(np.log(t_closed).mean())
         worst_solver = max(

@@ -140,6 +140,11 @@ def test_run_qs_small():
     assert s.threshold == pytest.approx((s.P_emp * (16 / 4) ** s.alpha) ** 2, rel=1e-12)
 
 
+def test_run_qs_needs_ten_trials():
+    with pytest.raises(ValueError, match="10 trials"):
+        run_qs_experiment(bd.cross_polytope(8), None, 2, trials=9)
+
+
 def test_run_qs_ball_all_distances_one_up_to_saa():
     # in the exact position of the ball every distance is 1; the SAA position
     # is a diagonal ellipsoid with eccentricity rho -> 1 as M grows, and every
@@ -284,6 +289,12 @@ _BAD_CONFIGS = [
     ("regpos", {"alpha": 0.4}),
     ("qs", {"alpha": 0.4}),
     ("qs", {"trials": 0}),
+    # the q_exp level 1 - max(e^(-ck), 10/trials) needs trials >= 10
+    ("qs", {"trials": 5}),
+    # the curve slopes need two distinct k: n = 3 has the default grid [1]
+    ("curve", {"n": 3}),
+    ("curve", {"k_grid": [4]}),
+    ("curve", {"k_grid": [2, 2]}),
 ]
 
 
@@ -337,7 +348,7 @@ _INVALID = {
                  "k_grid": _lists(_ints(0, 17))},
     "lowmstar": {"n_list": _lists(_ints(1)), "samples": _ints(99), "c": _nums(0.0)},
     "qs": {"n": _ints(1), "body": _BODY, "k": _ints(0, 17), "alpha": _ALPHA.filter(lambda a: a is not None),
-           "trials": _ints(0), "fp_samples": _ints(1), "report_samples": _ints(99), "c": _nums(0.0)},
+           "trials": _ints(9), "fp_samples": _ints(1), "report_samples": _ints(99), "c": _nums(0.0)},
     "curve": {"n": _ints(1), "body": _BODY, "alphas": _lists(_ALPHA), "samples": _ints(99),
               "fp_samples": _ints(1), "c": _nums(0.0), "k_grid": _lists(_ints(0, 33))},
 }

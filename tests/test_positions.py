@@ -58,7 +58,7 @@ def test_power_form_objective_matches_gauge_subgradient(p, monkeypatch):
 def test_large_p_weighted_lp_is_solved():
     # |g|^1000 overflows unless the powers are normalized; a NaN objective ends at the identity
     s = np.exp(np.linspace(-1.0, 1.0, 8))
-    res = solve_ell_position(bd.WeightedLp(1000.0, s), SAMPLE, tol=1e-6, compute_product=False)
+    res = solve_ell_position(bd.WeightedLp(1000.0, s), SAMPLE, tol=1e-6)
     assert np.isfinite(res.objective)
     # the symmetric optimum T = diag(s), normalized, up to the sampling band
     t = np.log(np.diag(res.T.matrix))
@@ -66,7 +66,7 @@ def test_large_p_weighted_lp_is_solved():
 
 
 def test_ball_is_solved_at_saa_scale():
-    res = solve_ell_position(bd.ball(8), SAMPLE, tol=1e-8, compute_product=False)
+    res = solve_ell_position(bd.ball(8), SAMPLE, tol=1e-8)
     assert res.converged and res.residual <= 1e-8
     assert np.abs(np.log(np.diag(res.T.matrix))).max() <= 10.0 / np.sqrt(SAMPLE.count)
     assert res.objective <= res.objective_at_identity + 1e-12
@@ -76,9 +76,7 @@ def test_diagonal_ellipsoid_amgm_closed_form():
     rng = np.random.default_rng(4)
     for _ in range(5):
         v = np.exp(rng.uniform(-1.5, 1.5, size=8))
-        res = solve_ell_position(
-            bd.Ellipsoid(np.diag(v)), SAMPLE, tol=1e-9, compute_product=False
-        )
+        res = solve_ell_position(bd.Ellipsoid(np.diag(v)), SAMPLE, tol=1e-9)
         # AM-GM on the SAA objective sum_i v_i m_i / t_i^2 under prod t = 1
         t_closed = np.sqrt(v * MOM2)
         t_closed /= np.exp(np.log(t_closed).mean())
@@ -89,7 +87,7 @@ def test_diagonal_ellipsoid_amgm_closed_form():
 def test_spec_example_ellipsoid_4_1_maps_to_round_ball():
     v = np.array([4.0, 1.0])
     s2 = GaussianSample(7, 20000, 2)
-    res = solve_ell_position(bd.Ellipsoid(np.diag(v)), s2, tol=1e-10, compute_product=False)
+    res = solve_ell_position(bd.Ellipsoid(np.diag(v)), s2, tol=1e-10)
     m2 = (s2.vectors() ** 2).mean(axis=0)
     t_closed = np.sqrt(v * m2)
     t_closed /= np.exp(np.log(t_closed).mean())
@@ -108,7 +106,7 @@ def test_b1_objective_at_identity_beats_perturbations():
     G = s.vectors()
     obj = lambda w: float(np.mean(K._gauge(G * np.exp(w - w.mean())) ** 2))
     base = obj(np.zeros(4))
-    res = solve_ell_position(K, s, tol=1e-8, compute_product=False)
+    res = solve_ell_position(K, s, tol=1e-8)
     opt = res.objective**2
     assert opt <= base + 1e-12
     # the solver optimum is within the SAA band of the identity
@@ -127,7 +125,7 @@ def test_full_mode_commutant_on_symmetrized_sample():
     base = GaussianSample(200, 500, 4)
     sym = FixedSample(base.sign_symmetrized())
     for K in (bd.cross_polytope(4), bd.Ellipsoid(np.diag([0.5, 1.0, 2.0, 1.5]))):
-        res = solve_ell_position(K, sym, mode="full", tol=1e-10, compute_product=False)
+        res = solve_ell_position(K, sym, mode="full", tol=1e-10)
         T = res.T.matrix
         off = np.abs(T - np.diag(np.diag(T))).max()
         assert off <= 1e-6 * np.linalg.norm(T)
@@ -139,8 +137,8 @@ def test_rotation_invariance_of_optimal_value():
     Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     K1, K2 = bd.Ellipsoid(A), bd.Ellipsoid(Q @ A @ Q.T)
     s = GaussianSample(77, 20000, 5)
-    r1 = solve_ell_position(K1, s, mode="full", tol=1e-9, compute_product=False)
-    r2 = solve_ell_position(K2, s, mode="full", tol=1e-9, compute_product=False)
+    r1 = solve_ell_position(K1, s, mode="full", tol=1e-9)
+    r2 = solve_ell_position(K2, s, mode="full", tol=1e-9)
     fresh = GaussianSample(78, 20000, 5)
     e1 = ell(r1.T.apply(K1), 2, fresh)
     e2 = ell(r2.T.apply(K2), 2, fresh)
@@ -153,7 +151,6 @@ def test_nonconvergence_is_flagged_not_hidden():
         GaussianSample(5, 2000, 3),
         tol=1e-14,
         max_iter=2,
-        compute_product=False,
     )
     assert not res.converged
     assert res.residual > 1e-14
@@ -183,13 +180,14 @@ def test_solved_position_product_not_worse_than_random_position():
     K = bd.cross_polytope(16)
     s = GaussianSample(55, 20000, 16)
     res = solve_ell_position(K, s, tol=1e-8)
+    prod = ell_product(res.T.apply(K), s)
     rng = np.random.default_rng(3)
     w = rng.standard_normal(16) * 0.5
     w -= w.mean()
     Trand = PositionMap.from_diag(np.exp(w))
     prod_rand = ell_product(Trand.apply(K), s)
-    assert res.product <= prod_rand.value + 3 * (res.product_se + prod_rand.se)
-    assert res.product / (16 * np.log(17)) < 3.0
+    assert prod.value <= prod_rand.value + 3 * (prod.se + prod_rand.se)
+    assert prod.value / (16 * np.log(17)) < 3.0
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +196,7 @@ def test_solved_position_product_not_worse_than_random_position():
 
 
 def test_balance_ball_is_one():
-    a = balance_scale(bd.WeightedLp(2.0, np.ones(8)), 0.5, SAMPLE)
+    a, _, _ = balance_scale(bd.WeightedLp(2.0, np.ones(8)), 0.5, SAMPLE)
     assert a == pytest.approx(1.0, abs=1e-12)
 
 
@@ -207,7 +205,7 @@ def test_balance_theta_zero_endpoint():
 
     K = bd.WeightedLp.from_weights(1.0, [1.0, 2.0, 3.0, 4.0])
     s = GaussianSample(60, 20000, 4)
-    a = balance_scale(K, 0.0, s)
+    a, _, _ = balance_scale(K, 0.0, s)
     l = _ell(K, 1, s)
     ls = _ell_star(K, 1, s)
     # ell(aK) = ell/a and ell*(aK) = a ell*, so equality needs a = sqrt(ell/ell*)
@@ -225,7 +223,7 @@ def test_balance_weighted_l1_theta_half():
     K = bd.WeightedLp.from_weights(1.0, [1.0, 2.0, 3.0, 4.0])
     s = GaussianSample(61, 20000, 4)
     th = 0.5
-    a = balance_scale(K, th, s)
+    a, _, _ = balance_scale(K, th, s)
     Kth_scaled = interpolate(InterpolationPair(K.scale(a), bd.WeightedLp(2.0, np.ones(4)), th))
     la = _ell(Kth_scaled, 1, s)
     lsa = _ell_star(Kth_scaled, 1, s)

@@ -126,6 +126,21 @@ def test_balanced_interpolant_equalized_and_bound_recorded():
     assert max(l.value, ls.value) / bound < 10  # comparison only, no assertion on <= 1
 
 
+def test_balanced_interpolant_functionals_match_fresh_estimates():
+    # the balance pass's rescaled estimates are those of [Kbar, B_2]_theta itself
+    from regpos.gaussian import ell, ell_star
+    from regpos.interpolation import InterpolationPair, interpolate
+
+    for K, alpha in ((bd.WeightedLp.from_weights(1.0, np.linspace(1, 2, 6)), 0.75),
+                     (bd.WeightedLp.from_weights(3.0, np.linspace(1, 3, 6)), 1.5)):
+        fp = find_regular_position(K, alpha, seed=22, samples=4000)
+        l, ls, _ = balanced_interpolant_functionals(fp)
+        Kth = interpolate(InterpolationPair(fp.body, bd.WeightedLp(2.0, np.ones(6)), fp.theta))
+        for got, fresh in ((l, ell(Kth, 1, fp.sample)), (ls, ell_star(Kth, 1, fp.sample))):
+            assert got.value == pytest.approx(fresh.value, rel=1e-12)
+            assert got.se == pytest.approx(fresh.se, rel=1e-12)
+
+
 def test_divergence_reported_not_hidden():
     fp = find_regular_position(
         bd.Ellipsoid(np.diag([16.0, 1.0])), 1.0, seed=8, samples=2000, tol=1e-12, max_iter=3

@@ -79,12 +79,21 @@ def test_flag_dimensions_and_containment():
 
 def test_flag_complement_pair_structure():
     fl = sp.haar_flag(RNG, 9, 4)
-    E2 = fl.complement_pair()
+    E2 = fl.E2
     assert E2.dim == 9 - 4 + 1
     assert fl.F.contains(E2.complement(), tol=1e-9)
     inter = sp.subspace_intersection(fl.F, E2)
     assert inter.dim == fl.E.dim
     assert np.abs(inter.projector() - fl.E.projector()).max() <= 1e-9
+
+
+def test_flag_E2_is_the_batch_sampler_E2():
+    # one construction of E2: the flag keeps the basis QS uses
+    for n, k in ((9, 4), (8, 3), (5, 1)):
+        fl = sp.haar_flag(np.random.default_rng(31), n, k)
+        F, E, E2 = sp.haar_flag_batch(np.random.default_rng(31), n, k, 1)
+        assert np.array_equal(fl.F.basis, F[0]) and np.array_equal(fl.E.basis, E[0])
+        assert np.array_equal(fl.E2.basis, E2[0])
 
 
 def test_flag_marginal_matches_grassmannian():
@@ -208,6 +217,30 @@ def test_generic_section_radius_matches_eigen_oracle():
     )
 
 
+def test_whole_body_radii_come_from_radii():
+    rng = np.random.default_rng(32)
+    bodies = [bd.cross_polytope(4), bd.cube(3), bd.WeightedLp.from_weights(1.5, [1.0, 2.0, 3.0]),
+              bd.Ellipsoid(np.diag([0.25, 1.0, 4.0])), bd.PolytopeH(rng.standard_normal((6, 3))),
+              bd.PolytopeV(rng.standard_normal((5, 3))),
+              bd.linear_image(rng.standard_normal((3, 3)) + 3 * np.eye(3), bd.cube(3)),
+              bd.complexify(bd.cross_polytope(2))]
+    for K in bodies:
+        assert sp.out_radius(K) == K.radii.R and sp.in_radius(K) == K.radii.r
+        assert sp.geometric_distance_to_ball(K) == max(K.radii.R / K.radii.r, 1.0)
+
+
+def test_polytope_v_out_radius_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(bd, "linprog", no_lp)
+    monkeypatch.setattr(sp, "linprog", no_lp)
+    V = np.random.default_rng(33).standard_normal((7, 3))
+    assert sp.out_radius(bd.PolytopeV(V)) == np.linalg.norm(V, axis=1).max()
+    P = sp.project(bd.cross_polytope(2), sp.Subspace(np.array([[1.0], [1.0]]) / np.sqrt(2)))
+    assert sp.out_radius(P) == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+
+
 def test_geometric_distance_examples():
     F = sp.haar_grassmannian(RNG, 5, 3)
     assert sp.geometric_distance_to_ball(sp.section(bd.ball(5), F)) == pytest.approx(1.0)
@@ -235,7 +268,7 @@ def test_stacked_ellipsoid_route_matches_per_subspace_eigvalsh():
     Zs = sp.haar_grassmannian_batch(rng, n, m, count)
     Ps = rng.standard_normal((count, q, n))
     for P, mode in ((None, "max"), (Ps, "max"), (None, "min"), (Ps, "min")):
-        vals, X = _ellipsoid_ratio(K, Zs, P, mode)
+        vals = _ellipsoid_ratio(K, Zs, P, mode)
         for i in range(count):
             Z = Zs[i]
             N = Z.T @ Z if P is None else (P[i] @ Z).T @ (P[i] @ Z)
@@ -244,10 +277,6 @@ def test_stacked_ellipsoid_route_matches_per_subspace_eigvalsh():
             H = (V / np.sqrt(w)) @ V.T
             lam = np.linalg.eigvalsh(H @ N @ H)
             assert vals[i] == pytest.approx(np.sqrt(lam[-1] if mode == "max" else lam[0]), rel=1e-12)
-        # the extremizers lie on the boundary and attain the values
-        assert np.abs(K.gauge(X) - 1.0).max() <= 1e-12
-        num = np.linalg.norm(X if P is None else np.einsum("sqn,sn->sq", P, X), axis=1)
-        assert np.abs(num - vals).max() <= 1e-12 * vals.max()
 
 
 def test_ascent_never_exceeds_b1_hyperplane_pair_formula():
