@@ -6,12 +6,15 @@ problems at once.  The numerator is |P z| (P = I when absent) or, for
 relative out-radii, another body's gauge.  Every iterate is a feasible
 evaluation, so reported maxima are certified lower bounds and reported
 minima certified upper bounds.  Ellipsoids with a quadratic numerator take
-an exact stacked eigenvalue route instead.
+an exact stacked eigenvalue route instead, and maxima over sections of
+weighted l_1 balls of codimension at most 3 a vertex search (_vertex.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from ._vertex import MAX_CODIM, vertex_maxima
 
 _EPS = 1e-300
 
@@ -132,9 +135,14 @@ def _orthonormal(Zs):
 
 def _extrema(body, Zs, Ps, mode, *effort):
     """(S,) extrema: exact eigenvalues for an ellipsoid with a quadratic numerator,
-    else the ascent's at the given (rng, starts, iters, probes, polish)."""
+    the vertex search for maxima of a quadratic numerator over sections of a
+    weighted l_1 ball of codimension 1..MAX_CODIM, else the ascent's at the
+    given (rng, starts, iters, probes, polish)."""
     if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
         return _ellipsoid_ratio(body, Zs, Ps, mode)
+    if (body.family == "weighted_lp" and body.p == 1 and mode == "max" and not _is_body(Ps)
+            and 1 <= Zs.shape[1] - Zs.shape[2] <= MAX_CODIM):
+        return vertex_maxima(body, Zs, Ps)
     return _extremize(body, Zs, Ps, mode, *effort)[0]
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -111,13 +111,18 @@ class EllEstimate:
     p: int
 
 
+@cache
+def _executor(threads):
+    """The one pool of `threads` workers, made on first use and kept for the process."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _map_blocks(blocks, fn, threads=1):
     """fn per row block (e.g. of sample.blocks()), in fixed block order regardless
     of threads; callers sum the results in that order."""
     blocks = list(blocks)
     if threads and threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, blocks))
+        return list(_executor(threads).map(fn, blocks))
     return [fn(G) for G in blocks]
 
 

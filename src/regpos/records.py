@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,9 @@ class ExperimentRecord:
 
 
 def record_to_json(rec: ExperimentRecord) -> str:
-    return json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))
+    # the fields hold only JSON values, so dumping them directly gives the bytes
+    # of dataclasses.asdict without its deep copy
+    return json.dumps(vars(rec), sort_keys=True, separators=(",", ":"))
 
 
 def record_from_json(line: str) -> ExperimentRecord:

@@ -182,8 +182,9 @@ class GelfandEstimate:
 
 def survey_radii(K, bases, rng, Ps=None):
     """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None) over unit z in col(bases[i]),
-    for a stack of Haar bases: the ratio ascent at the SURVEY effort, on a
-    substream seeded by one draw from rng.  An (S,) array."""
+    for a stack of Haar bases: ratio_extremum_many (the ascent at the SURVEY
+    effort, where no exact or vertex route applies) on a substream seeded by
+    one draw from rng.  An (S,) array."""
     sub = np.random.default_rng(rng.integers(2**63))
     return ratio_extremum_many(K, bases, Ps=Ps, mode="max", rng=sub, **SURVEY)
 

@@ -4,13 +4,15 @@ files, and a negative control for the duality suite."""
 import filecmp
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regpos import bodies as bd
-from regpos import experiments
+from regpos import experiments, gaussian
 from regpos.cli import main
 from regpos.experiments import (
     binomial_ci,
@@ -55,6 +57,18 @@ def test_record_round_trip_bit_exact():
     rec2 = record_from_json(line)
     assert record_to_json(rec2) == line
     assert rec2 == rec
+
+
+def test_record_to_json_matches_asdict_dump():
+    rec = ExperimentRecord(
+        experiment="qs_summary",
+        seed=3,
+        body={"family": "weighted_lp", "p": 1.0, "weights": [1.0, 2.5], "shape": (2,)},
+        params={"k_grid": [1, 2], "ci": (0.25, 0.75), "nested": {"a": [{"b": (1, 2.0)}], "c": None}},
+        measured={"cr": [measured(1.5, ci=(1.0, 2.0)), measured(2.0, exact=True)], "ok": True},
+        t_index=11,
+    )
+    assert record_to_json(rec) == json.dumps(asdict(rec), sort_keys=True, separators=(",", ":"))
 
 
 def test_measured_requires_uncertainty():
@@ -382,6 +396,30 @@ def test_cli_regpos_outputs_identical_across_threads(tmp_path):
     files = sorted(os.listdir(outs[0]))
     assert files == ["regpos.jsonl", "regpos_summary.csv"]
     for f in files:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+
+
+def test_cli_regpos_threads_share_one_executor(tmp_path, monkeypatch):
+    # 20000 samples make two Gaussian blocks, so --threads 2 maps them on the pool
+    made = []
+    init = ThreadPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    gaussian._executor.cache_clear()
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"bodies": [{"preset": "wlp1.5", "dim": 6}], "samples": 20000}))
+    outs = []
+    for threads in ("2", "1"):
+        outs.append(str(tmp_path / f"t{threads}"))
+        assert main(["regpos", "--config", str(cfg), "--seed", "5", "--threads", threads,
+                     "--out", outs[-1]]) == 0
+        if threads == "2":
+            assert len(made) == 1
+    for f in ("regpos.jsonl", "regpos_summary.csv"):
         assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
 
 
