@@ -138,6 +138,8 @@ def _extrema(body, Zs, Ps, mode, *effort):
     the vertex search for maxima of a quadratic numerator over sections of a
     weighted l_1 ball of codimension 1..MAX_CODIM, else the ascent's at the
     given (rng, starts, iters, probes, polish)."""
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
         return _ellipsoid_ratio(body, Zs, Ps, mode)
     if (body.family == "weighted_lp" and body.p == 1 and mode == "max" and not _is_body(Ps)

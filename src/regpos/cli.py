@@ -5,8 +5,9 @@
 
 The config is a single JSON document (see README for per-subcommand keys).
 Each experiment writes one JSONL record stream plus a CSV summary into
---out; outputs are byte-identical for identical (config, seed, threads).
-Exit codes: 0 pass, 1 invariant failure, 2 configuration error.
+--out; outputs are byte-identical for identical (config, seed).  --threads is
+accepted and ignored.  Exit codes: 0 pass, 1 invariant failure, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from . import bodies as bd
 from . import experiments as ex
 from .records import JsonlWriter, write_csv
+from .regular import _require_tractable_unconditional
 from .zoo import default_zoo, preset
 
 
@@ -109,10 +111,20 @@ def _build_bodies(cfg):
     return [_body_entry(e, n) for e in entries]
 
 
+def _positionable(name, body):
+    """body, or a ConfigError when the fixed point cannot position it."""
+    try:
+        _require_tractable_unconditional(body)
+    except ValueError as exc:
+        raise ConfigError(f"bad body {name!r}: {exc}")
+    return body
+
+
 def _single_body(cfg):
+    """The fixed-point body of qs and curve (B_1^n by default)."""
     n = _get(cfg, "n", 32, _int, 1)
     e = cfg.get("body")
-    return bd.cross_polytope(n) if e is None else _body_entry(e, n)[1]
+    return bd.cross_polytope(n) if e is None else _positionable(*_body_entry(e, n))
 
 
 @contextlib.contextmanager
@@ -163,7 +175,7 @@ def _cmd_ellpos(args, cfg):
     with _writer(args.out, "ellpos") as w:
         rows = ex.run_ell_positions(
             bodies, samples=_get(cfg, "samples", 20000, _int, 1), seed=args.seed,
-            tol=_get(cfg, "tol", 1e-6, _num, 0), threads=args.threads, writer=w,
+            tol=_get(cfg, "tol", 1e-6, _num, 0), writer=w,
         )
     for r in rows:
         print(f"{r['body']:12s} n={r['n']:3d} ell2={r['objective']:.4f} "
@@ -173,12 +185,11 @@ def _cmd_ellpos(args, cfg):
 
 
 def _cmd_regpos(args, cfg):
-    bodies = [(n, b) for n, b in _build_bodies(cfg) if b.as_weighted_lp() is not None]
+    bodies = [(n, _positionable(n, b)) for n, b in _build_bodies(cfg)]
     with _writer(args.out, "regpos") as w:
         rows = ex.run_regular_positions(
             bodies, alpha=_get(cfg, "alpha", 0.75, _num, *_ALPHA),
-            samples=_get(cfg, "samples", 20000, _int, 1), seed=args.seed,
-            threads=args.threads, writer=w,
+            samples=_get(cfg, "samples", 20000, _int, 1), seed=args.seed, writer=w,
         )
     bad = 0
     for r in rows:
@@ -210,7 +221,7 @@ def _cmd_lowmstar(args, cfg):
         summary = ex.run_lowmstar_check(
             n_list=_get(cfg, "n_list", [16, 32, 64], _list_of(_int), 1),
             samples=_get(cfg, "samples", 1000, _int, 99), c=_get(cfg, "c", 0.5, _num, 0),
-            seed=args.seed, writer=w, threads=args.threads,
+            seed=args.seed, writer=w,
         )
     for (name, n), val in summary["C_emp"].items():
         print(f"{name:12s} n={n:3d}  C_emp = {val:.3f}")
@@ -229,7 +240,7 @@ def _cmd_qs(args, cfg):
             trials=_get(cfg, "trials", 500, _int, 9), seed=args.seed,
             c=c, fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
             report_samples=_get(cfg, "report_samples", 400, _int, 99),
-            writer=w, threads=args.threads,
+            writer=w,
         )
     print(f"n={s.n} k={s.k} alpha={s.alpha:.4f} trials={s.trials}")
     print(f"P_emp={s.P_emp:.4f} threshold Rbar^2={s.threshold:.4f}")
@@ -260,7 +271,7 @@ def _cmd_curve(args, cfg):
             K, alphas=_get(cfg, "alphas", [0.6, 0.75, 1.0], _list_of(_num), *_ALPHA),
             samples=_get(cfg, "samples", 400, _int, 99), seed=args.seed,
             c=_get(cfg, "c", 0.5, _num, 0), fp_samples=_get(cfg, "fp_samples", 20000, _int, 1),
-            k_grid=k_grid, writer=w, threads=args.threads,
+            k_grid=k_grid, writer=w,
         )
     for pt in res["curve"]:
         print(f"alpha={pt['alpha']:.3f} P_emp={pt['P_emp']:.4f} "
@@ -291,10 +302,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: every command evaluates its samples serially")
         p.add_argument("--out", default=None, help="output directory for JSONL/CSV")
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"bad value for --seed: {args.seed} (need a non-negative integer)")
         cfg = _load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Experiment drivers: aggregated property suites, low-M* constants,
 regularity curves and the random quotient-of-subspace regression.
 
-Every driver is a deterministic function of (config, seed, threads); output
+Every driver is a deterministic function of (config, seed); output
 files (JSONL records plus CSV summaries) are byte-identical across re-runs.
 """
 
@@ -702,7 +702,6 @@ def run_qs_experiment(
     fp_samples: int = 20000,
     report_samples: int = 400,
     writer: JsonlWriter | None = None,
-    threads: int = 1,
 ) -> QSSummary:
     """Sample Haar flags, measure both quotient-of-subspace distances for the
     alpha-regular typical position of K, and compare against the measured
@@ -715,7 +714,7 @@ def run_qs_experiment(
     if alpha is None:
         alpha = 0.5 + 1.0 / np.log(n / k)
 
-    fp = find_regular_position(K, alpha, seed=seed, samples=fp_samples, threads=threads)
+    fp = find_regular_position(K, alpha, seed=seed, samples=fp_samples)
     Kbar = fp.body
     Kpol = Kbar.polar()
     report = regularity_report(Kbar, alpha, samples=report_samples, c=c, seed=seed + 1)
@@ -808,7 +807,6 @@ def run_lowmstar_check(
     *,
     ell_samples: int = 100000,
     writer: JsonlWriter | None = None,
-    threads: int = 1,
 ):
     """C_emp = max_k sqrt(k) cr_k(K) / ell*(K) for the body zoo.
 
@@ -820,7 +818,7 @@ def run_lowmstar_check(
     for n in n_list:
         zoo = default_zoo(n)
         sample = GaussianSample(seed + n, ell_samples, n)
-        ells = {name: ell_star(K, 1, sample, threads=threads) for name, K in zoo}
+        ells = {name: ell_star(K, 1, sample) for name, K in zoo}
         for k in default_k_grid(n):
             rng = _rng(seed, n, k)
             m = n - k + 1
@@ -866,7 +864,6 @@ def run_regularity_curve(
     fp_samples: int = 20000,
     k_grid=None,
     writer: JsonlWriter | None = None,
-    threads: int = 1,
 ):
     """Sweep alpha, build the position, and emit per-(alpha, k) cr tables with
     P_emp(alpha) and the reference shape 1/sqrt(alpha - 1/2) (recorded, not
@@ -874,7 +871,7 @@ def run_regularity_curve(
     rows = []
     curve = []
     for ai, alpha in enumerate(alphas):
-        fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples, threads=threads)
+        fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples)
         rep = regularity_report(fp.body, alpha, k_grid=k_grid, samples=samples,
                                 c=c, seed=seed + 1000 + ai)
         for which in ("body", "polar"):
@@ -912,13 +909,13 @@ def run_regularity_curve(
 # ======================================================================
 
 
-def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, threads=1, writer=None):
+def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, writer=None):
     """Solve the ell-position for each named body; returns summary rows."""
     rows = []
     for name, K in bodies:
         sample = GaussianSample(seed, samples, K.dim)
-        res = solve_ell_position(K, sample, tol=tol, threads=threads)
-        prod = ell_product(res.T.apply(K), sample, threads=threads)
+        res = solve_ell_position(K, sample, tol=tol)
+        prod = ell_product(res.T.apply(K), sample)
         rows.append({
             "body": name, "n": K.dim, "objective": res.objective,
             "residual": res.residual, "iterations": res.iterations,
@@ -939,12 +936,12 @@ def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, threads=1, writer
     return rows
 
 
-def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, threads=1, writer=None):
+def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None):
     """find_regular_position per body; returns summary rows."""
     rows = []
     for name, K in bodies:
-        fp = find_regular_position(K, alpha, seed=seed, samples=samples, threads=threads)
-        cert = ell_position_certificate(fp, K, threads=threads)
+        fp = find_regular_position(K, alpha, seed=seed, samples=samples)
+        cert = ell_position_certificate(fp, K)
         l, ls, bound = balanced_interpolant_functionals(fp)
         rows.append({
             "body": name, "n": K.dim, "alpha": alpha, "theta": fp.theta,

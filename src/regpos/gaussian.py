@@ -3,9 +3,8 @@ approximation with common random numbers.
 
 A GaussianSample is a deterministic function of (seed, count, dim): block b
 is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
-agree across sample sizes and evaluation can run block-parallel with a
-fixed-order reduction (results do not depend on the thread count).  The
-whole (M, N) array is drawn once, on first use, and is then held read-only
+agree across sample sizes; evaluation sums per-block results in block order.
+The whole (M, N) array is drawn once, on first use, and is then held read-only
 for the sample's lifetime (M * N * 8 bytes); blocks are views into it.  A
 weighted l_p ell-position solve on the sample adds a read-only power table of
 the same size for its p, kept for the sample's lifetime until a solve with
@@ -14,9 +13,8 @@ another p replaces it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -111,24 +109,8 @@ class EllEstimate:
     p: int
 
 
-@cache
-def _executor(threads):
-    """The one pool of `threads` workers, made on first use and kept for the process."""
-    return ThreadPoolExecutor(max_workers=threads)
-
-
-def _map_blocks(blocks, fn, threads=1):
-    """fn per row block (e.g. of sample.blocks()), in fixed block order regardless
-    of threads; callers sum the results in that order."""
-    blocks = list(blocks)
-    if threads and threads > 1 and len(blocks) > 1:
-        return list(_executor(threads).map(fn, blocks))
-    return [fn(G) for G in blocks]
-
-
-def _moments(sample, values_fn, threads=1):
-    parts = _map_blocks(sample.blocks(), lambda G: _block_moments(values_fn(G)), threads)
-    s, sq, m = map(sum, zip(*parts))
+def _moments(sample, values_fn):
+    s, sq, m = map(sum, zip(*(_block_moments(values_fn(G)) for G in sample.blocks())))
     mean = s / m
     var = max(sq / m - mean * mean, 0.0) * m / (m - 1)
     return mean, var, m
@@ -137,8 +119,8 @@ def _block_moments(v):
     return float(v.sum()), float((v * v).sum()), v.size
 
 
-def _estimate(sample, values_fn, p, threads=1):
-    mean, var, m = _moments(sample, values_fn, threads)
+def _estimate(sample, values_fn, p):
+    mean, var, m = _moments(sample, values_fn)
     if p == 1:
         return EllEstimate(mean, np.sqrt(var / m), m, 1)
     value = np.sqrt(mean)
@@ -156,13 +138,13 @@ _FUNCTIONALS = {
 }
 
 
-def _estimate_functional(K, name, sample, threads):
+def _estimate_functional(K, name, sample):
     if name not in _FUNCTIONALS:
         raise ValueError(f"unknown functional {name!r}")
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
     fn, p = _FUNCTIONALS[name]
-    return _estimate(sample, lambda G: fn(K, G), p, threads)
+    return _estimate(sample, lambda G: fn(K, G), p)
 
 
 def _power_name(p, names):
@@ -171,33 +153,33 @@ def _power_name(p, names):
     return names[int(p) - 1]
 
 
-def ell(K, p: int, sample: GaussianSample, threads=1) -> EllEstimate:
+def ell(K, p: int, sample: GaussianSample) -> EllEstimate:
     """ell_p(K) = (E ||G_N||_K^p)^(1/p) for p in {1, 2}."""
-    return _estimate_functional(K, _power_name(p, ("ell", "ell2")), sample, threads)
+    return _estimate_functional(K, _power_name(p, ("ell", "ell2")), sample)
 
 
-def ell_star(K, p: int, sample: GaussianSample, threads=1) -> EllEstimate:
+def ell_star(K, p: int, sample: GaussianSample) -> EllEstimate:
     """ell*_p(K) = ell_p(K polar), evaluated through the support function."""
-    return _estimate_functional(K, _power_name(p, ("ell_star", "ell2_star")), sample, threads)
+    return _estimate_functional(K, _power_name(p, ("ell_star", "ell2_star")), sample)
 
 
-def mstar(K, sample: GaussianSample, threads=1) -> EllEstimate:
+def mstar(K, sample: GaussianSample) -> EllEstimate:
     """M*(K), the spherical mean of the support function (normalized Gaussians)."""
-    return _estimate_functional(K, "mstar", sample, threads)
+    return _estimate_functional(K, "mstar", sample)
 
 
-def crn_pair(bodyA, bodyB, functional: str, sample: GaussianSample, threads=1):
+def crn_pair(bodyA, bodyB, functional: str, sample: GaussianSample):
     """Both functionals on the identical Gaussian sample (variance reduction)."""
     if bodyA.dim != bodyB.dim:
         raise ValueError("bodies must share a dimension")
-    return (_estimate_functional(bodyA, functional, sample, threads),
-            _estimate_functional(bodyB, functional, sample, threads))
+    return (_estimate_functional(bodyA, functional, sample),
+            _estimate_functional(bodyB, functional, sample))
 
 
-def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample, threads=1) -> EllEstimate:
+def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstimate:
     """Paired-difference estimator of functional(A) - functional(B) under CRN."""
     fn = _FUNCTIONALS[functional][0]
-    mean, var, m = _moments(sample, lambda G: fn(bodyA, G) - fn(bodyB, G), threads)
+    mean, var, m = _moments(sample, lambda G: fn(bodyA, G) - fn(bodyB, G))
     return EllEstimate(mean, np.sqrt(var / m), m, 1)
 
 

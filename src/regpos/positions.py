@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import bodies as bd
-from .gaussian import GaussianSample, _map_blocks, ell, ell_star
+from .gaussian import GaussianSample, ell, ell_star
 from .interpolation import InterpolationPair, interpolate
 
 __all__ = [
@@ -113,12 +113,12 @@ def _block_powers(G, p):
     return A, m * m
 
 
-def _power_table(sample, p, threads=1):
+def _power_table(sample, p):
     """_block_powers of every block, built once per (sample, p): every solve of
     a fixed point and of its certificate shares one p, so the last is kept."""
     cached = sample.__dict__.get("_power_table")
     if cached is None or cached[0] != p:
-        cached = p, _map_blocks(sample.blocks(), lambda G: _block_powers(G, p), threads)
+        cached = p, [_block_powers(G, p) for G in sample.blocks()]
         sample.__dict__["_power_table"] = cached
     return cached[1]
 
@@ -134,14 +134,14 @@ class _DiagObjective:
     come near underflow (large p), go through the gauge subgradient.
     """
 
-    def __init__(self, K, sample, threads=1):
-        self.K, self.threads, self.count = K, threads, sample.count
+    def __init__(self, K, sample):
+        self.K, self.count = K, sample.count
         self.blocks = list(sample.blocks())
         form = K.as_weighted_lp()
         self.powers = None
         if form is not None and np.isfinite(form[0]):
             self.p, self.log_s = form[0], np.log(form[1])
-            self.powers = _power_table(sample, self.p, threads)
+            self.powers = _power_table(sample, self.p)
 
     def _subgrad_block(self, G, es):
         X = G * es
@@ -152,7 +152,7 @@ class _DiagObjective:
         wt = w - w.mean()
         es = np.exp(wt)
         if self.powers is None:
-            parts = _map_blocks(self.blocks, lambda G: self._subgrad_block(G, es), self.threads)
+            parts = [self._subgrad_block(G, es) for G in self.blocks]
         else:
             # c is divided by its max e^top to stay in range; psi scales by e^(2 top / p)
             u = self.p * (self.log_s + wt)
@@ -160,15 +160,14 @@ class _DiagObjective:
             c = np.exp(u - top)
             unit = np.exp(2.0 * top / self.p)
             # einsum, not BLAS: the sums must not depend on the BLAS thread count
-            def blockfn(b):
-                A, m2 = self.powers[b]
+            def blockfn(G, A, m2):
                 S = np.einsum("mi,i->m", A, c)
                 if S.min() < _POWER_FLOOR:
-                    return self._subgrad_block(self.blocks[b], es)
+                    return self._subgrad_block(G, es)
                 r = m2 * S ** (2.0 / self.p - 1.0)
                 return unit * float((S * r).sum()), unit * 2.0 * c * np.einsum("mi,m->i", A, r)
 
-            parts = _map_blocks(range(len(self.blocks)), blockfn, self.threads)
+            parts = [blockfn(G, *P) for G, P in zip(self.blocks, self.powers)]
         val, grad = map(sum, zip(*parts))
         grad = grad / self.count
         return val / self.count, grad - grad.mean()
@@ -185,10 +184,9 @@ def _dexp_factor(lam):
 class _FullObjective:
     """psi(z) = mean_j gauge(exp(S(z)) g_j)^2 with S(z) = sym(z) - tr/n."""
 
-    def __init__(self, K, sample, threads=1):
+    def __init__(self, K, sample):
         self.K = K
         self.sample = sample
-        self.threads = threads
         self.n = K.dim
 
     def _chart(self, z):
@@ -209,7 +207,7 @@ class _FullObjective:
             g, Y = self.K._gauge_subgrad(X)
             return float((g * g).sum()), (2.0 * g[:, None] * Y).T @ G
 
-        val, Gw = map(sum, zip(*_map_blocks(self.sample.blocks(), blockfn, self.threads)))
+        val, Gw = map(sum, zip(*map(blockfn, self.sample.blocks())))
         M = self.sample.count
         Gw = Gw / M
         Phi = _dexp_factor(lam)
@@ -227,7 +225,6 @@ def solve_ell_position(
     tol: float = 1e-6,
     max_iter: int = 500,
     start=None,
-    threads: int = 1,
 ) -> EllPositionResult:
     """SAA ell-position of K: the returned T minimizes mean ||T^{-1} g_j||_K^2
     over SPD determinant-one maps (diagonal when K is unconditional)."""
@@ -238,7 +235,7 @@ def solve_ell_position(
     if mode not in ("diagonal", "full"):
         raise ValueError("mode must be 'auto', 'diagonal' or 'full'")
     n = K.dim
-    obj = _DiagObjective(K, sample, threads) if mode == "diagonal" else _FullObjective(K, sample, threads)
+    obj = _DiagObjective(K, sample) if mode == "diagonal" else _FullObjective(K, sample)
     x0 = np.zeros(n if mode == "diagonal" else n * n)
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -271,9 +268,7 @@ def solve_ell_position(
 
     if psi > psi_id and start is not None:
         # warm start went sour; fall back to the identity start
-        return solve_ell_position(
-            K, sample, mode=mode, tol=tol, max_iter=max_iter, start=None, threads=threads,
-        )
+        return solve_ell_position(K, sample, mode=mode, tol=tol, max_iter=max_iter, start=None)
 
     if mode == "diagonal":
         w = x - x.mean()
@@ -302,7 +297,7 @@ class ProductEstimate(NamedTuple):
     ell_star: float
 
 
-def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> ProductEstimate:
+def ell_product(K: bd.ConvexBody, sample: GaussianSample) -> ProductEstimate:
     """ell(K) * ell*(K) with a delta-method standard error under CRN."""
 
     def blockfn(G):
@@ -313,7 +308,7 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> P
             float((b * b).sum()), float((a * b).sum()), a.size,
         )
 
-    sa, sb, saa, sbb, sab, m = map(sum, zip(*_map_blocks(sample.blocks(), blockfn, threads)))
+    sa, sb, saa, sbb, sab, m = map(sum, zip(*map(blockfn, sample.blocks())))
     mua, mub = sa / m, sb / m
     va = max(saa / m - mua**2, 0.0) * m / (m - 1)
     vb = max(sbb / m - mub**2, 0.0) * m / (m - 1)
@@ -322,7 +317,7 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample, threads: int = 1) -> P
     return ProductEstimate(mua * mub, float(np.sqrt(max(var, 0.0))), mua, mub)
 
 
-def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample, threads: int = 1):
+def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):
     """(a, ell, ell*): the a > 0 with ell([aK, B_2]_theta) = ell*([aK, B_2]_theta),
     and the two EllEstimates of that balanced interpolant on the sample.
 
@@ -337,8 +332,8 @@ def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample, thread
     if K.as_weighted_lp() is None:
         raise ValueError("non-tractable family: balance scale needs a closed-form interpolant")
     Kth = interpolate(InterpolationPair(K, bd.WeightedLp(2.0, np.ones(K.dim)), theta))
-    l = ell(Kth, 1, sample, threads=threads)
-    ls = ell_star(Kth, 1, sample, threads=threads)
+    l = ell(Kth, 1, sample)
+    ls = ell_star(Kth, 1, sample)
     a = float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))
     f = a ** (1.0 - theta)
     return a, replace(l, value=l.value / f, se=l.se / f), replace(ls, value=ls.value * f, se=ls.se * f)

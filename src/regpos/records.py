@@ -1,6 +1,6 @@
 """Self-describing experiment records with JSONL persistence and CSV summaries.
 
-Output files are deterministic functions of (config, seed, threads): records
+Output files are deterministic functions of (config, seed): records
 carry a logical timestamp (the record ordinal within the run) instead of
 wall-clock time, which never enters output files, so re-runs are
 byte-identical.  Every measured quantity carries its uncertainty (a standard

@@ -50,7 +50,7 @@ def _require_tractable_unconditional(K):
 
 
 def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
-                    start: PositionMap | None = None, threads: int = 1) -> PositionMap:
+                    start: PositionMap | None = None) -> PositionMap:
     """F(T): the diagonal det-1 map putting [K, T^{-1} B_2]_theta in SAA ell-position.
 
     `start`, if given, must be an earlier return value of this function for the
@@ -67,7 +67,7 @@ def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample, *,
     Kth = interpolate(InterpolationPair(bd.WeightedLp(pK, sK), T_ball, theta))
     log_s = np.log(Kth.scales)
     x0 = None if start is None else start._chart_solution - (log_s - start._interpolant_log_scales)
-    F = solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8, start=x0, threads=threads).T
+    F = solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8, start=x0).T
     F._interpolant_log_scales = log_s
     return F
 
@@ -97,7 +97,6 @@ def find_regular_position(
     samples: int = 20000,
     tol: float = 1e-5,
     max_iter: int = 200,
-    threads: int = 1,
 ) -> FixedPointResult:
     """Damped iteration T_{m+1} = (T_m F(T_m))^(1/2) on diagonal maps.
 
@@ -116,8 +115,7 @@ def find_regular_position(
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        F = fixed_point_map(K, PositionMap.from_diag(np.exp(log_t)), theta, sample,
-                            start=F, threads=threads)
+        F = fixed_point_map(K, PositionMap.from_diag(np.exp(log_t)), theta, sample, start=F)
         f = np.log(np.diag(F.matrix))
         residual = float(np.abs(log_t - f).max())
         trace.append(residual)
@@ -129,7 +127,7 @@ def find_regular_position(
 
     T = PositionMap.from_diag(np.exp(log_t), normalize=True)
     TK = bd.WeightedLp(pK, sK / np.diag(T.matrix))
-    a, l, ls = balance_scale(TK, theta, sample, threads=threads)
+    a, l, ls = balance_scale(TK, theta, sample)
     body = bd.WeightedLp(pK, TK.scales / a)
     return FixedPointResult(
         T=T, alpha=float(alpha), theta=theta, residual=residual,
@@ -150,16 +148,14 @@ def balanced_interpolant_functionals(result: FixedPointResult):
     return result.ell_interp, result.ell_star_interp, bound
 
 
-def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, *,
-                             threads: int = 1) -> float:
+def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody) -> float:
     """||log T'||_inf for T' the SAA ell-position map of [T(K), B_2]_theta.
 
     Near a fixed point this re-solve must return (close to) the identity.
     """
     pK, sK = _require_tractable_unconditional(K)
     TK = bd.WeightedLp(pK, sK / np.diag(result.T.matrix))
-    F = fixed_point_map(TK, PositionMap.identity(K.dim), result.theta, result.sample,
-                        threads=threads)
+    F = fixed_point_map(TK, PositionMap.identity(K.dim), result.theta, result.sample)
     return float(np.abs(np.log(np.diag(F.matrix))).max())
 
 
@@ -208,6 +204,8 @@ def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None)
         raise ValueError("need at least 100 subspace samples")
     if values is None:
         values = section_radius_sample(K, k, samples, rng)
+    elif np.shape(values) != (samples,):
+        raise ValueError(f"values must have shape ({samples},), not {np.shape(values)}")
     q_nominal = float(np.exp(-c * k))
     q = max(q_nominal, 10 / samples)
     # order statistic j is the smallest R with #(values > R) <= q * samples

@@ -49,12 +49,6 @@ def test_sample_block_mean_band():
     assert np.abs(G.mean(axis=0)).max() <= 5.0 / np.sqrt(s.count)
 
 
-def test_threaded_reduction_identical():
-    K = bd.cross_polytope(16)
-    s = GaussianSample(3, 50000, 16)
-    assert ell(K, 2, s, threads=1).value == ell(K, 2, s, threads=2).value
-
-
 def test_ell2_ball_exact_second_moment():
     s = GaussianSample(1, 10000, 16)
     e = ell(bd.ball(16), 2, s)

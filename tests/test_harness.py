@@ -2,9 +2,10 @@
 files, and a negative control for the duality suite."""
 
 import filecmp
+import importlib.util
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from regpos import bodies as bd
-from regpos import experiments, gaussian
-from regpos.cli import main
+from regpos import experiments, gaussian, positions
+from regpos.cli import _COMMANDS, main
 from regpos.experiments import (
     binomial_ci,
     run_ell_positions,
@@ -293,6 +294,8 @@ def no_runs(monkeypatch):
         monkeypatch.setattr(experiments, name, lambda *a, **k: pytest.fail("ran on a bad config"))
 
 
+_POLYTOPE = {"family": "polytope_h", "rows": np.vstack([np.eye(4), np.ones((1, 4))]).tolist()}
+
 _BAD_CONFIGS = [
     ("sections", {"bodies": 5}),
     ("props", {"names": 5}),
@@ -309,6 +312,10 @@ _BAD_CONFIGS = [
     ("curve", {"n": 3}),
     ("curve", {"k_grid": [4]}),
     ("curve", {"k_grid": [2, 2]}),
+    # the fixed point positions only weighted l_p balls and diagonal ellipsoids
+    ("qs", {"body": _POLYTOPE, "k": 2}),
+    ("curve", {"body": _POLYTOPE}),
+    ("regpos", {"bodies": [{"preset": "b1", "dim": 4}, _POLYTOPE]}),
 ]
 
 
@@ -399,28 +406,33 @@ def test_cli_regpos_outputs_identical_across_threads(tmp_path):
         assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
 
 
-def test_cli_regpos_threads_share_one_executor(tmp_path, monkeypatch):
-    # 20000 samples make two Gaussian blocks, so --threads 2 maps them on the pool
-    made = []
-    init = ThreadPoolExecutor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
-
-    gaussian._executor.cache_clear()
-    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting_init)
+def test_cli_regpos_starts_no_threads(tmp_path):
+    # 20000 samples make two Gaussian blocks; --threads 2 still sums them on the calling thread
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"bodies": [{"preset": "wlp1.5", "dim": 6}], "samples": 20000}))
-    outs = []
-    for threads in ("2", "1"):
-        outs.append(str(tmp_path / f"t{threads}"))
-        assert main(["regpos", "--config", str(cfg), "--seed", "5", "--threads", threads,
-                     "--out", outs[-1]]) == 0
-        if threads == "2":
-            assert len(made) == 1
-    for f in ("regpos.jsonl", "regpos_summary.csv"):
-        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+    assert main(["regpos", "--config", str(cfg), "--seed", "5", "--threads", "2"]) == 0
+    assert [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")] == []
+
+
+@pytest.mark.parametrize("cmd", sorted(_COMMANDS))
+def test_cli_negative_seed_exit_2_before_any_run(cmd, capsys, no_runs):
+    assert main([cmd, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--seed" in err
+
+
+def test_perfbench_tracer_binds_its_names():
+    # perfbench/spans.py wraps regpos names from outside the package: a rename breaks --trace 1
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    block, call = gaussian.GaussianSample.block, positions._DiagObjective.__call__
+    tracer = spans.Tracer()
+    tracer.install()
+    assert gaussian.GaussianSample.block is not block
+    tracer.uninstall()
+    assert gaussian.GaussianSample.block is block and positions._DiagObjective.__call__ is call
 
 
 def test_cli_props_subset_green(tmp_path, capsys):

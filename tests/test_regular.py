@@ -196,6 +196,15 @@ def test_gelfand_upper_bound_example():
     assert random_gelfand(K, 2, 500, rng=rng, values=vals[:500]).upper >= ub
 
 
+def test_random_gelfand_values_must_match_samples():
+    K = bd.cross_polytope(8)
+    ramp = np.linspace(0.3, 0.9, 400)
+    for values in (ramp, ramp[:150], ramp[:200, None]):
+        with pytest.raises(ValueError, match="shape"):
+            random_gelfand(K, 2, 200, rng=np.random.default_rng(7), values=values)
+    assert random_gelfand(K, 2, 200, rng=np.random.default_rng(7), values=ramp[:200]).samples == 200
+
+
 def test_section_radius_values_bounded_by_radii():
     K = bd.WeightedLp.from_weights(1.0, np.linspace(1, 2, 8))
     vals = section_radius_sample(K, 3, 120, np.random.default_rng(7))

@@ -315,6 +315,19 @@ def test_ratio_extremum_requires_orthonormal_bases(body):
         ratio_extremum_many(body, sheared, Ps=np.ones((5, 2, 6)))
 
 
+@pytest.mark.parametrize("body", [bd.cross_polytope(8), bd.cube(8), bd.Ellipsoid(np.diag(np.linspace(1.0, 2.0, 8)))],
+                         ids=["b1-vertex", "cube-ascent", "ellipsoid-eigen"])
+@pytest.mark.parametrize("mode", ["maximum", "Max", None])
+def test_ratio_extremum_rejects_unknown_mode(body, mode):
+    from regpos._ascent import ratio_extremum, ratio_extremum_many
+
+    bases = sp.haar_grassmannian_batch(np.random.default_rng(24), 8, 7, 5)
+    with pytest.raises(ValueError, match="mode"):
+        ratio_extremum_many(body, bases, mode=mode)
+    with pytest.raises(ValueError, match="mode"):
+        ratio_extremum(body, Z=bases[0], mode=mode)
+
+
 def test_section_out_radii_identical_across_blas_threads(tmp_path):
     # the ascent's row sums are vecdot, not BLAS gemv, so the radii do not
     # depend on the BLAS thread count
