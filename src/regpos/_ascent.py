@@ -6,8 +6,9 @@ problems at once.  The numerator is |P z| (P = I when absent) or, for
 relative out-radii, another body's gauge.  Every iterate is a feasible
 evaluation, so reported maxima are certified lower bounds and reported
 minima certified upper bounds.  Ellipsoids with a quadratic numerator take
-an exact stacked eigenvalue route instead, and maxima over sections of
-weighted l_1 balls of codimension at most 3 a vertex search (_vertex.py).
+an exact stacked eigenvalue route instead, and maxima of a quadratic
+numerator over sections of codimension at most 3 take a vertex search for
+weighted l_1 balls and a vertex walk for weighted cubes (_vertex.py).
 """
 
 from __future__ import annotations
@@ -135,14 +136,14 @@ def _orthonormal(Zs):
 
 def _extrema(body, Zs, Ps, mode, *effort):
     """(S,) extrema: exact eigenvalues for an ellipsoid with a quadratic numerator,
-    the vertex search for maxima of a quadratic numerator over sections of a
-    weighted l_1 ball of codimension 1..MAX_CODIM, else the ascent's at the
-    given (rng, starts, iters, probes, polish)."""
+    the vertex routes for maxima of a quadratic numerator over sections of a
+    weighted l_1 ball or cube of codimension 1..MAX_CODIM, else the ascent's
+    at the given (rng, starts, iters, probes, polish)."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
         return _ellipsoid_ratio(body, Zs, Ps, mode)
-    if (body.family == "weighted_lp" and body.p == 1 and mode == "max" and not _is_body(Ps)
+    if (body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and not _is_body(Ps)
             and 1 <= Zs.shape[1] - Zs.shape[2] <= MAX_CODIM):
         return vertex_maxima(body, Zs, Ps)
     return _extremize(body, Zs, Ps, mode, *effort)[0]

@@ -178,6 +178,10 @@ def crn_pair(bodyA, bodyB, functional: str, sample: GaussianSample):
 
 def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstimate:
     """Paired-difference estimator of functional(A) - functional(B) under CRN."""
+    if functional not in _FUNCTIONALS:
+        raise ValueError(f"unknown functional {functional!r}")
+    if not bodyA.dim == bodyB.dim == sample.dim:
+        raise ValueError("bodies and sample must share a dimension")
     fn = _FUNCTIONALS[functional][0]
     mean, var, m = _moments(sample, lambda G: fn(bodyA, G) - fn(bodyB, G))
     return EllEstimate(mean, np.sqrt(var / m), m, 1)

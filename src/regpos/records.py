@@ -4,7 +4,7 @@ Output files are deterministic functions of (config, seed): records
 carry a logical timestamp (the record ordinal within the run) instead of
 wall-clock time, which never enters output files, so re-runs are
 byte-identical.  Every measured quantity carries its uncertainty (a standard
-error, a confidence interval, or an explicit exact marker).
+error, a confidence interval, an explicit exact marker, or a bound marker).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ __all__ = [
 ]
 
 
-def measured(value, se=None, ci=None, exact=False):
-    """Uncertainty-carrying scalar for a record's measured map."""
+def measured(value, se=None, ci=None, exact=False, bound=None):
+    """Uncertainty-carrying scalar for a record's measured map; bound="lower"
+    marks a certified lower bound on the quantity."""
     out = {"value": float(value)}
     if se is not None:
         out["se"] = float(se)
@@ -34,8 +35,12 @@ def measured(value, se=None, ci=None, exact=False):
         out["ci"] = [float(ci[0]), float(ci[1])]
     if exact:
         out["exact"] = True
+    if bound is not None:
+        if bound != "lower":
+            raise ValueError(f"bound must be 'lower', not {bound!r}")
+        out["bound"] = bound
     if len(out) == 1:
-        raise ValueError("measured quantity needs se, ci or an exact marker")
+        raise ValueError("measured quantity needs se, ci, an exact marker or a bound")
     return out
 
 

@@ -105,6 +105,17 @@ def test_crn_pair_identical_bodies():
     assert d.value == 0.0 and d.se == 0.0
 
 
+def test_crn_diff_rejects_unknown_functional():
+    with pytest.raises(ValueError, match="bogus"):
+        crn_diff(bd.ball(4), bd.cube(4), "bogus", GaussianSample(6, 100, 4))
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (4, 3), (3, 4)])
+def test_crn_diff_rejects_dimension_mismatch(dims):
+    with pytest.raises(ValueError, match="dimension"):
+        crn_diff(bd.ball(dims[0]), bd.cube(dims[1]), "ell", GaussianSample(6, 100, 4))
+
+
 def test_crn_scaling_ratio_exact():
     s = GaussianSample(6, 5000, 4)
     a, b = crn_pair(bd.ball(4), bd.ball(4).scale(2.0), "ell2", s)

@@ -155,6 +155,24 @@ def test_run_qs_small():
     assert s.threshold == pytest.approx((s.P_emp * (16 / 4) ** s.alpha) ** 2, rel=1e-12)
 
 
+def test_qs_trial_radii_are_lower_bounds(tmp_path):
+    with JsonlWriter(tmp_path / "qs.jsonl") as w:
+        run_qs_experiment(bd.cross_polytope(8), None, 2, trials=10, seed=2, fp_samples=2000,
+                          report_samples=100, writer=w)
+    trials = [json.loads(line) for line in (tmp_path / "qs.jsonl").read_text().splitlines()][:-1]
+    assert len(trials) == 10 and all(r["experiment"] == "qs_trial" for r in trials)
+    for rec in trials:
+        for key in ("d_section_of_projection", "d_projection_of_section", "section_radius",
+                    "polar_section_radius"):
+            assert rec["measured"][key]["bound"] == "lower" and "exact" not in rec["measured"][key]
+
+
+def test_measured_bound_marker():
+    assert measured(2.0, bound="lower") == {"value": 2.0, "bound": "lower"}
+    with pytest.raises(ValueError):
+        measured(2.0, bound="upper")
+
+
 def test_run_qs_needs_ten_trials():
     with pytest.raises(ValueError, match="10 trials"):
         run_qs_experiment(bd.cross_polytope(8), None, 2, trials=9)

@@ -330,13 +330,15 @@ def test_ratio_extremum_rejects_unknown_mode(body, mode):
 
 def test_section_out_radii_identical_across_blas_threads(tmp_path):
     # the ascent's row sums are vecdot, not BLAS gemv, so the radii do not
-    # depend on the BLAS thread count
+    # depend on the BLAS thread count; at codimension 3 both bodies take
+    # the vertex routes
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     np.save(tmp_path / "bases.npy", sp.haar_grassmannian_batch(np.random.default_rng(24), 16, 13, 40))
     script = ("import sys, numpy as np\n"
               "from regpos import bodies as bd, subspaces as sp\n"
               "bases = np.load(sys.argv[1])\n"
-              "radii = sp.section_out_radii(bd.cross_polytope(16), bases, rng=np.random.default_rng(25))\n"
+              "radii = [sp.section_out_radii(K, bases, rng=np.random.default_rng(25))\n"
+              "         for K in (bd.cross_polytope(16), bd.cube(16))]\n"
               "np.save(sys.argv[2], radii)\n")
     outs = []
     for threads in ("1", "2"):

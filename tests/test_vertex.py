@@ -1,5 +1,5 @@
-"""The vertex search for maxima over low-codimension sections of weighted
-l_1 balls, checked against enumeration of every candidate vertex."""
+"""The vertex searches for maxima over low-codimension sections of weighted
+l_1 balls and weighted cubes, checked against enumeration of every vertex."""
 
 import itertools
 
@@ -30,6 +30,40 @@ def _enumerated_maxima(scales, Zs, Ps=None):
     return best
 
 
+def _enumerated_cube_maxima(scales, Zs, Ps=None):
+    """max |P x| / max_i scales_i |x_i| over the vertices of K cap col(Z): in
+    u = scales * x, for every free set B of codim coordinates whose block of
+    the normals A / scales is nonsingular and every sign vector on the rest,
+    the point with u_B = -A'_B^-1 A'_N u_N, kept when |u_B| <= 1.  The vertex
+    at -u is the mirror of u, so the first sign is fixed at +1."""
+    S, n, d = Zs.shape
+    c = n - d
+    A = np.swapaxes(np.linalg.qr(Zs, mode="complete")[0][:, :, d:], 1, 2) / scales
+    Pp = np.broadcast_to(np.eye(n), (S, n, n)) if Ps is None else Ps
+    Pp = np.swapaxes(Pp / scales, 1, 2)                     # rows i: P e_i / scales_i, (S, n, q)
+    signs = np.array([(1.0, *rest) for rest in itertools.product((-1.0, 1.0), repeat=n - c - 1)])
+    best = np.zeros(S)
+    for B in map(list, itertools.combinations(range(n), c)):
+        N = [i for i in range(n) if i not in B]
+        AB = A[:, :, B]
+        ok = np.abs(np.linalg.det(AB)) > 1e-10
+        TN = np.linalg.inv(np.where(ok[:, None, None], AB, np.eye(c))) @ A[:, :, N]
+        UB = -signs @ np.swapaxes(TN, 1, 2)                 # (S, 2^(n-c-1), c)
+        PX = signs @ Pp[:, N] + UB @ Pp[:, B]               # P x at every sign vector
+        feasible = ok[:, None] & (np.abs(UB).max(axis=2) <= 1.0 + 1e-9)
+        best = np.maximum(best, np.where(feasible, np.vecdot(PX, PX), 0.0).max(axis=1))
+    return np.sqrt(best)
+
+
+def _flag_problems(rng, n, k, count):
+    F, E, E2 = sp.haar_flag_batch(rng, n, k, count)
+    return {
+        "plain": (sp.haar_grassmannian_batch(rng, n, n - k + 1, count), None),
+        "F": (F, np.swapaxes(E, 1, 2)),         # R(P_E (K cap F))
+        "E2": (E2, np.swapaxes(E, 1, 2)),       # R((P_F K) cap E)
+    }
+
+
 def _bodies(n):
     return {"b1": bd.cross_polytope(n), "wlp1": bd.WeightedLp.from_weights(1.0, 1.0 + np.arange(n) / (n - 1.0))}
 
@@ -37,14 +71,7 @@ def _bodies(n):
 @pytest.mark.parametrize("n", [8, 12])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_vertex_search_matches_enumeration(n, k):
-    count = 120
-    rng = np.random.default_rng([31, n, k])
-    F, E, E2 = sp.haar_flag_batch(rng, n, k, count)
-    problems = {
-        "plain": (sp.haar_grassmannian_batch(rng, n, n - k + 1, count), None),
-        "F": (F, np.swapaxes(E, 1, 2)),         # R(P_E (K cap F))
-        "E2": (E2, np.swapaxes(E, 1, 2)),       # R((P_F K) cap E)
-    }
+    problems = _flag_problems(np.random.default_rng([31, n, k]), n, k, 120)
     for body, K in _bodies(n).items():
         for name, (Zs, Ps) in problems.items():
             exact = _enumerated_maxima(K.scales, Zs, Ps)
@@ -54,6 +81,24 @@ def test_vertex_search_matches_enumeration(n, k):
             assert np.quantile(short, 0.9) <= 1e-3, where
             assert short.min() >= -1e-9, where
             assert short.max() < (1.0 - ascent / exact).max(), where
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cube_vertex_walk_against_enumeration(n, k):
+    # the walk may stop at a local optimum, so it is held to the ascent: never
+    # above the maximum, and its p90 and worst shortfall below the ascent's
+    problems = _flag_problems(np.random.default_rng([33, n, k]), n, k, 120)
+    cubes = {"binf": bd.cube(n), "winf": bd.WeightedLp(np.inf, 1.0 + np.arange(n) / (n - 1.0))}
+    for body, K in cubes.items():
+        for name, (Zs, Ps) in problems.items():
+            exact = _enumerated_cube_maxima(K.scales, Zs, Ps)
+            short = 1.0 - ratio_extremum_many(K, Zs, Ps) / exact
+            ascent = 1.0 - _extremize(K, Zs, Ps, "max", np.random.default_rng(0), **SURVEY, polish=40)[0] / exact
+            where = (body, name)
+            assert short.min() >= -1e-9 and ascent.min() >= -1e-9, where
+            assert np.quantile(short, 0.9) < np.quantile(ascent, 0.9), where
+            assert short.max() < ascent.max(), where
 
 
 @pytest.mark.parametrize("d", [5, 6, 7])
@@ -66,6 +111,12 @@ def test_vertex_search_on_coordinate_sections(d):
     assert np.array_equal(ratio_extremum_many(bd.cross_polytope(n), Zs), [1.0, 1.0])
     K = bd.WeightedLp(1.0, np.linspace(1.0, 3.0, n))
     expect = [1.0 / K.scales[:d].min(), 1.0 / K.scales[perm[:d]].min()]
+    assert ratio_extremum_many(K, Zs) == pytest.approx(expect, rel=1e-12)
+    # the section of a weighted cube is a weighted cube, whose farthest
+    # vertex (1 / s_i) has |x|^2 = sum_i 1 / s_i^2
+    assert ratio_extremum_many(bd.cube(n), Zs) == pytest.approx([np.sqrt(d)] * 2, rel=1e-12)
+    K = bd.WeightedLp(np.inf, np.linspace(1.0, 3.0, n))
+    expect = [np.sqrt(np.sum(K.scales[idx] ** -2.0)) for idx in (np.arange(d), perm[:d])]
     assert ratio_extremum_many(K, Zs) == pytest.approx(expect, rel=1e-12)
 
 
@@ -84,14 +135,20 @@ def test_ratio_extrema_dispatch(monkeypatch):
         ratio_extremum_many(B1, sp.haar_grassmannian_batch(rng, n, n - c, 3))
     ratio_extremum_many(bd.WeightedLp(1.0, np.linspace(1.0, 2.0, n)), sp.haar_grassmannian_batch(rng, n, n - 2, 3),
                         Ps=rng.standard_normal((3, 4, n)))
-    assert len(calls) == 4
     codim2 = sp.haar_grassmannian_batch(rng, n, n - 2, 3)
+    ratio_extremum_many(bd.cube(n), codim2)
+    for c in (1, 3):
+        ratio_extremum_many(bd.WeightedLp(np.inf, np.linspace(1.0, 2.0, n)), sp.haar_grassmannian_batch(rng, n, n - c, 3),
+                            Ps=rng.standard_normal((3, 4, n)))
+    assert len(calls) == 7
     for body, Zs, Ps, mode in [
         (B1, codim2, None, "min"),
         (B1, codim2, bd.ball(n), "max"),
         (B1, sp.haar_grassmannian_batch(rng, n, n - 4, 3), None, "max"),
         (bd.WeightedLp(1.5, np.ones(n)), codim2, None, "max"),
-        (bd.cube(n), codim2, None, "max"),
+        (bd.cube(n), codim2, None, "min"),
+        (bd.cube(n), codim2, bd.ball(n), "max"),
+        (bd.cube(n), sp.haar_grassmannian_batch(rng, n, n - 4, 3), None, "max"),
     ]:
         assert np.all(ratio_extremum_many(body, Zs, Ps, mode=mode, starts=2, iters=3, probes=4) > 0)
-    assert len(calls) == 4
+    assert len(calls) == 7
