@@ -23,10 +23,16 @@ Cube (p = inf).  In u = s * x the section is {A' u = 0, |u|_inf <= 1} with
 A' = A / s, and the squared ratio is q(u) = u^T G' u with G' = P'^T P',
 P' = P / s.  A vertex has c basic coordinates B (A'_B nonsingular) and every
 other coordinate at +-1.  A walker starts at P_F e_i for one of the few i
-of largest |P_F e_i|, scaled to |u|_inf = 1, and is purified to a vertex:
+of largest |P_F e_i| (at the section's first seed where P_F e_i = 0),
+scaled to |u|_inf = 1, and is purified to a vertex:
 n - c - 1 passes each move u along the gradient of q projected onto the
 null space of the free columns of A' until one more coordinate reaches
-its bound, which q (convex on the line) does not let fall.  It then
+its bound, which q (convex on the line) does not let fall.  A free
+coordinate outside that null space carries the rank of A'_free, so it is
+neither moved nor fixed, whatever rounding leaves in its gradient: a walker
+about to fix a coordinate whose projected gradient is rounding only (which
+only degenerate sections, with tied or missed coordinates, ever see) drops
+every such coordinate and steps again.  It then
 pivots: every edge of the vertex, the flip of a bound coordinate j towards
 its other bound with the basics following along -T[:, j], T = A'_B^-1 A',
 is cut by the ratio test on the c basics and scored as q at its far end;
@@ -176,8 +182,12 @@ def _cube_walk(s, A, Ps, V):
 
     # purify: each pass moves the free coordinates along the projected gradient
     # until one more reaches its bound, so n - c coordinates end at +-1
-    U = V.reshape(W, n) * s
-    U /= np.abs(U).max(axis=1, keepdims=True)
+    U = V * s
+    size = np.abs(U).max(axis=2, keepdims=True)
+    # a coordinate that F misses (P_F e_i = 0) seeds nothing: its walker starts
+    # from the section's first seed, which is never zero
+    dead = size <= 1e-9 * size[:, :1]
+    U = (np.where(dead, U[:, :1], U) / np.where(dead, size[:, :1], size)).reshape(W, n)
     free = np.ones((W, n), dtype=bool)
     i = np.abs(U).argmax(axis=1)
     Ap = (A / s)[sec]                                                           # A', fixed columns zeroed
@@ -190,25 +200,29 @@ def _cube_walk(s, A, Ps, V):
         Ap[rows, :, i] = 0.0
         if p == n - c - 1:
             break
-        g = grad(U) * free
+        Gu = grad(U)
+        g = Gu * free
         y = np.linalg.solve(M, Ap @ g[:, :, None])                              # (W, c, 1)
         D = g - (np.swapaxes(y, 1, 2) @ Ap)[:, 0]                               # projected gradient
-        # a zero projection (u minimizes q on its face) moves along the null
-        # direction of the free coordinate that the null space reaches most
-        flat = np.flatnonzero(np.vecdot(D, D) <= 1e-24 * np.maximum(np.vecdot(g, g), 1e-300))
-        if flat.size:
-            H = np.linalg.inv(M[flat]) @ Ap[flat]                               # M^-1 A', (f, c, n)
-            j = np.where(free[flat], 1.0 - np.einsum("fcn,fcn->fn", Ap[flat], H), -np.inf).argmax(axis=1)
-            D[flat] = -(np.swapaxes(H[np.arange(flat.size), :, j, None], 1, 2) @ Ap[flat])[:, 0]
-            D[flat, j] += 1.0
         D *= np.where(np.vecdot(g, D) < 0.0, -1.0, 1.0)[:, None]
-        # the first free coordinate to reach its bound: largest |D_i| / (1 - sign(D_i) u_i)
-        speed = np.abs(D)
+        # |D|^2 that is rounding only; all of it, where g is rounding against G'u
+        gg = np.vecdot(g, g)
+        tiny = np.where(gg <= 1e-24 * np.vecdot(Gu, Gu), np.inf, 1e-24 * np.maximum(gg, 1e-300))
+        flat = np.flatnonzero(np.vecdot(D, D) <= tiny)
+        if flat.size:
+            D[flat] = _null_step(D[flat], g[flat], tiny[flat], M[flat], Ap[flat], free[flat])
+        i, speed = _first_to_bound(D, U)
+        # fixing i keeps A'_free at rank c unless e_i is outside its null
+        # space, where D_i is zero but for rounding; a walker whose D_i is that
+        # small (degenerate sections) steps again without any such coordinate
+        odd = D[rows, i] ** 2 <= 1e-12 * gg
+        odd[flat] = False
+        odd = np.flatnonzero(odd)
+        if odd.size:
+            D[odd] = _null_step(D[odd], g[odd], tiny[odd], M[odd], Ap[odd], free[odd])
+            i[odd], speed[odd] = _first_to_bound(D[odd], U[odd])
         with np.errstate(divide="ignore"):
-            np.divide(speed, 1.0 - np.sign(D) * U, out=speed, where=speed > 1e-12 * speed.max(axis=1, keepdims=True))
-        i = speed.argmax(axis=1)
-        with np.errstate(divide="ignore"):
-            U += (1.0 / speed[rows, i])[:, None] * D
+            U += (1.0 / speed)[:, None] * D
 
     # walk: B holds the c basic coordinates, every other one sits at +-1
     Ap = (A / s)[sec]
@@ -260,6 +274,35 @@ def _cube_walk(s, A, Ps, V):
         U[new, B[new, pos]] = np.sign(U[new, B[new, pos]])
         B[new, pos] = j
     return U / s
+
+
+def _null_step(D, g, tiny, M, Ap, free):
+    """The steps D (w, n) cleared of the free coordinates outside the null
+    space of A'_free: they carry its rank, so they must neither move nor be
+    fixed.  Where nothing but rounding (|D|^2 <= tiny) is left, u minimizes q
+    on its face, and the step is the null direction of the free coordinate
+    that the null space reaches most.  Each step is signed to raise q, whose
+    gradient on the free coordinates is g."""
+    H = np.linalg.inv(M) @ Ap                                                   # M^-1 A', (w, c, n)
+    reach = 1.0 - np.einsum("wcn,wcn->wn", Ap, H)                               # share of e_i in null(A'_free)
+    keep = reach > _PIVOT
+    D = D * keep
+    flat = np.flatnonzero(np.vecdot(D, D) <= tiny)
+    j = np.where(free[flat], reach[flat], -np.inf).argmax(axis=1)
+    D[flat] = -(np.swapaxes(H[flat, :, j, None], 1, 2) @ Ap[flat])[:, 0]
+    D[flat, j] += 1.0
+    D *= keep
+    return D * np.where(np.vecdot(g, D) < 0.0, -1.0, 1.0)[:, None]
+
+
+def _first_to_bound(D, U):
+    """Per walker, the coordinate of U in [-1, 1]^n that moving along D takes to
+    its bound first, at the largest |D_i| / (1 - sign(D_i) u_i), and that ratio."""
+    speed = np.abs(D)
+    with np.errstate(divide="ignore"):
+        np.divide(speed, 1.0 - np.sign(D) * U, out=speed, where=speed > 1e-12 * speed.max(axis=1, keepdims=True))
+    i = speed.argmax(axis=1)
+    return i, speed[np.arange(i.size), i]
 
 
 def _seed_supports(A, order):

@@ -765,10 +765,10 @@ def run_qs_experiment(
                 experiment="qs_trial", seed=seed, body=body_spec,
                 params={**params, "trial": i},
                 measured={
-                    "d_section_of_projection": measured(oc.d_section_of_projection, bound="lower"),
-                    "d_projection_of_section": measured(oc.d_projection_of_section, bound="lower"),
-                    "section_radius": measured(oc.section_radius, bound="lower"),
-                    "polar_section_radius": measured(oc.polar_section_radius, bound="lower"),
+                    "d_section_of_projection": measured(oc.d_section_of_projection, lower_bound=True),
+                    "d_projection_of_section": measured(oc.d_projection_of_section, lower_bound=True),
+                    "section_radius": measured(oc.section_radius, lower_bound=True),
+                    "polar_section_radius": measured(oc.polar_section_radius, lower_bound=True),
                     "within_threshold": measured(float(oc.within_threshold), exact=True),
                 },
             ))

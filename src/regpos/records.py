@@ -25,9 +25,9 @@ __all__ = [
 ]
 
 
-def measured(value, se=None, ci=None, exact=False, bound=None):
-    """Uncertainty-carrying scalar for a record's measured map; bound="lower"
-    marks a certified lower bound on the quantity."""
+def measured(value, se=None, ci=None, exact=False, lower_bound=False):
+    """Uncertainty-carrying scalar for a record's measured map; lower_bound
+    marks a certified lower bound on the quantity ("bound": "lower")."""
     out = {"value": float(value)}
     if se is not None:
         out["se"] = float(se)
@@ -35,10 +35,8 @@ def measured(value, se=None, ci=None, exact=False, bound=None):
         out["ci"] = [float(ci[0]), float(ci[1])]
     if exact:
         out["exact"] = True
-    if bound is not None:
-        if bound != "lower":
-            raise ValueError(f"bound must be 'lower', not {bound!r}")
-        out["bound"] = bound
+    if lower_bound:
+        out["bound"] = "lower"
     if len(out) == 1:
         raise ValueError("measured quantity needs se, ci, an exact marker or a bound")
     return out

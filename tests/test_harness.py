@@ -168,9 +168,7 @@ def test_qs_trial_radii_are_lower_bounds(tmp_path):
 
 
 def test_measured_bound_marker():
-    assert measured(2.0, bound="lower") == {"value": 2.0, "bound": "lower"}
-    with pytest.raises(ValueError):
-        measured(2.0, bound="upper")
+    assert measured(2.0, lower_bound=True) == {"value": 2.0, "bound": "lower"}
 
 
 def test_run_qs_needs_ten_trials():

@@ -120,6 +120,62 @@ def test_vertex_search_on_coordinate_sections(d):
     assert ratio_extremum_many(K, Zs) == pytest.approx(expect, rel=1e-12)
 
 
+def test_cube_walk_on_sections_missing_coordinates():
+    # F misses some coordinates (P_F e_i = 0), so fewer than four coordinates
+    # can seed walkers; the section of a weighted cube by a span of e_i is a
+    # weighted cube with R^2 = sum 1 / s_i^2, and by the line through e_1 + e_2
+    # it is the segment out to |x_1| = |x_2| = 1 / max(s_1, s_2)
+    for n, cols, expect in [
+        (4, [[1, 0, 0, 0]], lambda s: 1.0 / s[0]),
+        (5, [[1, 0, 0, 0, 0], [0, 0, 1, 0, 0]], lambda s: np.sqrt(s[0] ** -2.0 + s[2] ** -2.0)),
+        (6, [[0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1]], lambda s: np.sqrt(np.sum(s[[1, 3, 5]] ** -2.0))),
+        (3, [[1, 1, 0]], lambda s: np.sqrt(2.0) / max(s[0], s[1])),
+    ]:
+        Z = np.array(cols, dtype=float).T
+        Z /= np.linalg.norm(Z, axis=0)
+        for K in (bd.cube(n), bd.WeightedLp(np.inf, np.linspace(1.0, 3.0, n))):
+            assert ratio_extremum_many(K, Z[None]) == pytest.approx([expect(K.scales)], rel=1e-12), (n, K.scales)
+            assert sp.out_radius(sp.section(K, sp.Subspace(Z))) == pytest.approx(expect(K.scales), rel=1e-12)
+
+
+def _sparse_bases(rng, n, d, count):
+    """(count, n, d) orthonormal bases of the spans of random sparse integer
+    matrices: sections that miss coordinates, hold coordinate axes or tie
+    coordinates (x_i = +-x_j on F), with QR rounding in the zero entries."""
+    bases = []
+    while len(bases) < count:
+        M = np.zeros((n, d))
+        for j in range(d):
+            idx = rng.choice(n, size=rng.integers(1, 4), replace=False)
+            M[idx, j] = rng.integers(-2, 3, size=idx.size)
+        if np.linalg.matrix_rank(M) == d:
+            bases.append(np.linalg.qr(M)[0])
+    return np.stack(bases)
+
+
+@pytest.mark.parametrize("seed", [4, 27, 62])
+def test_vertex_search_on_degenerate_sections(seed):
+    # on these sections several coordinates reach their bounds at once, a seed
+    # may lie on a coordinate axis, so that the projected gradient is rounding
+    # only (seeds 4 and 27), and a coordinate whose column carries the rank of
+    # the free normals may win the cube walk's next fix on rounding alone
+    # (seed 62); every route stays finite and never above the enumerated maximum
+    for n in range(3, 9):
+        for c in range(1, min(3, n - 1) + 1):
+            rng = np.random.default_rng([seed, n, c])
+            Zs = _sparse_bases(rng, n, n - c, 32)
+            Ps = rng.standard_normal((32, 3, n))
+            w = np.linspace(1.0, 3.0, n)
+            for K, enumerate_ in [(bd.cube(n), _enumerated_cube_maxima), (bd.WeightedLp(np.inf, w), _enumerated_cube_maxima),
+                                  (bd.cross_polytope(n), _enumerated_maxima), (bd.WeightedLp(1.0, w), _enumerated_maxima)]:
+                for P in (None, Ps):
+                    got = ratio_extremum_many(K, Zs, P)
+                    exact = enumerate_(K.scales, Zs, P)
+                    where = (n, c, K.p, P is None)
+                    assert np.all(np.isfinite(got)) and np.all(got > 0.0), where
+                    assert np.all(got <= exact * (1.0 + 1e-9)), where
+
+
 def test_ratio_extrema_dispatch(monkeypatch):
     calls = []
 
