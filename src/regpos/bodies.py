@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from ._ascent import ratio_extremum, support_estimate
 
@@ -310,6 +308,11 @@ class WeightedLp(ConvexBody):
     def _compute_radii(self):
         s = self.scales
         p = self.p
+
+        def logsumexp(a):
+            top = a.max()
+            return top + np.log(np.exp(a - top).sum())
+
         # extremes of ||s*x||_p over the Euclidean unit sphere
         if p == 2:
             gmin, gmax = float(s.min()), float(s.max())
@@ -460,6 +463,8 @@ class PolytopeV(ConvexBody):
         self._b_ub = np.ones(2 * U.shape[0])
 
     def _solve_one(self, x):
+        from scipy.optimize import linprog
+
         res = linprog(
             c=-x,
             A_ub=self._A_ub,

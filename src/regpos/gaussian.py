@@ -13,11 +13,11 @@ another p replaces it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "GaussianSample",
@@ -189,4 +189,4 @@ def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstima
 
 def gauss_norm_mean(N: int) -> float:
     """E |G_N| = sqrt(2) Gamma((N+1)/2) / Gamma(N/2)."""
-    return float(np.sqrt(2.0) * np.exp(gammaln((N + 1) / 2.0) - gammaln(N / 2.0)))
+    return math.sqrt(2.0) * math.exp(math.lgamma((N + 1) / 2.0) - math.lgamma(N / 2.0))

@@ -5,9 +5,14 @@ The solver works in the unconstrained chart W = exp(S) with S symmetric
 traceless (diagonal traceless when the body is unconditional, which is
 enough by the commutation property of the unique SPD minimizer), where W is
 the inverse of the returned position map.  The objective is deterministic
-for a fixed sample, so a quasi-Newton line-searched descent (L-BFGS) is
-used; for kinked gauges any subgradient element is supplied and steps are
-accepted on strict decrease only.
+for a fixed sample, so a quasi-Newton line-searched descent is used:
+``_lbfgs``, the two-loop L-BFGS recursion (Liu & Nocedal 1989) over at most
+20 curvature pairs with a backtracking line search.  For kinked gauges any
+subgradient element is supplied and steps are accepted on a strict Armijo
+decrease only.  ``_lbfgs`` stops when the largest gradient component is at
+most ``gtol`` (the only stop it reports as converged), when one step lowers
+the objective by at most ``ftol`` relative, after ``maxiter`` steps, or when
+the line search finds no strict decrease.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bodies as bd
 from .gaussian import GaussianSample, ell, ell_star
@@ -217,6 +221,78 @@ class _FullObjective:
         return val / M, Gs.ravel()
 
 
+def _dot(a, b):
+    # einsum, not BLAS: the sums must not depend on the BLAS thread count
+    return float(np.einsum("i,i->", a, b))
+
+
+_ARMIJO = 1e-4
+_BACKTRACKS = 20
+_EPS = np.finfo(float).eps
+
+
+def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20):
+    """Minimize fun (which returns the value and the gradient) from x0 by
+    L-BFGS; returns (x, f, g, iterations, converged), where converged means
+    max |g| <= gtol.
+
+    The direction comes from the two-loop recursion over the last `memory`
+    pairs (s, y), scaled by s.y / y.y; a pair with s.y <= 0 is skipped.  The
+    first step, and any step after a direction that fails to descend (the
+    pairs are then dropped), is -g scaled to min(1, 1/|g|).  Steps halve
+    until the value falls strictly and by at least 1e-4 of the predicted
+    decrease; after 20 halvings, or once the predicted decrease is below the
+    rounding of the value, the search has failed and the solve stops.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    pairs = []
+    it = 0
+    while np.abs(g).max() > gtol and it < maxiter:
+        q = -g
+        coef = []
+        for s, y, rho in reversed(pairs):
+            a = rho * _dot(s, q)
+            q -= a * y
+            coef.append(a)
+        if pairs:
+            s, y, rho = pairs[-1]
+            q *= 1.0 / (rho * _dot(y, y))
+            for (s, y, rho), a in zip(pairs, reversed(coef)):
+                q += (a - rho * _dot(y, q)) * s
+        slope = _dot(g, q)
+        if pairs and slope < 0.0:
+            t = 1.0
+        else:
+            pairs.clear()
+            q, slope = -g, -_dot(g, g)
+            t = min(1.0, 1.0 / np.sqrt(-slope))
+        found = False
+        for _ in range(_BACKTRACKS):
+            xn = x + t * q
+            fn, gn = fun(xn)
+            if fn < f and fn <= f + _ARMIJO * t * slope:
+                found = True
+                break
+            t *= 0.5
+            # a decrease below the rounding of f cannot be told from noise
+            if -t * slope <= _EPS * abs(f):
+                break
+        if not found:
+            break
+        s, y = xn - x, gn - g
+        sy = _dot(s, y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-memory]
+        it += 1
+        small = f - fn <= ftol * max(abs(f), abs(fn), 1.0)
+        x, f, g = xn, fn, gn
+        if small:
+            break
+    return x, f, g, it, bool(np.abs(g).max() <= gtol)
+
+
 def solve_ell_position(
     K: bd.ConvexBody,
     sample: GaussianSample,
@@ -248,21 +324,9 @@ def solve_ell_position(
     residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
     rounds = 0
     while residual > tol and iters < max_iter and rounds < 4:
-        res = minimize(
-            obj,
-            x,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": max_iter - iters,
-                "ftol": 1e-18,
-                "gtol": 0.1 * tol * max(psi, 1e-300),
-                "maxcor": 20,
-            },
-        )
-        x = res.x
-        iters += max(res.nit, 1)
-        psi, grad = obj(x)
+        x, psi, grad, nit, _ = _lbfgs(obj, x, maxiter=max_iter - iters, ftol=1e-18,
+                                      gtol=0.1 * tol * max(psi, 1e-300))
+        iters += max(nit, 1)
         residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
         rounds += 1
 

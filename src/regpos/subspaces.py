@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from . import bodies as bd
 from ._ascent import ratio_extremum, ratio_extremum_many
+from .positions import _lbfgs
 
 __all__ = [
     "Subspace",
@@ -192,13 +192,13 @@ class SectionBody(bd.ConvexBody):
             g, y = parent._gauge_subgrad(z[None, :])
             return float(g[0]), C.T @ y[0]
 
-        res = minimize(fun, np.zeros(nw), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 400, "ftol": 1e-16, "gtol": 1e-12})
-        val, wstar = float(res.fun), res.x
-        if not parent.exact or not res.success:
-            # derivative-free polish for kinked or inexact parents
+        wstar, val, _, _, converged = _lbfgs(fun, np.zeros(nw), maxiter=400, ftol=1e-16, gtol=1e-12)
+        if not parent.exact or not converged:
+            from scipy.optimize import minimize
+
+            # derivative-free polish for inexact parents and for minima left above gtol
             res2 = minimize(lambda w: float(parent._gauge((x0 + C @ w)[None, :])[0]),
-                            res.x, method="Powell",
+                            wstar, method="Powell",
                             options={"maxiter": 4000, "xtol": 1e-10, "ftol": 1e-12})
             if float(res2.fun) < val:
                 val, wstar = float(res2.fun), res2.x
@@ -291,6 +291,8 @@ def _fiber_min_lp(kind, M, x0, C):
         b = np.concatenate([-mx, mx])
         c = np.zeros(nw + nrows)
         c[nw:] = 1.0
+    from scipy.optimize import linprog
+
     res = linprog(c=c, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"projection gauge LP failed (status {res.status})")

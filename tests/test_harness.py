@@ -5,6 +5,8 @@ import filecmp
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import asdict
 
@@ -159,12 +161,16 @@ def test_qs_trial_radii_are_lower_bounds(tmp_path):
     with JsonlWriter(tmp_path / "qs.jsonl") as w:
         run_qs_experiment(bd.cross_polytope(8), None, 2, trials=10, seed=2, fp_samples=2000,
                           report_samples=100, writer=w)
-    trials = [json.loads(line) for line in (tmp_path / "qs.jsonl").read_text().splitlines()][:-1]
+    *trials, summary = [json.loads(line) for line in (tmp_path / "qs.jsonl").read_text().splitlines()]
     assert len(trials) == 10 and all(r["experiment"] == "qs_trial" for r in trials)
     for rec in trials:
         for key in ("d_section_of_projection", "d_projection_of_section", "section_radius",
                     "polar_section_radius"):
             assert rec["measured"][key]["bound"] == "lower" and "exact" not in rec["measured"][key]
+    # P_emp and the threshold are built from the same lower-bound radii
+    assert summary["experiment"] == "qs_summary"
+    for key in ("P_emp", "threshold"):
+        assert summary["measured"][key]["bound"] == "lower" and "exact" not in summary["measured"][key]
 
 
 def test_measured_bound_marker():
@@ -233,11 +239,17 @@ def test_run_lowmstar_structure():
     assert ks == [1, 2, 4, 8]
 
 
-def test_run_curve_structure():
-    out = run_regularity_curve(bd.cross_polytope(8), alphas=(0.75, 1.5), samples=120,
-                               seed=0, fp_samples=4000)
+def test_run_curve_structure(tmp_path):
+    with JsonlWriter(tmp_path / "curve.jsonl") as w:
+        out = run_regularity_curve(bd.cross_polytope(8), alphas=(0.75, 1.5), samples=120,
+                                   seed=0, fp_samples=4000, writer=w)
     assert [pt["alpha"] for pt in out["curve"]] == [0.75, 1.5]
     assert all(pt["fp_converged"] for pt in out["curve"])
+    # P_emp is a quantile of lower-bound section radii
+    recs = [json.loads(line) for line in (tmp_path / "curve.jsonl").read_text().splitlines()]
+    assert len(recs) == 2
+    for rec in recs:
+        assert rec["measured"]["P_emp"]["bound"] == "lower" and "exact" not in rec["measured"]["P_emp"]
     # ball input gives a flat curve at 1
     flat = run_regularity_curve(bd.WeightedLp(2.0, np.ones(8)), alphas=(0.75, 1.5),
                                 samples=120, seed=0, fp_samples=4000)
@@ -435,6 +447,17 @@ def test_cli_negative_seed_exit_2_before_any_run(cmd, capsys, no_runs):
     assert main([cmd, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "--seed" in err
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only by the routes that call it (LPs, Powell, quadrature)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys, regpos, regpos.cli\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_perfbench_tracer_binds_its_names():

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from regpos import bodies as bd
+from regpos import positions
+from regpos import subspaces as sp
 from regpos.gaussian import FixedSample, GaussianSample, ell
 from regpos.positions import PositionMap, _DiagObjective, balance_scale, ell_product, solve_ell_position
 
@@ -153,6 +155,75 @@ def test_nonconvergence_is_flagged_not_hidden():
     )
     assert not res.converged
     assert res.residual > 1e-14
+
+
+def _scipy_lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20):
+    """scipy's L-BFGS-B with _lbfgs's signature and return value, as the reference."""
+    from scipy.optimize import minimize
+
+    res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol, "maxcor": memory})
+    f, g = fun(res.x)
+    return res.x, f, g, res.nit, bool(np.abs(g).max() <= gtol)
+
+
+_REFERENCE_BODIES = [
+    ("b1", bd.cross_polytope(8), SAMPLE),
+    ("binf", bd.cube(8), SAMPLE),
+    ("wlp1.5", bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 8)), SAMPLE),
+    ("ellipsoid", bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, 8))), SAMPLE),
+    ("full", bd.linear_image(np.eye(4) + 0.3 * np.random.default_rng(12).standard_normal((4, 4)),
+                             bd.WeightedLp(1.5, np.ones(4))), GaussianSample(103, 20000, 4)),
+]
+
+
+def test_lbfgs_stopping_rules():
+    A = np.diag(np.logspace(0.0, 3.0, 6))
+
+    def quad(x):
+        return 0.5 * float(x @ A @ x), A @ x
+
+    x0 = np.ones(6)
+    x, f, g, it, ok = positions._lbfgs(quad, x0, maxiter=200, ftol=0.0, gtol=1e-10)
+    assert ok and np.abs(g).max() <= 1e-10 and it < 200 and f == quad(x)[0]
+    # maxiter, and a relative decrease below ftol, stop short of gtol
+    assert positions._lbfgs(quad, x0, maxiter=2, ftol=0.0, gtol=1e-10)[3:] == (2, False)
+    assert positions._lbfgs(quad, x0, maxiter=200, ftol=1.0, gtol=1e-10)[3:] == (1, False)
+    # a gradient along which the value never falls strictly: the line search fails at x0
+    x, f, g, it, ok = positions._lbfgs(lambda x: (1.0, np.ones(6)), x0, maxiter=200, ftol=0.0, gtol=1e-10)
+    assert (it, ok) == (0, False) and np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("name,K,sample", _REFERENCE_BODIES, ids=[b[0] for b in _REFERENCE_BODIES])
+def test_lbfgs_matches_scipy_reference(name, K, sample, monkeypatch):
+    res = solve_ell_position(K, sample)
+    assert res.mode == ("full" if name == "full" else "diagonal")
+    # the cube's sampled objective is kinked wherever a sample's largest
+    # coordinate changes, so neither solver brings its gradient to tol there
+    assert res.converged or (name == "binf" and res.iterations < 500)
+    monkeypatch.setattr(positions, "_lbfgs", _scipy_lbfgs)
+    ref = solve_ell_position(K, sample)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+def test_fiber_min_lbfgs_matches_scipy_reference(monkeypatch):
+    # a smooth exact parent: the fiber minimum goes through _lbfgs
+    K = bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 6))
+    F = sp.haar_grassmannian(np.random.default_rng(5), 6, 3)
+    P = sp.SectionBody(K, F, "projection")
+    X0 = np.random.default_rng(6).standard_normal((5, 3)) @ F.basis.T
+    ref = []
+    for x0 in X0:
+        def fun(w):
+            g, y = K._gauge_subgrad((x0 + P._comp @ w)[None, :])
+            return float(g[0]), P._comp.T @ y[0]
+
+        ref.append(_scipy_lbfgs(fun, np.zeros(3), maxiter=400, ftol=1e-16, gtol=1e-12)[1])
+    calls = []
+    monkeypatch.setattr(sp, "_lbfgs", lambda *a, **k: calls.append(1) or positions._lbfgs(*a, **k))
+    for x0, r in zip(X0, ref):
+        assert P._fiber_min_one(x0)[0] == pytest.approx(r, rel=1e-9)
+    assert len(calls) == len(X0)
 
 
 # ----------------------------------------------------------------------

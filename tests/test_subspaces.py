@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import betainc
 from scipy.stats import kstest
 
@@ -233,8 +234,7 @@ def test_polytope_v_out_radius_solves_no_lp(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("linprog called")
 
-    monkeypatch.setattr(bd, "linprog", no_lp)
-    monkeypatch.setattr(sp, "linprog", no_lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
     V = np.random.default_rng(33).standard_normal((7, 3))
     assert sp.out_radius(bd.PolytopeV(V)) == np.linalg.norm(V, axis=1).max()
     P = sp.project(bd.cross_polytope(2), sp.Subspace(np.array([[1.0], [1.0]]) / np.sqrt(2)))
