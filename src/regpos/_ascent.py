@@ -19,6 +19,11 @@ from ._vertex import MAX_CODIM, vertex_maxima
 
 _EPS = 1e-300
 
+# ascent efforts (starts, iters, probes, polish), one per purpose
+SURVEY = (8, 50, 48, 40)       # stacks of Haar sections: cr_k, regularity reports, low-M*, QS
+RADIUS = (64, 200, 1000, 120)  # one radius of one body, section or projection
+SUPPORT = (32, 150, 400, 120)  # support-function maximizers (support_estimate)
+
 
 def _unit(W):
     """The rows of a fresh array W scaled to unit length, in place."""
@@ -134,11 +139,11 @@ def _orthonormal(Zs):
     return Zs
 
 
-def _extrema(body, Zs, Ps, mode, *effort):
+def _extrema(body, Zs, Ps, mode, rng, effort):
     """(S,) extrema: exact eigenvalues for an ellipsoid with a quadratic numerator,
     the vertex routes for maxima of a quadratic numerator over sections of a
     weighted l_1 ball or cube of codimension 1..MAX_CODIM, else the ascent's
-    at the given (rng, starts, iters, probes, polish)."""
+    from rng at effort (starts, iters, probes, polish)."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
@@ -146,11 +151,12 @@ def _extrema(body, Zs, Ps, mode, *effort):
     if (body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and not _is_body(Ps)
             and 1 <= Zs.shape[1] - Zs.shape[2] <= MAX_CODIM):
         return vertex_maxima(body, Zs, Ps)
-    return _extremize(body, Zs, Ps, mode, *effort)[0]
+    return _extremize(body, Zs, Ps, mode, rng, effort)[0]
 
 
-def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
+def _extremize(body, Zs, Ps, mode, rng, effort):
     """(S,) ascent extrema and (S, n) extremizers: probe, ascend the top starts, polish the best."""
+    starts, iters, probes, polish = effort
     rng = np.random.default_rng(0) if rng is None else rng
     S, _, d = Zs.shape
     sign = 1.0 if mode == "max" else -1.0
@@ -170,8 +176,8 @@ def _extremize(body, Zs, Ps, mode, rng, starts, iters, probes, polish):
     return np.exp(sign * f.max(axis=1)), (best @ _mT(Zs))[:, 0]
 
 
-def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iters=80, probes=64, polish=40):
-    """Batched ratio extrema over unit z in col(Zs[i]): an (S,) array.
+def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
+    """Batched ratio extrema over unit z in col(Zs[i]) at the SURVEY effort: an (S,) array.
 
     Zs is (S, n, d) with orthonormal columns; other bases raise ValueError.
     The numerator is |z| when Ps is None, |Ps[i] z| for an (S, q, n) stack,
@@ -179,22 +185,21 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None, starts=16, iter
     quadratic numerator; else maxima are lower bounds and minima upper
     bounds.
     """
-    return _extrema(body, _orthonormal(Zs), Ps, mode, rng, starts, iters, probes, polish)
+    return _extrema(body, _orthonormal(Zs), Ps, mode, rng, SURVEY)
 
 
-def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=64, iters=200, probes=1000,
-                   polish=120):
+def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=RADIUS[0], iters=RADIUS[1],
+                   probes=RADIUS[2], polish=RADIUS[3]):
     """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
-    and P a (q, n) matrix or a body."""
+    and P a (q, n) matrix or a body, at the RADIUS effort unless overridden."""
     Zs = np.eye(body.dim)[None] if Z is None else _orthonormal(np.asarray(Z, dtype=float)[None])
     Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
-    return float(_extrema(body, Zs, Ps, mode, rng, starts, iters, probes, polish)[0])
+    return float(_extrema(body, Zs, Ps, mode, rng, (starts, iters, probes, polish))[0])
 
 
 def support_estimate(body, Y):
     """Heuristic h_K(y) = max_z <z, y> / gauge(z) per row of Y, and boundary maximizers."""
     S, n = Y.shape
-    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", None,
-                         32, 150, 400, 120)
+    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", None, SUPPORT)
     points = X / np.maximum(body._gauge(X), _EPS)[:, None]
     return vals, np.where(((points * Y).sum(-1) < 0)[:, None], -points, points)

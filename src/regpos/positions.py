@@ -316,11 +316,11 @@ def solve_ell_position(
     if start is not None:
         start = np.asarray(start, dtype=float)
         x0 = start.copy().ravel()
-    psi_id, _ = obj(np.zeros_like(x0))
+    psi_id, grad_id = obj(np.zeros_like(x0))
 
     x = x0
     iters = 0
-    psi, grad = obj(x)
+    psi, grad = (psi_id, grad_id) if start is None else obj(x)
     residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
     rounds = 0
     while residual > tol and iters < max_iter and rounds < 4:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as bd
-from ._ascent import ratio_extremum_many
 from .gaussian import EllEstimate, GaussianSample
 from .interpolation import InterpolationPair, interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
-from .subspaces import haar_grassmannian_batch
+from .subspaces import haar_grassmannian_batch, section_out_radii
 
 __all__ = [
     "FixedPointResult",
@@ -30,16 +29,10 @@ __all__ = [
     "find_regular_position",
     "balanced_interpolant_functionals",
     "ell_position_certificate",
-    "survey_radii",
     "section_radius_sample",
     "random_gelfand",
     "regularity_report",
-    "SURVEY",
 ]
-
-# ratio-ascent effort of every survey of section radii: cr_k tables,
-# regularity reports, low-M* constants and QS distances
-SURVEY = dict(starts=8, iters=50, probes=48)
 
 
 def _require_tractable_unconditional(K):
@@ -173,16 +166,7 @@ class GelfandEstimate:
     k: int
     samples: int
     c: float
-    upper: float     # min over the sampled F of R(K cap F): an upper bound on c_k
-
-
-def survey_radii(K, bases, rng, Ps=None):
-    """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None) over unit z in col(bases[i]),
-    for a stack of Haar bases: ratio_extremum_many (the ascent at the SURVEY
-    effort, where no exact or vertex route applies) on a substream seeded by
-    one draw from rng.  An (S,) array."""
-    sub = np.random.default_rng(rng.integers(2**63))
-    return ratio_extremum_many(K, bases, Ps=Ps, mode="max", rng=sub, **SURVEY)
+    upper: float     # least sampled radius: a lower bound on min over the sampled F of R(K cap F)
 
 
 def section_radius_sample(K, k: int, samples: int, rng):
@@ -193,7 +177,7 @@ def section_radius_sample(K, k: int, samples: int, rng):
     m = n - k + 1
     if m == n:
         return np.full(samples, K.radii.R)
-    return survey_radii(K, haar_grassmannian_batch(rng, n, m, samples), rng)
+    return section_out_radii(K, haar_grassmannian_batch(rng, n, m, samples), rng)
 
 
 def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None) -> GelfandEstimate:

@@ -332,26 +332,26 @@ def project(K: bd.ConvexBody, F: Subspace) -> bd.ConvexBody:
 # ----------------------------------------------------------------------
 
 
-def out_radius(S: bd.ConvexBody, rng=None, **opts) -> float:
+def out_radius(S: bd.ConvexBody, rng=None) -> float:
     """max |x| over S: S.radii.R for a whole body; for a generic section or
-    projection a certified lower bound by ratio ascent."""
+    projection a certified lower bound by ratio ascent at the RADIUS effort."""
     if not isinstance(S, SectionBody):
         return S.radii.R
     if S.mode == "projection":
         # R(P_F K) = max_z |P_F z| / gauge_K(z)
-        return ratio_extremum(S.parent, P=S.carrier.basis.T, mode="max", rng=rng, **opts)
-    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="max", rng=rng, **opts)
+        return ratio_extremum(S.parent, P=S.carrier.basis.T, mode="max", rng=rng)
+    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="max", rng=rng)
 
 
-def in_radius(S: bd.ConvexBody, rng=None, **opts) -> float:
+def in_radius(S: bd.ConvexBody, rng=None) -> float:
     """max radius of a centered ball inside S: S.radii.r for a whole body; for a
-    generic section or projection an upper-bound heuristic."""
+    generic section or projection an upper-bound heuristic at the RADIUS effort."""
     if not isinstance(S, SectionBody):
         return S.radii.r
     if S.mode == "projection":
         # r(P_F K) = 1 / R(K polar cap F)
-        return 1.0 / out_radius(section(S.parent.polar(), S.carrier), rng=rng, **opts)
-    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="min", rng=rng, **opts)
+        return 1.0 / out_radius(section(S.parent.polar(), S.carrier), rng=rng)
+    return ratio_extremum(S.parent, Z=S.carrier.basis, mode="min", rng=rng)
 
 
 def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
@@ -359,10 +359,14 @@ def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
     return max(out_radius(S) / in_radius(S), 1.0)
 
 
-def section_out_radii(K: bd.ConvexBody, bases, rng=None, starts=16, iters=80, probes=64):
-    """R(K cap F) for a stack of section bases (count, n, m)."""
-    return ratio_extremum_many(K, np.asarray(bases), mode="max", rng=rng,
-                               starts=starts, iters=iters, probes=probes)
+def section_out_radii(K: bd.ConvexBody, bases, rng, Ps=None):
+    """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None: R(K cap F)) over unit z
+    in col(bases[i]), for a (count, n, m) stack of section bases: the one
+    survey of section radii.  ratio_extremum_many (the ascent at the SURVEY
+    effort, where no exact or vertex route applies) runs on a substream seeded
+    by one draw from rng.  A (count,) array."""
+    sub = np.random.default_rng(rng.integers(2**63))
+    return ratio_extremum_many(K, bases, Ps=Ps, mode="max", rng=sub)
 
 
 # ----------------------------------------------------------------------

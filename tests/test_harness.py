@@ -203,7 +203,7 @@ def test_qs_distances_two_routes_agree_on_ellipsoids():
     # the same quantities through the exact eigen route (Ellipsoid family)
     # and through the generic multistart route (same body as a weighted l_2)
     from regpos import subspaces as sp
-    from regpos._ascent import ratio_extremum_many
+    from regpos._ascent import _extremize, ratio_extremum_many
 
     n, k, flags = 12, 3, 12
     w = np.linspace(1.0, 2.5, n)
@@ -217,9 +217,7 @@ def test_qs_distances_two_routes_agree_on_ellipsoids():
     Pts = np.swapaxes(Q[:, :, :m2], 1, 2)
     for Zs in (Dperp, Q):
         a = ratio_extremum_many(exact_body, Zs, Ps=Pts, mode="max")
-        b = ratio_extremum_many(generic_body, Zs, Ps=Pts, mode="max",
-                                rng=np.random.default_rng(1),
-                                starts=16, iters=120, probes=96, polish=120)
+        b = _extremize(generic_body, Zs, Pts, "max", np.random.default_rng(1), (16, 120, 96, 120))[0]
         assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
 
 
@@ -499,6 +497,10 @@ def test_cli_sections_deterministic_outputs(tmp_path):
     assert files == sorted(os.listdir(d2)) and files
     for f in files:
         assert filecmp.cmp(os.path.join(d1, f), os.path.join(d2, f), shallow=False), f
+    # the least sampled radius is a minimum of lower-bound radii
+    with open(os.path.join(d1, "sections.jsonl")) as fh:
+        markers = [json.loads(line)["measured"]["c_k_upper"] for line in fh]
+    assert markers and all(set(m) == {"value", "bound"} and m["bound"] == "lower" for m in markers)
     # a different seed changes the records
     d3 = str(tmp_path / "r3")
     assert main(["sections", "--config", str(cfg), "--seed", "10", "--out", d3]) == 0

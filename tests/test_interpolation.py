@@ -188,6 +188,6 @@ def test_section_lower_bound_for_interpolants_with_ball():
     rng = np.random.default_rng(3)
     for _ in range(10):
         E = sp.haar_grassmannian(rng, n, int(rng.integers(2, n)))
-        lhs = sp.out_radius(sp.section(Lth, E), rng=rng, starts=24, iters=120)
-        rhs = sp.out_radius(sp.section(L, E), rng=rng, starts=24, iters=120) ** (1 - th)
+        lhs = sp.out_radius(sp.section(Lth, E), rng=rng)
+        rhs = sp.out_radius(sp.section(L, E), rng=rng) ** (1 - th)
         assert lhs >= rhs * (1 - 1e-3)

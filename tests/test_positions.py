@@ -122,6 +122,16 @@ def test_b1_objective_at_identity_beats_perturbations():
         assert obj(w0 + d) >= opt - 1e-10
 
 
+def test_cold_start_evaluates_the_identity_once(monkeypatch):
+    # tol = 1e9 accepts the identity, so its one evaluation is the whole solve
+    points = []
+    call = _DiagObjective.__call__
+    monkeypatch.setattr(_DiagObjective, "__call__", lambda self, w: points.append(np.array(w)) or call(self, w))
+    res = solve_ell_position(bd.cross_polytope(8), GaussianSample(32, 2000, 8), tol=1e9)
+    assert len(points) == 1 and not points[0].any()
+    assert res.iterations == 0 and res.objective == res.objective_at_identity
+
+
 def test_full_mode_commutant_on_symmetrized_sample():
     base = GaussianSample(200, 500, 4)
     sym = FixedSample(base.sign_symmetrized())

@@ -253,7 +253,7 @@ def test_geometric_distance_examples():
 def test_batched_section_out_radii():
     K = bd.Ellipsoid(np.diag(np.linspace(0.5, 2.0, 6)))
     bases = sp.haar_grassmannian_batch(np.random.default_rng(4), 6, 4, 20)
-    vals = sp.section_out_radii(K, bases)
+    vals = sp.section_out_radii(K, bases, np.random.default_rng(5))
     for i in range(20):
         lam = np.linalg.eigvalsh(bases[i].T @ K.A @ bases[i])
         assert vals[i] == pytest.approx(lam[0] ** -0.5, rel=1e-10)
@@ -358,6 +358,40 @@ def test_ratio_extremum_many_empty_stack(body):
     for Ps in (None, np.zeros((0, 2, 4))):
         vals = ratio_extremum_many(body, np.zeros((0, 4, 3)), Ps)
         assert vals.shape == (0,)
+
+
+def test_each_purpose_runs_at_its_effort(monkeypatch):
+    from regpos import _ascent
+    from regpos.experiments import run_lowmstar_check
+    from regpos.regular import section_radius_sample
+    from regpos.zoo import random_h_polytope
+
+    efforts = []
+    extremize = _ascent._extremize
+
+    def recording(body, Zs, Ps, mode, rng, effort):
+        efforts.append(effort)
+        return extremize(body, Zs, Ps, mode, rng, effort)
+
+    monkeypatch.setattr(_ascent, "_extremize", recording)
+
+    def run(call):
+        efforts.clear()
+        call()
+        return set(efforts)
+
+    rng = np.random.default_rng(26)
+    K = bd.WeightedLp(1.5, np.linspace(1.0, 2.0, 6))
+    bases = sp.haar_grassmannian_batch(rng, 6, 4, 3)
+    survey = {_ascent.SURVEY}
+    assert run(lambda: sp.section_out_radii(K, bases, rng)) == survey
+    assert run(lambda: sp.section_out_radii(K, bases, rng, rng.standard_normal((3, 2, 6)))) == survey
+    assert run(lambda: section_radius_sample(K, 3, 4, rng)) == survey
+    assert run(lambda: run_lowmstar_check(n_list=(4,), samples=100, ell_samples=1000)) == survey
+    assert run(lambda: random_h_polytope(rng, 3).radii) == {_ascent.RADIUS}
+    assert run(lambda: bd.complexify(bd.cross_polytope(2)).support(rng.standard_normal((1, 4)))) == {_ascent.SUPPORT}
+    with pytest.raises(TypeError):
+        _ascent.ratio_extremum_many(K, bases, starts=8)
 
 
 # ----------------------------------------------------------------------

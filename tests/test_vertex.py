@@ -9,8 +9,7 @@ import pytest
 from regpos import _ascent
 from regpos import bodies as bd
 from regpos import subspaces as sp
-from regpos._ascent import _extremize, ratio_extremum_many
-from regpos.regular import SURVEY
+from regpos._ascent import SURVEY, _extremize, ratio_extremum_many
 
 
 def _enumerated_maxima(scales, Zs, Ps=None):
@@ -76,7 +75,7 @@ def test_vertex_search_matches_enumeration(n, k):
         for name, (Zs, Ps) in problems.items():
             exact = _enumerated_maxima(K.scales, Zs, Ps)
             short = 1.0 - ratio_extremum_many(K, Zs, Ps) / exact
-            ascent = _extremize(K, Zs, Ps, "max", np.random.default_rng(0), **SURVEY, polish=40)[0]
+            ascent = _extremize(K, Zs, Ps, "max", np.random.default_rng(0), SURVEY)[0]
             where = (body, name)
             assert np.quantile(short, 0.9) <= 1e-3, where
             assert short.min() >= -1e-9, where
@@ -94,7 +93,7 @@ def test_cube_vertex_walk_against_enumeration(n, k):
         for name, (Zs, Ps) in problems.items():
             exact = _enumerated_cube_maxima(K.scales, Zs, Ps)
             short = 1.0 - ratio_extremum_many(K, Zs, Ps) / exact
-            ascent = 1.0 - _extremize(K, Zs, Ps, "max", np.random.default_rng(0), **SURVEY, polish=40)[0] / exact
+            ascent = 1.0 - _extremize(K, Zs, Ps, "max", np.random.default_rng(0), SURVEY)[0] / exact
             where = (body, name)
             assert short.min() >= -1e-9 and ascent.min() >= -1e-9, where
             assert np.quantile(short, 0.9) < np.quantile(ascent, 0.9), where
@@ -206,5 +205,5 @@ def test_ratio_extrema_dispatch(monkeypatch):
         (bd.cube(n), codim2, bd.ball(n), "max"),
         (bd.cube(n), sp.haar_grassmannian_batch(rng, n, n - 4, 3), None, "max"),
     ]:
-        assert np.all(ratio_extremum_many(body, Zs, Ps, mode=mode, starts=2, iters=3, probes=4) > 0)
+        assert np.all(ratio_extremum_many(body, Zs, Ps, mode=mode) > 0)
     assert len(calls) == 7
