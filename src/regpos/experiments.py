@@ -841,7 +841,9 @@ def run_lowmstar_check(
                         measured={
                             "cr_k": measured(g.value, ci=g.ci),
                             "ell_star": measured(ells[name].value, se=ells[name].se),
-                            "sqrtk_cr_over_ellstar": measured(ratio, exact=True),
+                            # cr_k's bootstrap CI, scaled like the ratio
+                            "sqrtk_cr_over_ellstar": measured(ratio, ci=np.sqrt(k) * np.asarray(g.ci)
+                                                              / ells[name].value),
                         },
                     ))
     c_emp = {key: val for key, val in sorted(summaries.items())}
@@ -894,8 +896,8 @@ def run_regularity_curve(
                         "fp_samples": fp_samples},
                 measured={
                     "P_emp": measured(rep.P_emp, lower_bound=True),
-                    "slope_body": measured(rep.slopes["body"], exact=True),
-                    "slope_polar": measured(rep.slopes["polar"], exact=True),
+                    "slope_body": measured(rep.slopes["body"], se=rep.slope_se["body"]),
+                    "slope_polar": measured(rep.slopes["polar"], se=rep.slope_se["polar"]),
                     "fp_residual": measured(fp.residual, exact=True),
                 },
             ))

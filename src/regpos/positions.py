@@ -231,10 +231,11 @@ _BACKTRACKS = 20
 _EPS = np.finfo(float).eps
 
 
-def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20):
+def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20, at_x0=None):
     """Minimize fun (which returns the value and the gradient) from x0 by
     L-BFGS; returns (x, f, g, iterations, converged), where converged means
-    max |g| <= gtol.
+    max |g| <= gtol.  at_x0, when given, is fun(x0), which is then not
+    evaluated again.
 
     The direction comes from the two-loop recursion over the last `memory`
     pairs (s, y), scaled by s.y / y.y; a pair with s.y <= 0 is skipped.  The
@@ -245,7 +246,7 @@ def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20):
     rounding of the value, the search has failed and the solve stops.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
+    f, g = fun(x) if at_x0 is None else at_x0
     pairs = []
     it = 0
     while np.abs(g).max() > gtol and it < maxiter:
@@ -325,7 +326,7 @@ def solve_ell_position(
     rounds = 0
     while residual > tol and iters < max_iter and rounds < 4:
         x, psi, grad, nit, _ = _lbfgs(obj, x, maxiter=max_iter - iters, ftol=1e-18,
-                                      gtol=0.1 * tol * max(psi, 1e-300))
+                                      gtol=0.1 * tol * max(psi, 1e-300), at_x0=(psi, grad))
         iters += max(nit, 1)
         residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
         rounds += 1

@@ -213,6 +213,7 @@ class RegularityReport:
     k_grid: list
     cr: dict                 # {"body": [GelfandEstimate...], "polar": [...]}
     slopes: dict             # least-squares exponent of log cr vs log(n/k)
+    slope_se: dict           # its least-squares standard error (nan for two k)
     P_emp: float
 
     def cr_values(self, which):
@@ -244,10 +245,17 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
             rng = np.random.default_rng(np.random.SeedSequence([seed, bi, int(k)]))
             cr[name].append(random_gelfand(B, int(k), samples, c, rng=rng))
     logs = np.log(np.asarray(k_grid, dtype=float) / n)
-    slopes = {}
+    slopes, slope_se = {}, {}
     for name in duo:
         y = np.log(np.array([g.value for g in cr[name]]))
-        slopes[name] = float(np.polyfit(-logs, y, 1)[0])
+        if len(y) > 2:
+            coef, cov = np.polyfit(-logs, y, 1, cov=True)
+            slope_se[name] = float(np.sqrt(cov[0, 0]))
+        else:
+            # a line through two points leaves no residual to estimate it from
+            coef = np.polyfit(-logs, y, 1)
+            slope_se[name] = float("nan")
+        slopes[name] = float(coef[0])
     P_emp = max(
         (k / n) ** alpha * g.value
         for name in duo
@@ -255,5 +263,5 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
     )
     return RegularityReport(
         alpha=float(alpha), c=float(c), n=n, k_grid=list(map(int, k_grid)),
-        cr=cr, slopes=slopes, P_emp=float(P_emp),
+        cr=cr, slopes=slopes, slope_se=slope_se, P_emp=float(P_emp),
     )

@@ -192,11 +192,13 @@ class SectionBody(bd.ConvexBody):
             g, y = parent._gauge_subgrad(z[None, :])
             return float(g[0]), C.T @ y[0]
 
-        wstar, val, _, _, converged = _lbfgs(fun, np.zeros(nw), maxiter=400, ftol=1e-16, gtol=1e-12)
-        if not parent.exact or not converged:
+        wstar, val, _, nit, converged = _lbfgs(fun, np.zeros(nw), maxiter=400, ftol=1e-16, gtol=1e-12)
+        # on an exact smooth parent, an _lbfgs stop short of maxiter is a stop at
+        # rounding (its ftol rule or a failed line search), which Powell cannot improve
+        if not parent.exact or not (converged or (nit < 400 and _smooth(parent))):
             from scipy.optimize import minimize
 
-            # derivative-free polish for inexact parents and for minima left above gtol
+            # derivative-free polish for inexact or kinked parents and for minima left above gtol
             res2 = minimize(lambda w: float(parent._gauge((x0 + C @ w)[None, :])[0]),
                             wstar, method="Powell",
                             options={"maxiter": 4000, "xtol": 1e-10, "ftol": 1e-12})
@@ -271,6 +273,19 @@ def _affine_rep(K):
             kind, M = rep
             return kind, M @ K.carrier.basis
     return None
+
+
+def _smooth(K):
+    """Whether the gauge of K is differentiable away from the origin."""
+    if isinstance(K, bd.WeightedLp):
+        return 1.0 < K.p < np.inf
+    if isinstance(K, bd.Ellipsoid):
+        return True
+    if isinstance(K, bd.LinearImage):
+        return _smooth(K.base)
+    if isinstance(K, SectionBody) and K.mode == "section":
+        return _smooth(K.parent)
+    return False
 
 
 def _fiber_min_lp(kind, M, x0, C):

@@ -229,12 +229,22 @@ def test_curve_p_emp_decreasing_in_alpha():
     assert p[0] > p[2]
 
 
-def test_run_lowmstar_structure():
-    out = run_lowmstar_check(n_list=(16,), samples=150, seed=0, ell_samples=4000)
+def test_run_lowmstar_structure(tmp_path):
+    with JsonlWriter(tmp_path / "lowmstar.jsonl") as w:
+        out = run_lowmstar_check(n_list=(16,), samples=150, seed=0, ell_samples=4000, writer=w)
     assert set(k[0] for k in out["C_emp"]) == set(n for n, _ in default_zoo(16))
     assert out["C_emp_max"] <= 3.0
     ks = sorted({r["k"] for r in out["rows"]})
     assert ks == [1, 2, 4, 8]
+    # sqrt(k) cr_k / ell* carries cr_k's bootstrap CI, scaled by sqrt(k) / ell*
+    recs = [json.loads(line) for line in (tmp_path / "lowmstar.jsonl").read_text().splitlines()]
+    assert len(recs) == len(out["rows"])
+    for rec in recs:
+        ratio, cr = rec["measured"]["sqrtk_cr_over_ellstar"], rec["measured"]["cr_k"]
+        scale = np.sqrt(rec["params"]["k"]) / rec["measured"]["ell_star"]["value"]
+        assert "exact" not in ratio
+        assert ratio["value"] == pytest.approx(scale * cr["value"], rel=1e-12)
+        assert ratio["ci"] == pytest.approx([scale * cr["ci"][0], scale * cr["ci"][1]], rel=1e-12)
 
 
 def test_run_curve_structure(tmp_path):
@@ -248,6 +258,10 @@ def test_run_curve_structure(tmp_path):
     assert len(recs) == 2
     for rec in recs:
         assert rec["measured"]["P_emp"]["bound"] == "lower" and "exact" not in rec["measured"]["P_emp"]
+        # the slopes are least-squares fits over the three k of n = 8, with their standard errors
+        for key in ("slope_body", "slope_polar"):
+            assert "exact" not in rec["measured"][key]
+            assert np.isfinite(rec["measured"][key]["se"]) and rec["measured"][key]["se"] >= 0.0
     # ball input gives a flat curve at 1
     flat = run_regularity_curve(bd.WeightedLp(2.0, np.ones(8)), alphas=(0.75, 1.5),
                                 samples=120, seed=0, fp_samples=4000)

@@ -132,6 +132,27 @@ def test_cold_start_evaluates_the_identity_once(monkeypatch):
     assert res.iterations == 0 and res.objective == res.objective_at_identity
 
 
+def test_no_objective_point_is_evaluated_twice(monkeypatch):
+    # each L-BFGS round of solve_ell_position starts from the point, value and
+    # gradient the solve already holds, so no round re-evaluates its start
+    points = {}
+    alive = []         # keeps every objective, so that no id is reused
+    call = _DiagObjective.__call__
+
+    def counted(self, w):
+        alive.append(self)
+        key = (id(self), np.asarray(w).tobytes())
+        points[key] = points.get(key, 0) + 1
+        return call(self, w)
+
+    monkeypatch.setattr(_DiagObjective, "__call__", counted)
+    from regpos.regular import find_regular_position
+
+    find_regular_position(bd.cross_polytope(16), 0.75, seed=1, samples=4000)
+    assert len(points) > 10
+    assert max(points.values()) == 1
+
+
 def test_full_mode_commutant_on_symmetrized_sample():
     base = GaussianSample(200, 500, 4)
     sym = FixedSample(base.sign_symmetrized())
@@ -167,8 +188,9 @@ def test_nonconvergence_is_flagged_not_hidden():
     assert res.residual > 1e-14
 
 
-def _scipy_lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20):
-    """scipy's L-BFGS-B with _lbfgs's signature and return value, as the reference."""
+def _scipy_lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20, at_x0=None):
+    """scipy's L-BFGS-B with _lbfgs's signature and return value, as the
+    reference; it evaluates x0 itself, so at_x0 is not used."""
     from scipy.optimize import minimize
 
     res = minimize(fun, x0, jac=True, method="L-BFGS-B",
@@ -202,6 +224,15 @@ def test_lbfgs_stopping_rules():
     # a gradient along which the value never falls strictly: the line search fails at x0
     x, f, g, it, ok = positions._lbfgs(lambda x: (1.0, np.ones(6)), x0, maxiter=200, ftol=0.0, gtol=1e-10)
     assert (it, ok) == (0, False) and np.array_equal(x, x0)
+    # a known (value, gradient) at x0 is used instead of evaluating it again
+    calls = []
+    counted = lambda x: calls.append(1) or quad(x)  # noqa: E731
+    cold = positions._lbfgs(counted, x0, maxiter=200, ftol=0.0, gtol=1e-10)
+    n_cold = len(calls)
+    warm = positions._lbfgs(counted, x0, maxiter=200, ftol=0.0, gtol=1e-10, at_x0=quad(x0))
+    assert len(calls) - n_cold == n_cold - 1
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,K,sample", _REFERENCE_BODIES, ids=[b[0] for b in _REFERENCE_BODIES])
@@ -231,9 +262,18 @@ def test_fiber_min_lbfgs_matches_scipy_reference(monkeypatch):
         ref.append(_scipy_lbfgs(fun, np.zeros(3), maxiter=400, ftol=1e-16, gtol=1e-12)[1])
     calls = []
     monkeypatch.setattr(sp, "_lbfgs", lambda *a, **k: calls.append(1) or positions._lbfgs(*a, **k))
+    # on this exact smooth parent _lbfgs stops at rounding, short of its
+    # iteration cap, so no point takes the Powell polish
+    import scipy.optimize
+
+    minimize = scipy.optimize.minimize
+    powell = []
+    monkeypatch.setattr(scipy.optimize, "minimize",
+                        lambda *a, **k: powell.append(k.get("method")) or minimize(*a, **k))
     for x0, r in zip(X0, ref):
         assert P._fiber_min_one(x0)[0] == pytest.approx(r, rel=1e-9)
     assert len(calls) == len(X0)
+    assert powell == []
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from regpos import _ascent
+from regpos import _ascent, _vertex
 from regpos import bodies as bd
 from regpos import subspaces as sp
 from regpos._ascent import SURVEY, _extremize, ratio_extremum_many
@@ -207,3 +207,94 @@ def test_ratio_extrema_dispatch(monkeypatch):
     ]:
         assert np.all(ratio_extremum_many(body, Zs, Ps, mode=mode) > 0)
     assert len(calls) == 7
+
+
+def _walk_grid(seed):
+    """(K, Zs, Ps) over weighted l_1 balls and cubes, Haar and degenerate
+    sections of codimension 1..3, with and without a projection numerator."""
+    for n in (6, 10):
+        w = np.linspace(1.0, 3.0, n)
+        for c in (1, 2, 3):
+            rng = np.random.default_rng([seed, n, c])
+            Ps = rng.standard_normal((24, 3, n))
+            for Zs in (sp.haar_grassmannian_batch(rng, n, n - c, 24), _sparse_bases(rng, n, n - c, 24)):
+                for K in (bd.cross_polytope(n), bd.WeightedLp(1.0, w), bd.cube(n), bd.WeightedLp(np.inf, w)):
+                    for P in (None, Ps):
+                        yield K, Zs, P
+
+
+def _close(got, fresh):
+    """Largest entrywise gap of two (W, r, n) stacks, relative to the larger of 1 and |fresh|."""
+    scale = np.maximum(1.0, np.abs(fresh).max(axis=(1, 2)))
+    return (np.abs(got - fresh).max(axis=(1, 2)) / scale).max()
+
+
+@pytest.mark.parametrize("seed", [3, 41])
+def test_carried_inverses_match_a_fresh_inverse(seed, monkeypatch):
+    # the walks carry their tableaux by pivots and the purification its M^-1
+    # by downdates; at the end of every walk both match a fresh inverse
+    seen = {}
+    for name in ("_swap_walk", "_purify", "_edge_walk"):
+        def spy(*args, _f=getattr(_vertex, name), _name=name):
+            out = _f(*args)
+            seen.setdefault(_name, []).append((args, out))
+            return out
+        monkeypatch.setattr(_vertex, name, spy)
+    for K, Zs, P in _walk_grid(seed):
+        ratio_extremum_many(K, Zs, P)
+    assert set(seen) == {"_swap_walk", "_purify", "_edge_walk"}
+    for (s, Aw, G, sec, _), (J, p0, T) in seen["_swap_walk"]:
+        W, c, n = Aw.shape
+        rows = np.arange(W)
+        pos = (p0[:, None] + 1 + np.arange(c)) % (c + 1)                # the basis positions
+        B = np.take_along_axis(J, pos, axis=1)
+        fresh = np.linalg.inv(np.take_along_axis(Aw, B[:, None, :], axis=2)) @ Aw
+        assert _close(T[pos, rows[:, None]], fresh) <= 1e-9
+        assert not T[p0, rows].any()
+    for (Ap, _, _), (_, free, Minv) in seen["_purify"]:
+        # Ap has its fixed columns zeroed, so A' A'^T is M of the free columns
+        fresh = np.linalg.inv(np.einsum("bwn,cwn->wbc", Ap, Ap))
+        assert _close(np.moveaxis(Minv, -1, 0), fresh) <= 1e-9
+        assert (free.sum(axis=1) == Ap.shape[0]).all()
+    for (Ap, _, _, _, _), (_, B, T) in seen["_edge_walk"]:
+        Aw = np.moveaxis(Ap, 0, 1)
+        fresh = np.linalg.inv(np.take_along_axis(Aw, B[:, None, :], axis=2)) @ Aw
+        assert _close(np.moveaxis(T, 0, 1), fresh) <= 1e-9
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
+def test_normal_basis_is_orthonormal_and_normal(c):
+    # A has orthonormal rows orthogonal to F, whatever the section: Haar,
+    # coordinate aligned, or missing and tying coordinates
+    rng = np.random.default_rng([17, c])
+    n = 12
+    cases = [
+        sp.haar_grassmannian_batch(rng, n, n - c, 40),
+        sp.haar_grassmannian_batch(rng, 3 * n, 3 * n - c, 40),
+        np.stack([np.eye(n)[:, rng.permutation(n)[: n - c]] for _ in range(12)]),
+        _sparse_bases(rng, 8, 8 - c, 24),
+    ]
+    for Zs in cases:
+        A = _vertex._normal_basis(Zs)
+        assert A.shape == (Zs.shape[0], c, Zs.shape[1])
+        assert np.abs(A @ Zs).max() <= 1e-12
+        assert np.abs(A @ np.swapaxes(A, 1, 2) - np.eye(c)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_maxima_do_not_depend_on_the_section_basis(k):
+    # the walks see F only through its normals, so rotating the basis of F
+    # moves no l_1 value, with or without a numerator, and no cube value with
+    # a projection numerator (plain cube sections are decided by rounding)
+    n = 32
+    rng = np.random.default_rng([5, k])
+    F, E, _ = sp.haar_flag_batch(rng, n, k, 150)
+    Ps = np.swapaxes(E, 1, 2)
+    Q = np.linalg.qr(rng.standard_normal((150, n - k + 1, n - k + 1)))[0]
+    w = 1.0 + np.arange(n) / (n - 1.0)
+    for K, numerators in [(bd.cross_polytope(n), (None, Ps)), (bd.WeightedLp(1.0, w), (None, Ps)),
+                          (bd.cube(n), (Ps,)), (bd.WeightedLp(np.inf, w), (Ps,))]:
+        for P in numerators:
+            a = ratio_extremum_many(K, F, P)
+            b = ratio_extremum_many(K, F @ Q, P)
+            assert b == pytest.approx(a, rel=1e-9), (K.p, P is None)
