@@ -4,9 +4,10 @@ on random sections.
 Convex bodies are norm oracles (gauge, support, subgradient) over exact
 closed-form families; positions are determinant-one linear images.  The
 package computes the ell-position by sample-average approximation, the
-alpha-regular typical position by a damped fixed-point iteration over
-interpolated bodies, and drives desk-scale Monte Carlo checks of random
-section regularity and the random quotient-of-subspace phenomenon.
+alpha-regular typical position as the closed-form fixed point of the
+ell-position map of interpolated bodies, and drives desk-scale Monte Carlo
+checks of random section regularity and the random quotient-of-subspace
+phenomenon.
 """
 
 from .bodies import (

@@ -562,7 +562,7 @@ def _check_fixed_point(seed):
     # ball: fixed point within the SAA band, balance scale near 1
     fp = find_regular_position(bd.WeightedLp(2.0, np.ones(4)), 1.0, seed=int(seed) + 61, samples=20000)
     if not fp.converged:
-        return False, "ball iteration did not converge"
+        return False, "ball fixed point did not converge"
     if float(np.abs(fp.T.log_diag()).max()) > 0.05 or abs(fp.balance - 1.0) > 0.05:
         return False, f"ball fixed point off: T drift {np.abs(fp.T.log_diag()).max():.3f}, a = {fp.balance:.3f}"
     # diagonal ellipsoid closed form (with sample second moments)
@@ -574,14 +574,14 @@ def _check_fixed_point(seed):
     err = float(np.abs(fp.T.log_diag() - np.log(pred)).max())
     if err > 1e-4:
         return False, f"ellipsoid fixed point off the closed form by {err:.2e}"
-    # B_1^8 from a random start returns to (SAA-)identity and certifies
+    # B_1^8: its fixed point is the (SAA-)identity, and the certificate agrees
     K = bd.cross_polytope(8)
     fp = find_regular_position(K, 0.75, seed=int(seed) + 63, samples=20000)
     if not fp.converged:
-        return False, "B_1^8 iteration did not converge"
+        return False, "B_1^8 fixed point did not converge"
     cert = ell_position_certificate(fp, K)
     if cert > 5 * max(fp.residual, 1e-5):
-        return False, f"certificate residual {cert:.2e} vs iteration residual {fp.residual:.2e}"
+        return False, f"certificate residual {cert:.2e} vs fixed-point residual {fp.residual:.2e}"
     if float(np.abs(fp.T.log_diag()).max()) > 0.1:
         return False, "B_1^8 fixed point strays far from the identity"
     return True, "ball, ellipsoid closed form and B_1 certificate all hold"

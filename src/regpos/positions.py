@@ -301,7 +301,6 @@ def solve_ell_position(
     mode: str = "auto",
     tol: float = 1e-6,
     max_iter: int = 500,
-    start=None,
 ) -> EllPositionResult:
     """SAA ell-position of K: the returned T minimizes mean ||T^{-1} g_j||_K^2
     over SPD determinant-one maps (diagonal when K is unconditional)."""
@@ -313,15 +312,10 @@ def solve_ell_position(
         raise ValueError("mode must be 'auto', 'diagonal' or 'full'")
     n = K.dim
     obj = _DiagObjective(K, sample) if mode == "diagonal" else _FullObjective(K, sample)
-    x0 = np.zeros(n if mode == "diagonal" else n * n)
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        x0 = start.copy().ravel()
-    psi_id, grad_id = obj(np.zeros_like(x0))
-
-    x = x0
+    x = np.zeros(n if mode == "diagonal" else n * n)
+    psi, grad = obj(x)
+    psi_id = psi
     iters = 0
-    psi, grad = (psi_id, grad_id) if start is None else obj(x)
     residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
     rounds = 0
     while residual > tol and iters < max_iter and rounds < 4:
@@ -331,14 +325,8 @@ def solve_ell_position(
         residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
         rounds += 1
 
-    if psi > psi_id and start is not None:
-        # warm start went sour; fall back to the identity start
-        return solve_ell_position(K, sample, mode=mode, tol=tol, max_iter=max_iter, start=None)
-
     if mode == "diagonal":
-        w = x - x.mean()
-        T = PositionMap.from_diag(np.exp(-w))
-        T._chart_solution = w
+        T = PositionMap.from_diag(np.exp(-(x - x.mean())))
     else:
         S = obj._chart(x)
         lam, Q = np.linalg.eigh(S)

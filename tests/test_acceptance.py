@@ -67,7 +67,7 @@ def test_criterion_2_ellipsoid_oracle_equivalence():
         )
         # fixed point vs the hand-derived diag(v^(1/2))/geomean (SAA moments)
         alpha = 1.0 if trial % 2 == 0 else 0.75
-        fp = find_regular_position(K, alpha, sample=samples[n], tol=1e-6, max_iter=300)
+        fp = find_regular_position(K, alpha, sample=samples[n], tol=1e-6)
         pred = np.sqrt(v) * mom2[n] ** (1.0 / (2.0 * (1.0 - fp.theta)))
         pred /= np.exp(np.log(pred).mean())
         worst_fixed = max(worst_fixed, float(np.abs(fp.T.log_diag() - np.log(pred)).max()))
@@ -94,7 +94,7 @@ def test_criterion_3_fixed_point_certificate():
             cert_ok = 0
             for seed in range(10):
                 fp = find_regular_position(
-                    K, alpha, seed=7000 + seed, samples=20000, tol=1e-4, max_iter=200
+                    K, alpha, seed=7000 + seed, samples=20000, tol=1e-4
                 )
                 if fp.converged and fp.residual <= 1e-4:
                     converged += 1

@@ -1,6 +1,7 @@
 """Harness tests: record round trips, CLI subcommands, determinism of output
 files, and a negative control for the duality suite."""
 
+import csv
 import filecmp
 import importlib.util
 import json
@@ -444,6 +445,18 @@ def test_cli_regpos_outputs_identical_across_threads(tmp_path):
     assert files == ["regpos.jsonl", "regpos_summary.csv"]
     for f in files:
         assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+
+
+def test_cli_regpos_large_alpha_converges(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "bodies": [{"preset": "wlp3", "dim": 16}, {"preset": "binf", "dim": 16}],
+        "alpha": 50, "samples": 4000,
+    }))
+    assert main(["regpos", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "regpos_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["converged"] for r in rows] == ["True", "True"]
 
 
 def test_cli_regpos_starts_no_threads(tmp_path):

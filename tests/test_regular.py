@@ -1,10 +1,12 @@
 """Fixed-point position tests and random Gelfand estimators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from regpos import bodies as bd
-from regpos import positions
+from regpos import positions, regular
 from regpos.gaussian import GaussianSample
 from regpos.positions import PositionMap
 from regpos.regular import (
@@ -17,6 +19,7 @@ from regpos.regular import (
     regularity_report,
     section_radius_sample,
 )
+from regpos.zoo import default_zoo, preset
 
 
 def test_fixed_point_map_ball_near_identity():
@@ -51,8 +54,49 @@ def test_fixed_point_map_requires_diagonal_and_tractable():
             bd.PolytopeH(np.random.default_rng(1).standard_normal((6, 3))),
             PositionMap.identity(3), 0.5, s,
         )
-    with pytest.raises(ValueError, match="start"):
-        fixed_point_map(bd.ball(3), PositionMap.identity(3), 0.5, s, start=PositionMap.identity(3))
+
+
+_AFFINE_BODIES = [(name, K) for name, K in default_zoo(8)
+                  if name in ("b1", "binf", "wlp1.5", "wlp3", "ell_cond100")]
+
+
+@pytest.mark.parametrize("theta", [0.2, 1 / 3, 0.9])
+@pytest.mark.parametrize("name,K", _AFFINE_BODIES, ids=[b[0] for b in _AFFINE_BODIES])
+def test_fixed_point_map_affine_in_log_t(name, K, theta):
+    # the closed form of find_regular_position rests on log F(t) = log F(I) + theta log t:
+    # the interpolant's log-scales are (1-theta) log s + theta log t, and the
+    # ell-position of a weighted l_p ball moves rigidly with its log-scales
+    s = GaussianSample(41, 4000, 8)
+    rng = np.random.default_rng(42)
+    f_id = fixed_point_map(K, PositionMap.identity(8), theta, s).log_diag()
+    for _ in range(3):
+        log_t = rng.normal(scale=0.5, size=8)
+        log_t -= log_t.mean()
+        f = fixed_point_map(K, PositionMap.from_diag(np.exp(log_t)), theta, s).log_diag()
+        shifted = f - theta * log_t
+        assert np.abs(shifted - shifted.mean() - f_id).max() <= 1e-7
+
+
+def test_find_regular_position_evaluates_the_map_twice(monkeypatch):
+    # one evaluation at the identity gives the fixed point, one more checks it
+    calls = []
+    fpm = regular.fixed_point_map
+    monkeypatch.setattr(regular, "fixed_point_map",
+                        lambda *args, **kw: calls.append((args[1], kw)) or fpm(*args, **kw))
+    fp = find_regular_position(preset("wlp1.5", 8), 0.75, seed=3, samples=4000)
+    assert fp.iterations == len(calls) == 2
+    assert [kw for _, kw in calls] == [{}, {}]
+    assert np.array_equal(calls[0][0].matrix, np.eye(8))
+    assert np.array_equal(calls[1][0].matrix, fp.T.matrix)
+
+
+@pytest.mark.parametrize("alpha", [10.0, 50.0, 100.0])
+def test_find_regular_position_large_alpha(alpha):
+    # theta = 1 - 1/(2 alpha) near 1 scales log F(I) up by 1/(1-theta) = 2 alpha;
+    # the fixed point must still check to solver accuracy
+    for K in (bd.cube(16), preset("wlp3", 32)):
+        fp = find_regular_position(K, alpha, seed=11, samples=20000)
+        assert fp.converged and fp.residual <= 1e-6
 
 
 def test_find_regular_position_ellipsoid_closed_form():
@@ -105,12 +149,24 @@ def test_find_regular_position_b1_symmetry_forces_identity():
     assert cert <= 5 * max(fp.residual, 1e-5)
 
 
+def test_certificate_reads_a_perturbed_position():
+    # at the closed-form position the certificate's re-solve starts at its
+    # optimum and reads 0; moving T by a centred log-diagonal delta moves the
+    # interpolant's log-scales by (1-theta) delta, and the certificate with them
+    K = preset("wlp1.5", 16)
+    fp = find_regular_position(K, 0.75, seed=12, samples=20000)
+    delta = np.random.default_rng(13).normal(size=16)
+    delta -= delta.mean()
+    delta *= 1e-3 / np.abs(delta).max()
+    moved = replace(fp, T=PositionMap.from_diag(np.exp(fp.T.log_diag() + delta)))
+    assert ell_position_certificate(moved, K) == pytest.approx((1 - fp.theta) * 1e-3, rel=1e-4)
+
+
 def test_find_regular_position_det_one_and_trace():
     fp = find_regular_position(
         bd.WeightedLp.from_weights(1.5, np.linspace(1, 2, 6)), 0.8, seed=7, samples=10000
     )
     assert abs(np.linalg.det(fp.T.matrix) - 1.0) <= 1e-10
-    assert fp.trace and fp.trace[-1] == fp.residual
     assert fp.body.as_weighted_lp() is not None
 
 
@@ -143,10 +199,10 @@ def test_balanced_interpolant_functionals_match_fresh_estimates():
 
 def test_divergence_reported_not_hidden():
     fp = find_regular_position(
-        bd.Ellipsoid(np.diag([16.0, 1.0])), 1.0, seed=8, samples=2000, tol=1e-12, max_iter=3
+        bd.Ellipsoid(np.diag([16.0, 1.0])), 1.0, seed=8, samples=2000, tol=1e-12
     )
     assert not fp.converged
-    assert fp.residual > 1e-12 and len(fp.trace) == 3
+    assert fp.residual > 1e-12
 
 
 # ----------------------------------------------------------------------
