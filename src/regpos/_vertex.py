@@ -9,9 +9,10 @@ the one with the largest remainder and projecting each row off F twice
 (a pivoted Cholesky factor of that projector, so no n x n factorization).
 
 Both walks carry their c x n tableaux T = A_B^-1 A across steps, one per
-walker, and change them by simplex pivots: when column j enters the basis
-in place of the basic at row b, row b is divided by T[b, j] and T[:, j]
-times it is taken from the others.  No step factors a c x c block.
+walker, from one inverse at its start, and change them by simplex pivots:
+when column j enters the basis in place of the basic at row b, row b is
+divided by T[b, j] and T[:, j] times it is taken from the others.  No step
+factors a c x c block.
 
 l_1 (p = 1).  A vertex of K cap F has support J of at most k = c + 1
 coordinates and is the null vector of the c x k block A_J.  A walker holds
@@ -37,25 +38,22 @@ A' = A / s, and the squared ratio is q(u) = u^T G' u with G' = P'^T P',
 P' = P / s.  A vertex has c basic coordinates B (A'_B nonsingular) and every
 other coordinate at +-1.  A walker starts at P_F e_i for one of the few i
 of largest |P_F e_i| (at the section's first seed where P_F e_i = 0),
-scaled to |u|_inf = 1, and is purified to a vertex:
-n - c - 1 passes each move u along the gradient of q projected onto the
-null space of the free columns of A' until one more coordinate reaches
-its bound, which q (convex on the line) does not let fall.  The projection
-uses M^-1 = (A'_free A'_free^T)^-1, carried across passes by a
-Sherman-Morrison downdate as each coordinate is fixed and factored afresh
-only where that downdate's pivot (the share of the fixed coordinate in the
-null space) is below _REFRESH.  A free coordinate outside that null space
-carries the rank of A'_free, so it is neither moved nor fixed, whatever
-rounding leaves in its gradient: a walker about to fix a coordinate whose
-projected gradient is rounding only (which only degenerate sections, with
-tied or missed coordinates, ever see) drops every such coordinate and
-steps again.  It then pivots: every edge of the vertex, the flip of a bound
-coordinate j towards its other bound with the basics following along
+scaled to |u|_inf = 1, and carries one basis and its tableau from there to
+its stop.  The first basis is greedy over the coordinates by ascending |u|,
+skipping dependent columns, so a coordinate that F holds at 0 (e_i in the
+row space of A') is basic, has a zero tableau row and never moves.  The
+purification then fixes one coordinate per pass: the free nonbasic j of
+largest |r_j| (1 - sign(r_j) u_j), where r_j is the slope of q along
+e_j - T[:, j] on B, moves towards sign(r_j) with the basics following,
+which q (convex on the line) does not let fall, until u_j or a basic
+reaches its bound; a basic that does leaves the basis for j by a pivot.
+The walk then pivots along edges: every edge of the vertex, the flip of a
+bound coordinate j towards its other bound with the basics following along
 -T[:, j], is cut by the ratio test on the c basics and scored as q at its
 far end; the best edge is taken while it raises q.
 
-Arrays of the walks put the basis position first: (c, W, n) tableaux and
-normals, so that sums over the few positions are elementwise.
+Arrays of the walks put the basis position first: (c, W, n) tableaux, so
+that sums over the few positions are elementwise.
 
 Either way the reported value is |P y| / gauge(y) at y = Z Z^T x, a point
 of F, so like every ascent iterate it is a lower bound on the maximum up
@@ -74,7 +72,6 @@ _MAX_SWAPS = 500   # a guard only: every swap raises the ratio, so walks end
 _PIVOT = 1e-9      # smallest pivot: |x_i| / max |x| (l_1), |T[b, j]| (cube)
 _GAIN = 1e-12      # smallest relative rise of the squared ratio that moves a walker
 _REBASE = 1e-2     # l_1: re-choose j0 when |x_j0| falls below this share of max |x|
-_REFRESH = 1e-3    # cube: factor M afresh when a downdate's pivot falls below this
 
 
 def vertex_maxima(body, Zs, Ps):
@@ -128,13 +125,30 @@ def _stack_matmul(M, T):
     return np.moveaxis(np.moveaxis(M, 1, 0) @ np.moveaxis(T, 1, 0), 1, 0)
 
 
+def _tableau(A, B):
+    """(c, W, n) tableaux A_B^-1 A of the (W, c, n) normals A on the bases B (W, c)."""
+    return np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.take_along_axis(A, B[:, None, :], axis=2)) @ A, 1, 0))
+
+
+def _edge_quadratics(G, Gd, sec, B, T):
+    """(a, n) values q(e_j - T[:, j] on B) for every j of each walker w, with q
+    the form G[sec[w]] of the (S, n, n) stack G (diagonals Gd), its tableau
+    T[:, w] (k, a, n) and coordinates B[w] (a, k); also the rows G[B]
+    (k, a, n) and blocks G[B, B] (k, a, k) gathered for them."""
+    GB = G[sec, B.T]
+    GBB = G[sec[:, None], B.T[:, :, None], B]
+    return Gd[sec] - np.einsum("bwn,bwn->wn", T, 2.0 * GB - _stack_matmul(GBB, T)), GB, GBB
+
+
 def _pivot(T, row, col, pos, on):
     """Pivot the (k, a, n) tableaux T in place where `on` (a,): column col
     enters the basis at position pos and the basic at position row leaves;
     row becomes zero unless it is pos."""
     a = np.arange(T.shape[1])
     new = T[row, a] / np.where(on, T[row, a, col], 1.0)[:, None]
-    T -= (T[:, a, col] * on)[:, :, None] * new
+    f = T[:, a, col] * on
+    for b in range(T.shape[0]):                 # by position, so that temporaries stay (a, n)
+        T[b] -= f[b, :, None] * new
     row, pos, a, new = row[on], pos[on], a[on], new[on]
     T[row, a] = 0.0
     T[pos, a] = new
@@ -167,7 +181,7 @@ def _swap_walk(s, Aw, G, sec, J):
     k = c + 1
     p0 = np.full(W, c)
     T = np.zeros((k, W, n))
-    T[:c] = np.moveaxis(np.linalg.inv(np.take_along_axis(Aw, J[:, None, :c], axis=2)) @ Aw, 1, 0)
+    T[:c] = _tableau(Aw, J[:, :c])
     Gd = None if G is None else np.diagonal(G, axis1=1, axis2=2)
     # the walkers whose last swap raised the ratio, and their supports,
     # kept-out positions and tableaux; the others are written back as they stop
@@ -217,11 +231,8 @@ def _swap_walk(s, Aw, G, sec, J):
             qwx = -np.einsum("lwn,lw->wn", Ta, x)
             qxx = np.einsum("lw,lw->w", x, x)
         else:
-            sec_a = sec[act]
-            GJ = G[sec_a, Ja.T]                                                 # rows J of G, (k, a, n)
-            GJJ = G[sec_a[:, None], Ja.T[:, :, None], Ja]                       # (k, a, k)
+            qww, GJ, GJJ = _edge_quadratics(G, Gd, sec[act], Ja, Ta)
             GJx = np.einsum("lam,ma->la", GJJ, x)                               # (G x) on J, (k, a)
-            qww = Gd[sec_a] - np.einsum("lwn,lwn->wn", Ta, 2.0 * GJ - _stack_matmul(GJJ, Ta))
             qwx = np.einsum("lwn,lw->wn", GJ, x) - np.einsum("lwn,lw->wn", Ta, GJx)
             qxx = np.einsum("lw,lw->w", x, GJx)
         score = t * qxx[:, None]
@@ -277,10 +288,7 @@ def _cube_walk(s, A, Ps, V):
 
         def curv(T, B, idx):
             """q(e_j - T[:, j] on B) for every j: q's curvature along the edges."""
-            sa = sec[idx]
-            GB = Gp[sa, B.T]                                                    # rows B of G', (c, a, n)
-            GBB = Gp[sa[:, None], B.T[:, :, None], B]                           # (c, a, c)
-            return Gd[sa] - np.einsum("bwn,bwn->wn", T, 2.0 * GB - _stack_matmul(GBB, T))
+            return _edge_quadratics(Gp, Gd, sec[idx], B, T)[0]
 
     # a coordinate that F misses (P_F e_i = 0) seeds nothing: its walker starts
     # from the section's first seed, which is never zero
@@ -288,77 +296,68 @@ def _cube_walk(s, A, Ps, V):
     size = np.abs(U).max(axis=2, keepdims=True)
     dead = size <= 1e-9 * size[:, :1]
     U = (np.where(dead, U[:, :1], U) / np.where(dead, size[:, :1], size)).reshape(W, n)
-    Ap = np.ascontiguousarray(np.moveaxis((A / s)[sec], 1, 0))                # A', (c, W, n)
-    U, free, _ = _purify(Ap.copy(), grad, U)
-    U, _, _ = _edge_walk(Ap, grad, curv, U, np.argsort(~free, axis=1, kind="stable")[:, :Ap.shape[0]])
+    Ap = (A / s)[sec]                                                           # A', (W, c, n)
+    # the first basis takes the coordinates of smallest |u| first, so that every
+    # coordinate F holds at 0 (e_i in the row space of A') is basic and stays put
+    B = _seed_supports(Ap, np.argsort(np.abs(U), axis=1, kind="stable"))[:, :-1]
+    U, B, T = _purify(grad, U, B, _tableau(Ap, B))
+    U, _, _ = _edge_walk(grad, curv, U, B, T)
     return U / s
 
 
-def _purify(Ap, grad, U):
-    """Purify the (W, n) points U of {A' u = 0, |u|_inf <= 1} to vertices: each
-    pass moves the free coordinates along the projected gradient of q until
-    one more reaches its bound, so n - c coordinates end at +-1.  Ap (c, W, n)
-    holds A' and has its fixed columns zeroed as it goes.  Returns U, the
-    free mask and M^-1 = (A'_free A'_free^T)^-1 as a (c, c, W) stack."""
-    c, W, n = Ap.shape
+def _purify(grad, U, B, T):
+    """Purify the (W, n) points U of {A' u = 0, |u|_inf <= 1} to vertices on
+    the bases B (W, c) and their (c, W, n) tableaux T = A'_B^-1 A'.  Each pass
+    takes the free nonbasic j of largest |r_j| (1 - sign(r_j) u_j), r_j the
+    slope of q along e_j - T[:, j] on B, and moves u_j towards sign(r_j), the
+    basics following along -T[:, j], until u_j or a basic reaches its bound; a
+    basic that does leaves the basis for j.  Either way one more coordinate is
+    fixed, and q, convex on the line, does not fall.  Returns U, B and T."""
+    c, W, n = T.shape
     rows = np.arange(W)
-    free = np.ones((W, n), dtype=bool)
-    Minv = _gram_inverse(Ap)
-    i = np.abs(U).argmax(axis=1)
-    for p in range(n - c):
-        U[rows, i] = np.sign(U[rows, i])
-        free[rows, i] = False
-        # fixing i takes its column out of M: downdate M^-1, whose pivot
-        # 1 - a_i^T M^-1 a_i is the share of e_i in the null space of A'_free
-        col = Ap[:, rows, i]                                                    # (c, W)
-        h = np.einsum("bcw,cw->bw", Minv, col)                                  # M^-1 a_i
-        piv = 1.0 - np.einsum("bw,bw->w", col, h)
-        Ap[:, rows, i] = 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Minv += h[:, None] * (h / piv)
-        stale = np.flatnonzero(piv < _REFRESH)
-        if stale.size:
-            Minv[:, :, stale] = _gram_inverse(Ap[:, stale])
-        if p == n - c - 1:
+    basic = np.zeros((W, n), dtype=bool)
+    basic[rows[:, None], B] = True
+    for _ in range(n - c):
+        free = ~basic & (np.abs(U) < 1.0)
+        on = free.any(axis=1)
+        if not on.any():
             break
-        Gu = grad(U)
-        g = Gu * free
-        y = np.einsum("bcw,cw->bw", Minv, np.einsum("cwn,wn->cw", Ap, g))        # M^-1 A' g, (c, W)
-        D = g - np.einsum("bw,bwn->wn", y, Ap)                                  # projected gradient
-        D *= np.where(np.vecdot(g, D) < 0.0, -1.0, 1.0)[:, None]
-        # |D|^2 that is rounding only; all of it, where g is rounding against G'u
-        gg = np.vecdot(g, g)
-        tiny = np.where(gg <= 1e-24 * np.vecdot(Gu, Gu), np.inf, 1e-24 * np.maximum(gg, 1e-300))
-        flat = np.flatnonzero(np.vecdot(D, D) <= tiny)
-        if flat.size:
-            D[flat] = _null_step(D[flat], g[flat], tiny[flat], Minv[:, :, flat], Ap[:, flat], free[flat])
-        i, speed = _first_to_bound(D, U)
-        # fixing i keeps A'_free at rank c unless e_i is outside its null
-        # space, where D_i is zero but for rounding; a walker whose D_i is that
-        # small (degenerate sections) steps again without any such coordinate
-        odd = D[rows, i] ** 2 <= 1e-12 * gg
-        odd[flat] = False
-        odd = np.flatnonzero(odd)
-        if odd.size:
-            D[odd] = _null_step(D[odd], g[odd], tiny[odd], Minv[:, :, odd], Ap[:, odd], free[odd])
-            i[odd], speed[odd] = _first_to_bound(D[odd], U[odd])
-        with np.errstate(divide="ignore"):
-            U += (1.0 / speed)[:, None] * D
-    return U, free, Minv
+        g = grad(U)
+        r = g - np.einsum("wb,bwn->wn", g[rows[:, None], B], T)
+        score = np.abs(r)
+        score -= r * U                                                          # |r| (1 - sign(r) u)
+        j = np.where(free, score, -1.0).argmax(axis=1)
+        sj = np.where(r[rows, j] < 0.0, -1.0, 1.0)
+        # ratio test: u_j reaches sign(r_j) at t = 1 - sign(r_j) u_j, a basic its bound at t = room
+        rate = T[:, rows, j] * -sj                                              # du_B / dt, (c, W)
+        room = np.copysign(1.0, rate)
+        room -= U[rows[:, None], B].T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room /= rate
+        room[np.abs(rate) <= _PIVOT] = np.inf
+        pos = room.argmin(axis=0)
+        first = room[pos, rows]
+        reach = 1.0 - sj * U[rows, j]
+        t = np.maximum(np.minimum(first, reach), 0.0) * on
+        U[rows[:, None], B] += (t * rate).T
+        U[rows, j] += t * sj
+        leave = on & (first < reach)
+        hit = np.flatnonzero(on & ~leave)
+        U[hit, j[hit]] = sj[hit]
+        w = np.flatnonzero(leave)
+        out = B[w, pos[w]]
+        U[w, out] = np.sign(U[w, out])
+        basic[w, out] = False
+        basic[w, j[w]] = True
+        B[w, pos[w]] = j[w]
+        _pivot(T, pos, j, pos, leave)
+    return U, B, T
 
 
-def _gram_inverse(Ap):
-    """(A' A'^T)^-1 of the (c, W, n) stack Ap, as a (c, c, W) stack."""
-    return np.ascontiguousarray(np.moveaxis(np.linalg.inv(np.einsum("bwn,cwn->wbc", Ap, Ap)), 0, -1))
-
-
-def _edge_walk(Ap, grad, curv, U, B):
+def _edge_walk(grad, curv, U, B, T):
     """Walk improving edges from the (W, n) vertices U with basic coordinates
-    B (W, c) of the (c, W, n) normals Ap.  Returns U, B and the (c, W, n)
-    tableaux T = A'_B^-1 A'."""
-    c, W, n = Ap.shape
-    AB = np.take_along_axis(np.moveaxis(Ap, 0, 1), B[:, None, :], axis=2)    # A'_B, (W, c, c)
-    T = np.ascontiguousarray(np.moveaxis(np.linalg.inv(AB) @ np.moveaxis(Ap, 0, 1), 1, 0))
+    B (W, c) and (c, W, n) tableaux T = A'_B^-1 A'.  Returns U, B and T."""
+    c, W, n = T.shape
     # the walkers whose last edge raised q, and their bases and tableaux; the
     # others are written back as they stop
     act, Ba, Ta = np.arange(W), B.copy(), T.copy()
@@ -405,41 +404,6 @@ def _edge_walk(Ap, grad, curv, U, B):
         _pivot(Ta, pos, j, pos, piv)
     B[act], T[:, act] = Ba, Ta
     return U, B, T
-
-
-def _null_step(D, g, tiny, Minv, Ap, free):
-    """The steps D (w, n) cleared of the free coordinates outside the null
-    space of A'_free: they carry its rank, so they must neither move nor be
-    fixed.  Where nothing but rounding (|D|^2 <= tiny) is left, u minimizes q
-    on its face, and the step is the null direction of the free coordinate
-    that the null space reaches most.  Each step is signed to raise q, whose
-    gradient on the free coordinates is g; Minv (c, c, w) is M^-1 and Ap
-    (c, w, n) is A'_free."""
-    H = np.einsum("bcw,cwn->bwn", Minv, Ap)                                     # M^-1 A', (c, w, n)
-    reach = 1.0 - np.einsum("bwn,bwn->wn", Ap, H)                               # share of e_i in null(A'_free)
-    keep = reach > _PIVOT
-    D = D * keep
-    flat = np.flatnonzero(np.vecdot(D, D) <= tiny)
-    j = np.where(free[flat], reach[flat], -np.inf).argmax(axis=1)
-    D[flat] = -np.einsum("bw,bwn->wn", H[:, flat, j], Ap[:, flat])
-    D[flat, j] += 1.0
-    D *= keep
-    return D * np.where(np.vecdot(g, D) < 0.0, -1.0, 1.0)[:, None]
-
-
-def _first_to_bound(D, U):
-    """Per walker, the coordinate of U in [-1, 1]^n that moving along D takes to
-    its bound first, at the largest |D_i| / (1 - sign(D_i) u_i), and that ratio;
-    entries of D that are rounding against its largest keep |D_i|."""
-    rows = np.arange(D.shape[0])
-    speed = np.abs(D)
-    toward = np.sign(D)
-    toward *= speed > 1e-12 * speed[rows, speed.argmax(axis=1)][:, None]
-    toward *= U
-    with np.errstate(divide="ignore"):
-        speed /= 1.0 - toward
-    i = speed.argmax(axis=1)
-    return i, speed[rows, i]
 
 
 def _seed_supports(A, order):

@@ -155,10 +155,9 @@ def _sparse_bases(rng, n, d, count):
 @pytest.mark.parametrize("seed", [4, 27, 62])
 def test_vertex_search_on_degenerate_sections(seed):
     # on these sections several coordinates reach their bounds at once, a seed
-    # may lie on a coordinate axis, so that the projected gradient is rounding
-    # only (seeds 4 and 27), and a coordinate whose column carries the rank of
-    # the free normals may win the cube walk's next fix on rounding alone
-    # (seed 62); every route stays finite and never above the enumerated maximum
+    # may lie on a coordinate axis, and F may tie two coordinates or hold one
+    # at 0, whose column must then stay in the cube walk's basis; every route
+    # stays finite and never above the enumerated maximum
     for n in range(3, 9):
         for c in range(1, min(3, n - 1) + 1):
             rng = np.random.default_rng([seed, n, c])
@@ -231,18 +230,19 @@ def _close(got, fresh):
 
 @pytest.mark.parametrize("seed", [3, 41])
 def test_carried_inverses_match_a_fresh_inverse(seed, monkeypatch):
-    # the walks carry their tableaux by pivots and the purification its M^-1
-    # by downdates; at the end of every walk both match a fresh inverse
+    # the walks carry their tableaux by pivots from one inverse each; at the end
+    # of every purification and every walk they match a fresh inverse, and the
+    # purification leaves every nonbasic coordinate at a bound
     seen = {}
-    for name in ("_swap_walk", "_purify", "_edge_walk"):
+    for name in ("_cube_walk", "_swap_walk", "_purify", "_edge_walk"):
         def spy(*args, _f=getattr(_vertex, name), _name=name):
             out = _f(*args)
-            seen.setdefault(_name, []).append((args, out))
+            seen.setdefault(_name, []).append((args, tuple(np.copy(o) for o in out)))
             return out
         monkeypatch.setattr(_vertex, name, spy)
     for K, Zs, P in _walk_grid(seed):
         ratio_extremum_many(K, Zs, P)
-    assert set(seen) == {"_swap_walk", "_purify", "_edge_walk"}
+    assert set(seen) == {"_cube_walk", "_swap_walk", "_purify", "_edge_walk"}
     for (s, Aw, G, sec, _), (J, p0, T) in seen["_swap_walk"]:
         W, c, n = Aw.shape
         rows = np.arange(W)
@@ -251,15 +251,17 @@ def test_carried_inverses_match_a_fresh_inverse(seed, monkeypatch):
         fresh = np.linalg.inv(np.take_along_axis(Aw, B[:, None, :], axis=2)) @ Aw
         assert _close(T[pos, rows[:, None]], fresh) <= 1e-9
         assert not T[p0, rows].any()
-    for (Ap, _, _), (_, free, Minv) in seen["_purify"]:
-        # Ap has its fixed columns zeroed, so A' A'^T is M of the free columns
-        fresh = np.linalg.inv(np.einsum("bwn,cwn->wbc", Ap, Ap))
-        assert _close(np.moveaxis(Minv, -1, 0), fresh) <= 1e-9
-        assert (free.sum(axis=1) == Ap.shape[0]).all()
-    for (Ap, _, _, _, _), (_, B, T) in seen["_edge_walk"]:
-        Aw = np.moveaxis(Ap, 0, 1)
-        fresh = np.linalg.inv(np.take_along_axis(Aw, B[:, None, :], axis=2)) @ Aw
-        assert _close(np.moveaxis(T, 0, 1), fresh) <= 1e-9
+    # the purification and the edge walk are called once per cube walk, in turn
+    walks = zip(seen["_cube_walk"], seen["_purify"], seen["_edge_walk"], strict=True)
+    for ((s, A, _, V), _), (_, (U, B, T)), (_, (_, Be, Te)) in walks:
+        Aw = (A / s)[np.repeat(np.arange(A.shape[0]), V.shape[1])]         # A', (W, c, n)
+        for Bf, Tf in ((B, T), (Be, Te)):
+            fresh = np.linalg.inv(np.take_along_axis(Aw, Bf[:, None, :], axis=2)) @ Aw
+            assert _close(np.moveaxis(Tf, 0, 1), fresh) <= 1e-9
+        basic = np.zeros(U.shape, dtype=bool)
+        basic[np.arange(U.shape[0])[:, None], B] = True
+        assert np.all(np.abs(U[~basic]) == 1.0)
+        assert np.abs(U[basic]).max() <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
