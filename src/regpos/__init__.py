@@ -27,10 +27,9 @@ from .bodies import (
     linear_image,
     relative_out_radius,
 )
-from .gaussian import EllEstimate, FixedSample, GaussianSample, crn_pair, ell, ell_star, mstar
+from .gaussian import EllEstimate, FixedSample, GaussianSample, ell, ell_star, mstar
 from .interpolation import (
     InterpolationPair,
-    ScalarMapValues,
     interpolate,
     phi,
     property_suite,
@@ -48,11 +47,9 @@ from .regular import (
     regularity_report,
 )
 from .subspaces import (
-    Flag,
     SectionBody,
     Subspace,
     geometric_distance_to_ball,
-    haar_flag,
     haar_grassmannian,
     in_radius,
     out_radius,

@@ -263,9 +263,10 @@ def _cmd_qs(args, cfg):
 def _cmd_curve(args, cfg):
     K = _single_body(cfg)
     k_grid = _get(cfg, "k_grid", None, _list_of(_int), 0, K.dim)
-    # the slopes are least-squares fits of log cr_k against log(n/k)
-    if len(set(k_grid or ex.default_k_grid(K.dim))) < 2:
-        raise ConfigError(f"the k grid of curve needs two distinct k (n = {K.dim}, k_grid = {k_grid})")
+    # the slopes are least-squares fits of log cr_k against log(n/k), and the
+    # standard error of a fitted slope needs three points
+    if len(set(k_grid or ex.default_k_grid(K.dim))) < 3:
+        raise ConfigError(f"the k grid of curve needs three distinct k (n = {K.dim}, k_grid = {k_grid})")
     with _writer(args.out, "curve") as w:
         res = ex.run_regularity_curve(
             K, alphas=_get(cfg, "alphas", [0.6, 0.75, 1.0], _list_of(_num), *_ALPHA),

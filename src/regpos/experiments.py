@@ -366,14 +366,13 @@ def _check_subspace_sampling(seed):
     if abs(mean - target) > max(4 * se, 0.02):
         return False, f"E|P_F v|^2 = {mean:.4f} vs m/n = {target}"
     # flag construction
-    fl = sp.haar_flag(rng, 8, 3)
-    E2 = fl.E2
+    F, E, E2 = (sp.Subspace(B[0]) for B in sp.haar_flag_batch(rng, 8, 3, 1))
     checks = [
-        fl.F.dim == 6 and fl.E.dim == 4,
-        fl.F.contains(fl.E),
+        F.dim == 6 and E.dim == 4,
+        F.contains(E),
         E2.dim == 6,
-        fl.F.contains(E2.complement()),
-        np.abs(sp.subspace_intersection(fl.F, E2).projector() - fl.E.projector()).max() < 1e-9,
+        F.contains(E2.complement()),
+        np.abs(sp.subspace_intersection(F, E2).projector() - E.projector()).max() < 1e-9,
     ]
     if not all(checks):
         return False, f"flag invariants failed: {checks}"
@@ -381,7 +380,7 @@ def _check_subspace_sampling(seed):
     # flag F-marginal matches the plain Grassmannian on the |P_F v|^2 statistic
     reps = 10000
     n, k = 6, 2
-    flags = sp.haar_grassmannian_batch(rng, n, n - k + 1, reps)
+    flags = sp.haar_flag_batch(rng, n, k, reps)[0]
     direct = np.linalg.norm(np.einsum("snm,n->sm", flags, np.eye(n)[0]), axis=1) ** 2
     m1 = n - k + 1
     expect = m1 / n
@@ -684,7 +683,6 @@ class QSSummary:
     quantiles: dict
     exceed_sop: float
     exceed_pos: float
-    exceed_ci: tuple
     fp_converged: bool
     fp_residual: float
     outcomes: list = field(default_factory=list)
@@ -752,7 +750,6 @@ def run_qs_experiment(
         n=n, k=k, alpha=float(alpha), theta=fp.theta, trials=trials,
         P_emp=report.P_emp, threshold=float(threshold), quantiles=quantiles,
         exceed_sop=exceed_sop, exceed_pos=exceed_pos,
-        exceed_ci=binomial_ci(max(exceed_sop, exceed_pos), trials),
         fp_converged=fp.converged, fp_residual=fp.residual, outcomes=outcomes,
     )
     if writer is not None:

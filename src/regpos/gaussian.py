@@ -26,7 +26,6 @@ __all__ = [
     "ell",
     "ell_star",
     "mstar",
-    "crn_pair",
     "crn_diff",
     "gauss_norm_mean",
 ]
@@ -166,14 +165,6 @@ def ell_star(K, p: int, sample: GaussianSample) -> EllEstimate:
 def mstar(K, sample: GaussianSample) -> EllEstimate:
     """M*(K), the spherical mean of the support function (normalized Gaussians)."""
     return _estimate_functional(K, "mstar", sample)
-
-
-def crn_pair(bodyA, bodyB, functional: str, sample: GaussianSample):
-    """Both functionals on the identical Gaussian sample (variance reduction)."""
-    if bodyA.dim != bodyB.dim:
-        raise ValueError("bodies must share a dimension")
-    return (_estimate_functional(bodyA, functional, sample),
-            _estimate_functional(bodyB, functional, sample))
 
 
 def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstimate:

@@ -22,7 +22,6 @@ from . import bodies as bd
 __all__ = [
     "theta_of_alpha",
     "phi",
-    "ScalarMapValues",
     "InterpolationPair",
     "interpolate",
     "surrogate",
@@ -46,20 +45,6 @@ def phi(theta: float) -> float:
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     return 1.0 / np.tan(np.pi * theta / 4.0)
-
-
-@dataclass(frozen=True)
-class ScalarMapValues:
-    """alpha, theta = 1 - 1/(2 alpha) and Phi(theta), bundled."""
-
-    alpha: float
-    theta: float
-    phi: float
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "ScalarMapValues":
-        t = theta_of_alpha(alpha)
-        return cls(alpha=float(alpha), theta=t, phi=phi(t) if t > 0 else np.inf)
 
 
 @dataclass(frozen=True)

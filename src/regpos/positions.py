@@ -37,7 +37,7 @@ __all__ = [
 
 
 class PositionMap:
-    """Determinant-one invertible map with cached inverse and adjoint-inverse."""
+    """Determinant-one invertible map with cached inverse."""
 
     def __init__(self, matrix, inverse=None):
         M = np.array(matrix, dtype=float)
@@ -53,10 +53,6 @@ class PositionMap:
         d = np.diag(M)
         self.diagonal = bool(np.allclose(M, np.diag(d)))
         self.det = float(np.linalg.det(M))
-
-    @property
-    def adjoint_inverse(self):
-        return self.inverse.T
 
     @property
     def dim(self):
@@ -83,9 +79,6 @@ class PositionMap:
 
     def apply(self, K: bd.ConvexBody) -> bd.ConvexBody:
         return bd.linear_image(self.matrix, K)
-
-    def compose(self, other: "PositionMap") -> "PositionMap":
-        return PositionMap(self.matrix @ other.matrix, other.inverse @ self.inverse)
 
     def __repr__(self):
         kind = "diag" if self.diagonal else "full"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 __version__ = "0.1.0"
@@ -27,12 +28,15 @@ __all__ = [
 
 def measured(value, se=None, ci=None, exact=False, lower_bound=False):
     """Uncertainty-carrying scalar for a record's measured map; lower_bound
-    marks a certified lower bound on the quantity ("bound": "lower")."""
+    marks a certified lower bound on the quantity ("bound": "lower").  A
+    non-finite value, se or ci is a ValueError: strict JSON has no NaN."""
     out = {"value": float(value)}
     if se is not None:
         out["se"] = float(se)
     if ci is not None:
         out["ci"] = [float(ci[0]), float(ci[1])]
+    if not all(map(math.isfinite, [out["value"], out.get("se", 0.0), *out.get("ci", ())])):
+        raise ValueError(f"measured quantity is not finite: {out}")
     if exact:
         out["exact"] = True
     if lower_bound:

@@ -193,9 +193,6 @@ class RegularityReport:
     slope_se: dict           # its least-squares standard error (nan for two k)
     P_emp: float
 
-    def cr_values(self, which):
-        return np.array([g.value for g in self.cr[which]])
-
 
 def default_k_grid(n: int):
     """Powers of two in [1, n/2]."""

@@ -22,10 +22,8 @@ from .positions import _lbfgs
 
 __all__ = [
     "Subspace",
-    "Flag",
     "SectionBody",
     "haar_grassmannian",
-    "haar_flag",
     "haar_flag_batch",
     "section",
     "project",
@@ -80,32 +78,6 @@ class Subspace:
         return np.asarray(x, dtype=float) @ self.basis
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Nested pair F >= E of dimensions n-k+1 and n-2k+2 (the flag manifold G^k),
-    with E2 = F^perp + E: E2 has dimension n-k+1, F contains E2^perp and F cap E2 = E."""
-
-    F: Subspace
-    E: Subspace
-    E2: Subspace
-    k: int
-
-    def __post_init__(self):
-        n = self.F.ambient
-        if self.E.ambient != n:
-            raise ValueError("flag members live in different ambient spaces")
-        if not (1 <= self.k <= n // 2):
-            raise ValueError("flag parameter requires 1 <= k <= n/2")
-        if (self.F.dim, self.E.dim, self.E2.dim) != (n - self.k + 1, n - 2 * self.k + 2, n - self.k + 1):
-            raise ValueError("flag member dimensions do not match k")
-        if not self.F.contains(self.E):
-            raise ValueError("E is not contained in F")
-
-    @property
-    def ambient(self) -> int:
-        return self.F.ambient
-
-
 def haar_grassmannian_batch(rng, n, m, count):
     """(count, n, m) stack of Haar bases (batched QR)."""
     G = rng.standard_normal((count, n, m))
@@ -137,12 +109,6 @@ def haar_grassmannian(rng, n: int, m: int) -> Subspace:
     return Subspace(haar_grassmannian_batch(rng, n, m, 1)[0])
 
 
-def haar_flag(rng, n: int, k: int) -> Flag:
-    """Haar-distributed flag (F, E): F uniform, and E uniform inside F; E2 as in haar_flag_batch."""
-    F, E, E2 = haar_flag_batch(rng, n, k, 1)
-    return Flag(F=Subspace(F[0]), E=Subspace(E[0]), E2=Subspace(E2[0]), k=k)
-
-
 # ----------------------------------------------------------------------
 # section and projection bodies
 # ----------------------------------------------------------------------
@@ -170,12 +136,6 @@ class SectionBody(bd.ConvexBody):
         self.exact = parent.exact and mode == "section"
         self._comp = carrier.complement().basis if mode == "projection" else None
 
-    def _ascent_subgrad(self, U):
-        if self.mode != "section":
-            return self._gauge_subgrad(U)
-        g, Y = self.parent._ascent_subgrad(U @ self.carrier.basis.T)
-        return g, Y @ self.carrier.basis
-
     # -- projection oracles ----------------------------------------------
 
     def _fiber_min_one(self, x0):
@@ -183,8 +143,7 @@ class SectionBody(bd.ConvexBody):
         parent, C = self.parent, self._comp
         rep = _affine_rep(parent)
         if rep is not None:
-            kind, M = rep
-            return _fiber_min_lp(kind, M, x0, C)
+            return _fiber_min_lp(*rep, x0, C)[:2]
         nw = C.shape[1]
 
         def fun(w):
@@ -219,15 +178,18 @@ class SectionBody(bd.ConvexBody):
         if self.mode == "section":
             g, Y = self.parent._gauge_subgrad(X0)
             return g, Y @ self.carrier.basis
-        # envelope theorem: the subgradient of the fiber minimum is the
-        # parent subgradient at the minimizer, restricted to the carrier
+        # the LP duals give a subgradient of the fiber minimum in x0; else the parent
+        # subgradient at the minimizer does when the parent is smooth (envelope theorem)
+        rep = _affine_rep(self.parent)
         g = np.empty(U.shape[0])
         Y = np.empty_like(U)
         for i, x0 in enumerate(X0):
-            val, w = self._fiber_min_one(x0)
-            _, y = self.parent._gauge_subgrad((x0 + self._comp @ w)[None, :])
-            g[i] = val
-            Y[i] = y[0] @ self.carrier.basis
+            if rep is not None:
+                g[i], _, y = _fiber_min_lp(*rep, x0, self._comp)
+            else:
+                g[i], w = self._fiber_min_one(x0)
+                y = self.parent._gauge_subgrad((x0 + self._comp @ w)[None, :])[1][0]
+            Y[i] = y @ self.carrier.basis
         return g, Y
 
     def _support(self, V):
@@ -289,7 +251,8 @@ def _smooth(K):
 
 
 def _fiber_min_lp(kind, M, x0, C):
-    """min_w reduce(|M(x0 + Cw)|) via an LP in (w, t)."""
+    """(value, minimizer w, subgradient in x0) of min_w reduce(|M(x0 + Cw)|),
+    via an LP in (w, t); the subgradient comes from the LP duals."""
     nrows = M.shape[0]
     nw = C.shape[1]
     MC = M @ C
@@ -311,7 +274,9 @@ def _fiber_min_lp(kind, M, x0, C):
     res = linprog(c=c, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"projection gauge LP failed (status {res.status})")
-    return float(res.fun), res.x[:nw]
+    # d value / d b is the marginals mu, and b = (-M x0, M x0)
+    mu = res.ineqlin.marginals
+    return float(res.fun), res.x[:nw], M.T @ (mu[nrows:] - mu[:nrows])
 
 
 def section(K: bd.ConvexBody, F: Subspace) -> bd.ConvexBody:

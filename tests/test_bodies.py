@@ -230,6 +230,105 @@ def test_relative_out_radius_dimension_mismatch():
 
 
 # ----------------------------------------------------------------------
+# polytope and wrapper oracles against closed forms, polar identities and
+# the subgradient inequality
+# ----------------------------------------------------------------------
+
+
+def test_polytope_h_support_closed_form():
+    # K = {|D Q x|_inf <= 1} for orthogonal Q is Q^T D^-1 B_inf, so h_K(y) = |D^-1 Q y|_1;
+    # the half-size copy of a row cuts nothing
+    rng = np.random.default_rng(51)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    d = np.array([0.5, 1.0, 2.0, 3.0])
+    K = bd.PolytopeH(np.vstack([d[:, None] * Q, 0.5 * d[0] * Q[:1]]))
+    Y = rng.standard_normal((20, 4))
+    assert K.support(Y) == pytest.approx(np.abs(Y @ Q.T / d).sum(axis=1), rel=1e-7)
+
+
+def test_polytope_v_subgradient_inequality():
+    # g(x) = <y, x>, g(z) >= <y, z> for every z, and |<u_j, y>| <= 1 (y in the polar)
+    rng = np.random.default_rng(52)
+    U = rng.standard_normal((6, 3))
+    K = bd.PolytopeV(U)
+    X = rng.standard_normal((8, 3))
+    Z = rng.standard_normal((30, 3))
+    g, Y = K._gauge_subgrad(X)
+    assert g == pytest.approx(K.gauge(X), rel=1e-12)
+    assert np.einsum("mi,mi->m", Y, X) == pytest.approx(g, rel=1e-7)
+    assert np.abs(Y @ U.T).max() <= 1 + 1e-7
+    assert np.all(K.gauge(Z)[:, None] >= Z @ Y.T - 1e-7)
+
+
+def test_linear_image_support_and_weighted_lp_form():
+    # h_{T K}(y) = h_K(T^T y): |T^T y|_inf on B_1 and sqrt(y^T T A^-1 T^T y) on E_A
+    rng = np.random.default_rng(53)
+    T = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+    A = np.diag([0.5, 1.0, 4.0])
+    Y = rng.standard_normal((20, 3))
+    assert bd.LinearImage(T, bd.cross_polytope(3)).support(Y) == pytest.approx(
+        np.abs(Y @ T).max(axis=1), rel=1e-12)
+    h = np.sqrt(np.einsum("mi,ij,mj->m", Y @ T, np.linalg.inv(A), Y @ T))
+    assert bd.LinearImage(T, bd.Ellipsoid(A)).support(Y) == pytest.approx(h, rel=1e-12)
+    # a positive diagonal map of a weighted l_p ball is the weighted ball with scales s / d
+    base = bd.WeightedLp(1.5, [1.0, 2.0, 3.0])
+    img = bd.LinearImage(np.diag([2.0, 1.0, 0.5]), base)
+    p, scales = img.as_weighted_lp()
+    assert p == 1.5 and scales == pytest.approx([0.5, 2.0, 6.0], rel=1e-15)
+    assert bd.WeightedLp(p, scales).gauge(Y) == pytest.approx(img.gauge(Y), rel=1e-12)
+    for T2, K in ((T, base), (np.diag([2.0, -1.0, 0.5]), base),
+                  (np.diag([2.0, 1.0, 0.5]), bd.PolytopeH(np.eye(3)))):
+        assert bd.LinearImage(T2, K).as_weighted_lp() is None
+
+
+def test_polar_body_oracles_match_the_closed_form_polar():
+    K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0, 3.0])
+    P = bd.PolarBody(K)
+    X = sphere_points(30, 3, np.random.default_rng(54))
+    assert P.gauge(X) == pytest.approx(K.polar().gauge(X), rel=1e-12)
+    assert P.support(X) == pytest.approx(K.gauge(X), rel=1e-12)
+    assert P.polar() is K
+    r, R, exact = K.radii
+    assert P.radii == (1.0 / R, 1.0 / r, exact)
+    assert P.radii.r == pytest.approx(K.polar().radii.r, rel=1e-12)
+    assert P.radii.R == pytest.approx(K.polar().radii.R, rel=1e-12)
+
+
+def test_linear_image_closed_forms_for_polytopes_and_nested_images():
+    # each closed form against the gauge of the generic wrapper, K.gauge(M^-1 x)
+    rng = np.random.default_rng(55)
+    M1 = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+    M2 = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
+    X = rng.standard_normal((10, 3))
+    for K in (bd.PolytopeV(rng.standard_normal((5, 3))), bd.PolytopeH(rng.standard_normal((6, 3)))):
+        img = bd.linear_image(M1, K)
+        assert type(img) is type(K)
+        assert img.gauge(X) == pytest.approx(bd.LinearImage(M1, K).gauge(X), rel=1e-7)
+    K = bd.WeightedLp(1.5, [1.0, 2.0, 3.0])
+    nested = bd.linear_image(M2, bd.linear_image(M1, K))
+    assert isinstance(nested, bd.LinearImage) and nested.base is K
+    assert nested.gauge(X) == pytest.approx(K.gauge(X @ np.linalg.inv(M2 @ M1).T), rel=1e-12)
+
+
+def test_surrogate_subgradient_is_the_gradient():
+    # smooth endpoints: the surrogate's subgradient is its gradient (central
+    # differences), with the Euler identity <y, x> = g(x) and a zero row at 0
+    from regpos.interpolation import SurrogateBody
+
+    rng = np.random.default_rng(56)
+    K = SurrogateBody(bd.WeightedLp(1.5, [1.0, 2.0, 3.0]), bd.Ellipsoid(np.diag([0.5, 1.0, 4.0])), 0.3)
+    X = np.vstack([rng.standard_normal((6, 3)), np.zeros(3)])
+    g, Y = K._gauge_subgrad(X)
+    assert g == pytest.approx(K.gauge(X), rel=1e-15)
+    assert np.einsum("mi,mi->m", Y, X) == pytest.approx(g, rel=1e-12)
+    assert np.array_equal(Y[-1], np.zeros(3))
+    h = 1e-6
+    for j, e in enumerate(np.eye(3)):
+        fd = (K.gauge(X[:-1] + h * e) - K.gauge(X[:-1] - h * e)) / (2 * h)
+        assert fd == pytest.approx(Y[:-1, j], abs=1e-7)
+
+
+# ----------------------------------------------------------------------
 # radii caches
 # ----------------------------------------------------------------------
 

@@ -12,7 +12,6 @@ from regpos.gaussian import (
     FixedSample,
     GaussianSample,
     crn_diff,
-    crn_pair,
     ell,
     ell_star,
     gauss_norm_mean,
@@ -99,8 +98,7 @@ def test_ell_star_vs_gauss_mean_times_mstar():
 
 def test_crn_pair_identical_bodies():
     s = GaussianSample(6, 5000, 4)
-    a, b = crn_pair(bd.ball(4), bd.ball(4), "ell", s)
-    assert a.value == b.value
+    assert ell(bd.ball(4), 1, s).value == ell(bd.ball(4), 1, s).value
     d = crn_diff(bd.ball(4), bd.ball(4), "ell", s)
     assert d.value == 0.0 and d.se == 0.0
 
@@ -118,7 +116,7 @@ def test_crn_diff_rejects_dimension_mismatch(dims):
 
 def test_crn_scaling_ratio_exact():
     s = GaussianSample(6, 5000, 4)
-    a, b = crn_pair(bd.ball(4), bd.ball(4).scale(2.0), "ell2", s)
+    a, b = ell(bd.ball(4), 2, s), ell(bd.ball(4).scale(2.0), 2, s)
     assert a.value == pytest.approx(2.0 * b.value, abs=1e-12)
 
 

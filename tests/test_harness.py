@@ -3,6 +3,7 @@ files, and a negative control for the duality suite."""
 
 import csv
 import filecmp
+import importlib
 import importlib.util
 import json
 import os
@@ -78,6 +79,18 @@ def test_record_to_json_matches_asdict_dump():
 def test_measured_requires_uncertainty():
     with pytest.raises(ValueError):
         measured(1.0)
+    # strict JSON has no NaN or Infinity: a non-finite value, se or ci is refused
+    for bad in (dict(value=float("nan"), exact=True), dict(value=1.0, se=float("nan")),
+                dict(value=1.0, ci=(0.5, float("inf"))), dict(value=-float("inf"), lower_bound=True)):
+        with pytest.raises(ValueError, match="not finite"):
+            measured(**bad)
+
+
+def _strict_json(line):
+    """json.loads that refuses the non-standard NaN and Infinity constants."""
+    def refuse(name):
+        raise ValueError(f"non-finite {name} in a record")
+    return json.loads(line, parse_constant=refuse)
 
 
 def test_jsonl_writer_assigns_logical_timestamps(tmp_path):
@@ -255,7 +268,7 @@ def test_run_curve_structure(tmp_path):
     assert [pt["alpha"] for pt in out["curve"]] == [0.75, 1.5]
     assert all(pt["fp_converged"] for pt in out["curve"])
     # P_emp is a quantile of lower-bound section radii
-    recs = [json.loads(line) for line in (tmp_path / "curve.jsonl").read_text().splitlines()]
+    recs = [_strict_json(line) for line in (tmp_path / "curve.jsonl").read_text().splitlines()]
     assert len(recs) == 2
     for rec in recs:
         assert rec["measured"]["P_emp"]["bound"] == "lower" and "exact" not in rec["measured"]["P_emp"]
@@ -294,6 +307,22 @@ def test_corrupted_polar_fails_duality_suite():
 def test_property_suite_runner_reports_failures():
     results = run_property_suites(seed=0, names=["support_duality"])
     assert len(results) == 1 and results[0].passed
+
+
+def test_cli_props_failures_exit_1(tmp_path, capsys, monkeypatch):
+    # a failing suite and a crashing one are both failures, and neither stops the run
+    def crash(seed):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "_CHECKS", [("passes", lambda seed: (True, "ok")),
+                                                 ("fails", lambda seed: (False, "off")),
+                                                 ("crashes", crash)])
+    assert main(["props", "--out", str(tmp_path)]) == 1
+    assert "2 suite(s) failed: fails, crashes" in capsys.readouterr().err
+    with open(tmp_path / "props_summary.csv") as fh:
+        rows = [(r["name"], r["passed"], r["detail"]) for r in csv.DictReader(fh)]
+    assert rows == [("passes", "1", "ok"), ("fails", "0", "off"),
+                    ("crashes", "0", "exception: RuntimeError('boom')")]
 
 
 # ----------------------------------------------------------------------
@@ -349,10 +378,13 @@ _BAD_CONFIGS = [
     ("qs", {"trials": 0}),
     # the q_exp level 1 - max(e^(-ck), 10/trials) needs trials >= 10
     ("qs", {"trials": 5}),
-    # the curve slopes need two distinct k: n = 3 has the default grid [1]
+    # the standard errors of the curve slopes need three distinct k: n = 3 and
+    # n = 4 have the default grids [1] and [1, 2]
     ("curve", {"n": 3}),
+    ("curve", {"n": 4}),
     ("curve", {"k_grid": [4]}),
     ("curve", {"k_grid": [2, 2]}),
+    ("curve", {"k_grid": [1, 2]}),
     # the fixed point positions only weighted l_p balls and diagonal ellipsoids
     ("qs", {"body": _POLYTOPE, "k": 2}),
     ("curve", {"body": _POLYTOPE}),
@@ -486,11 +518,19 @@ def test_import_loads_no_scipy():
 
 
 def test_perfbench_tracer_binds_its_names():
-    # perfbench/spans.py wraps regpos names from outside the package: a rename breaks --trace 1
+    # perfbench/spans.py wraps regpos names from outside the package: deleting or
+    # renaming one breaks --trace 1
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    for modname, names in spans.FUNCTIONS.values():
+        module = importlib.import_module(modname)
+        assert [n for n in names if not callable(getattr(module, n, None))] == [], modname
+    for entries in spans.METHODS.values():
+        for modname, clsname, names in entries:
+            cls = getattr(importlib.import_module(modname), clsname)
+            assert [n for n in names if n not in vars(cls)] == [], clsname
     block, call = gaussian.GaussianSample.block, positions._DiagObjective.__call__
     tracer = spans.Tracer()
     tracer.install()

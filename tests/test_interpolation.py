@@ -6,7 +6,6 @@ import pytest
 from regpos import bodies as bd
 from regpos.interpolation import (
     InterpolationPair,
-    ScalarMapValues,
     interpolate,
     phi,
     property_suite,
@@ -50,9 +49,9 @@ def test_phi_values_and_monotonicity():
 
 def test_scalar_map_exponent_identity():
     for alpha in (0.51, 0.75, 1.0, 2.0, 10.0):
-        sm = ScalarMapValues.from_alpha(alpha)
-        assert 1.0 / (1.0 - sm.theta) == pytest.approx(2 * alpha, rel=1e-12)
-        assert 0.0 < sm.theta < 1.0
+        theta = theta_of_alpha(alpha)
+        assert 1.0 / (1.0 - theta) == pytest.approx(2 * alpha, rel=1e-12)
+        assert 0.0 < theta < 1.0
 
 
 # ----------------------------------------------------------------------

@@ -21,19 +21,16 @@ def test_position_map_basics():
     T = PositionMap.from_diag([2.0, 0.5])
     assert T.diagonal and T.det == pytest.approx(1.0)
     assert np.allclose(T.inverse, np.diag([0.5, 2.0]))
-    assert np.allclose(T.adjoint_inverse, T.inverse.T)
     Tn = PositionMap.from_diag([4.0, 1.0], normalize=True)
     assert abs(Tn.det - 1.0) <= 1e-10
     with pytest.raises(ValueError):
         PositionMap.from_diag([1.0, -1.0])
 
 
-def test_position_map_apply_and_compose():
+def test_position_map_apply():
     T = PositionMap.from_diag([2.0, 0.5])
     K = T.apply(bd.ball(2))
     assert K.gauge([2.0, 0.0]) == pytest.approx(1.0)
-    TT = T.compose(T)
-    assert np.allclose(TT.matrix, np.diag([4.0, 0.25]))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 18 / 7, 6.0, 24.0, 1000.0])

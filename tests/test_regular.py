@@ -272,8 +272,8 @@ def test_section_radius_values_bounded_by_radii():
 def test_regularity_report_ball():
     rep = regularity_report(bd.ball(16), 0.75, samples=120, seed=1)
     assert rep.k_grid == [1, 2, 4, 8]
-    assert np.allclose(rep.cr_values("body"), 1.0)
-    assert np.allclose(rep.cr_values("polar"), 1.0)
+    assert np.allclose([g.value for g in rep.cr["body"]], 1.0)
+    assert np.allclose([g.value for g in rep.cr["polar"]], 1.0)
     # P_emp = max_k (k/n)^alpha <= 1
     assert rep.P_emp == pytest.approx((8 / 16) ** 0.75, rel=1e-9)
     assert rep.P_emp <= 1.0
@@ -282,7 +282,7 @@ def test_regularity_report_ball():
 def test_regularity_report_monotone_on_ellipsoid():
     E = bd.Ellipsoid(np.diag(np.geomspace(1.0 / 16, 1.0, 16)))
     rep = regularity_report(E, 0.75, samples=400, seed=2)
-    crs = rep.cr_values("body")
+    crs = np.array([g.value for g in rep.cr["body"]])
     assert np.all(np.diff(crs) <= 1e-9)
     assert np.all(crs >= E.radii.r - 1e-12)
 

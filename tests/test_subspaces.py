@@ -13,12 +13,13 @@ from scipy.stats import kstest
 
 from regpos import bodies as bd
 from regpos import subspaces as sp
+from regpos.interpolation import InterpolationPair, surrogate
 
 RNG = np.random.default_rng(555)
 
 
 # ----------------------------------------------------------------------
-# Subspace / Flag construction
+# Subspace and flag construction
 # ----------------------------------------------------------------------
 
 
@@ -66,45 +67,39 @@ def test_haar_line_marginal_ks():
     assert kstest(t, cdf).pvalue > 0.01
 
 
+def _flag(rng, n, k):
+    """One (F, E, E2) flag from the batch sampler qs uses; Subspace checks each
+    basis is orthonormal."""
+    return [sp.Subspace(B[0]) for B in sp.haar_flag_batch(rng, n, k, 1)]
+
+
 def test_flag_dimensions_and_containment():
-    fl = sp.haar_flag(RNG, 8, 3)
-    assert fl.F.dim == 6 and fl.E.dim == 4
-    resid = fl.E.basis - fl.F.projector() @ fl.E.basis
+    F, E, _ = _flag(RNG, 8, 3)
+    assert F.dim == 6 and E.dim == 4
+    resid = E.basis - F.projector() @ E.basis
     assert np.abs(resid).max() <= 1e-10
     # k = 1: both members are the whole space
-    fl1 = sp.haar_flag(RNG, 5, 1)
-    assert fl1.F.dim == 5 and fl1.E.dim == 5
+    F1, E1, _ = _flag(RNG, 5, 1)
+    assert F1.dim == 5 and E1.dim == 5
     with pytest.raises(ValueError):
-        sp.haar_flag(RNG, 8, 5)
+        sp.haar_flag_batch(RNG, 8, 5, 1)
 
 
 def test_flag_complement_pair_structure():
-    fl = sp.haar_flag(RNG, 9, 4)
-    E2 = fl.E2
+    F, E, E2 = _flag(RNG, 9, 4)
     assert E2.dim == 9 - 4 + 1
-    assert fl.F.contains(E2.complement(), tol=1e-9)
-    inter = sp.subspace_intersection(fl.F, E2)
-    assert inter.dim == fl.E.dim
-    assert np.abs(inter.projector() - fl.E.projector()).max() <= 1e-9
-
-
-def test_flag_E2_is_the_batch_sampler_E2():
-    # one construction of E2: the flag keeps the basis QS uses
-    for n, k in ((9, 4), (8, 3), (5, 1)):
-        fl = sp.haar_flag(np.random.default_rng(31), n, k)
-        F, E, E2 = sp.haar_flag_batch(np.random.default_rng(31), n, k, 1)
-        assert np.array_equal(fl.F.basis, F[0]) and np.array_equal(fl.E.basis, E[0])
-        assert np.array_equal(fl.E2.basis, E2[0])
+    assert F.contains(E2.complement(), tol=1e-9)
+    inter = sp.subspace_intersection(F, E2)
+    assert inter.dim == E.dim
+    assert np.abs(inter.projector() - E.projector()).max() <= 1e-9
 
 
 def test_flag_marginal_matches_grassmannian():
     n, k, reps = 6, 2, 8000
     rng = np.random.default_rng(11)
     v = np.eye(n)[0]
-    stat_flag = np.empty(reps)
-    for i in range(reps):
-        fl = sp.haar_flag(rng, n, k)
-        stat_flag[i] = np.linalg.norm(fl.F.basis.T @ v) ** 2
+    Fs = sp.haar_flag_batch(rng, n, k, reps)[0]
+    stat_flag = np.linalg.norm(np.einsum("snm,n->sm", Fs, v), axis=1) ** 2
     Qs = sp.haar_grassmannian_batch(rng, n, n - k + 1, reps)
     stat_plain = np.linalg.norm(np.einsum("snm,n->sm", Qs, v), axis=1) ** 2
     diff = stat_flag.mean() - stat_plain.mean()
@@ -216,6 +211,93 @@ def test_generic_section_radius_matches_eigen_oracle():
     assert sp.out_radius(S, rng=np.random.default_rng(0)) == pytest.approx(
         lam[0] ** -0.5, rel=1e-6
     )
+
+
+def test_generic_projection_radii_match_schur_closed_form():
+    # R(P_F A) and r(P_F A) of the generic projection body against the
+    # eigenvalues of its Schur form (B^T A^-1 B)^-1
+    rng = np.random.default_rng(41)
+    A = bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, 6)))
+    F = sp.haar_grassmannian(rng, 6, 3)
+    lam = np.linalg.eigvalsh(np.linalg.inv(F.basis.T @ np.linalg.inv(A.A) @ F.basis))
+    S = sp.SectionBody(A, F, "projection")
+    assert sp.out_radius(S, rng=rng) == pytest.approx(lam[0] ** -0.5, rel=1e-9)
+    assert sp.in_radius(S, rng=rng) == pytest.approx(lam[-1] ** -0.5, rel=1e-9)
+
+
+def test_projection_lp_fiber_max_kind_through_affine_parents():
+    # onto a line v: P_v K = [-h_K(v), h_K(v)], so the carrier gauge is |t| / h_K(v);
+    # h of the cube {|s x|_inf <= 1} is sum |v_i| / s_i, and h_{T K}(v) = h_K(T^T v)
+    rng = np.random.default_rng(42)
+    n = 4
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    s = np.linspace(1.0, 2.0, n)
+    T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    cases = [(bd.cube(n), np.abs(v).sum()),
+             (bd.PolytopeH(np.diag(s)), (np.abs(v) / s).sum()),
+             (bd.LinearImage(T, bd.cube(n)), np.abs(T.T @ v).sum())]
+    t = np.array([[1.0], [-2.0], [0.5]])
+    for K, h in cases:
+        assert sp._affine_rep(K)[0] == "max"
+        S = sp.SectionBody(K, sp.Subspace(v[:, None]), "projection")
+        assert S.gauge(t) == pytest.approx(np.abs(t[:, 0]) / h, rel=1e-9)
+
+
+@pytest.mark.parametrize("K", [bd.cube(5), bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 5))],
+                         ids=["lp_fiber", "lbfgs_fiber"])
+def test_projection_gauge_subgrad_is_a_subgradient(K):
+    # g(x) = <y, x> at the point and g(z) >= <y, z> everywhere, with g the
+    # projection gauge and y the parent subgradient at the fiber minimizer
+    rng = np.random.default_rng(43)
+    S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
+    X = rng.standard_normal((6, 3))
+    Z = rng.standard_normal((20, 3))
+    g, Y = S._gauge_subgrad(X)
+    assert g == pytest.approx(S.gauge(X), rel=1e-9)
+    assert np.einsum("mi,mi->m", Y, X) == pytest.approx(g, rel=1e-6)
+    assert np.all(S.gauge(Z)[:, None] >= Z @ Y.T - 1e-6)
+
+
+def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
+    # a kinked exact parent without an LP form: L-BFGS stalls on the kinks of
+    # sqrt(|x|_inf |x|_1) and the derivative-free polish takes it lower
+    lbfgs, lbfgs_values = sp._lbfgs, []
+
+    def spy(*args, **kwargs):
+        out = lbfgs(*args, **kwargs)
+        lbfgs_values.append(out[1])
+        return out
+
+    monkeypatch.setattr(sp, "_lbfgs", spy)
+    rng = np.random.default_rng(0)
+    K = surrogate(InterpolationPair(bd.cube(5), bd.cross_polytope(5), 0.5))
+    S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
+    U = rng.standard_normal((5, 3))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    gaps = []
+    for x0 in U @ S.carrier.basis.T:
+        val, w = S._fiber_min_one(x0)
+        # the reported value is the parent gauge at a point of the fiber
+        assert val == K.gauge(x0 + S._comp @ w)
+        gaps.append(lbfgs_values[-1] / val - 1.0)
+    assert min(gaps) >= 0.0 and max(gaps) > 1e-3
+
+
+def test_project_polytope_v_closed_forms_match_lp_fibers():
+    # P_F conv(+-u_j) = conv(+-P_F u_j), for a V-polytope and a linear image of one,
+    # against the LP fiber minimum over the same body written as a weighted l_1 ball
+    rng = np.random.default_rng(44)
+    n, s = 5, np.linspace(1.0, 2.0, 5)
+    F = sp.haar_grassmannian(rng, n, 3)
+    T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    V = bd.PolytopeV(np.diag(1.0 / s))
+    U = rng.standard_normal((10, 3))
+    L1 = bd.WeightedLp(1.0, s)
+    for K, same in ((V, L1), (bd.LinearImage(T, V), bd.LinearImage(T, L1))):
+        P = sp.project(K, F)
+        assert isinstance(P, bd.PolytopeV)
+        assert P.gauge(U) == pytest.approx(sp.SectionBody(same, F, "projection").gauge(U), rel=1e-7)
 
 
 def test_whole_body_radii_come_from_radii():
