@@ -22,20 +22,12 @@ from .bodies import (
     ball,
     cube,
     cross_polytope,
-    complexify,
     from_spec,
     linear_image,
     relative_out_radius,
 )
 from .gaussian import EllEstimate, FixedSample, GaussianSample, ell, ell_star, mstar
-from .interpolation import (
-    InterpolationPair,
-    interpolate,
-    phi,
-    property_suite,
-    surrogate,
-    theta_of_alpha,
-)
+from .interpolation import interpolate, phi, property_suite, theta_of_alpha
 from .positions import EllPositionResult, PositionMap, balance_scale, ell_product, solve_ell_position
 from .regular import (
     FixedPointResult,

@@ -33,7 +33,6 @@ __all__ = [
     "DegenerateBodyError",
     "Radii",
     "linear_image",
-    "complexify",
     "relative_out_radius",
     "ball",
     "cube",
@@ -705,10 +704,6 @@ def linear_image(T, K: ConvexBody) -> ConvexBody:
     return LinearImage(M, K)
 
 
-def complexify(K: ConvexBody) -> Complexified:
-    return Complexified(K)
-
-
 def relative_out_radius(K: ConvexBody, L: ConvexBody, rng=None) -> float:
     """R_L(K) = max_x ||x||_L / ||x||_K, the out-radius of K in the norm of L."""
     if K.dim != L.dim:
@@ -758,5 +753,5 @@ def from_spec(spec: dict) -> ConvexBody:
     if fam == "linear_image":
         return linear_image(np.array(spec["matrix"], dtype=float), from_spec(spec["base"]))
     if fam == "complexify":
-        return complexify(from_spec(spec["base"]))
+        return Complexified(from_spec(spec["base"]))
     raise ValueError(f"unknown body family {fam!r}")

@@ -243,6 +243,7 @@ def _cmd_qs(args, cfg):
             writer=w,
         )
     print(f"n={s.n} k={s.k} alpha={s.alpha:.4f} trials={s.trials}")
+    print(f"fixed point: residual={s.fp_residual:.2e} converged={s.fp_converged}")
     print(f"P_emp={s.P_emp:.4f} threshold Rbar^2={s.threshold:.4f}")
     for name, q in s.quantiles.items():
         print(f"  {name}: d_sop={q['d_section_of_projection']:.4f} "
@@ -255,6 +256,9 @@ def _cmd_qs(args, cfg):
         "d90_sop": s.quantiles["q90"]["d_section_of_projection"],
         "d90_pos": s.quantiles["q90"]["d_projection_of_section"],
         "exceed_sop": s.exceed_sop, "exceed_pos": s.exceed_pos,
+        "dmax_sop": max(o.d_section_of_projection for o in s.outcomes),
+        "dmax_pos": max(o.d_projection_of_section for o in s.outcomes),
+        "fp_residual": s.fp_residual, "fp_converged": int(s.fp_converged),
     }
     _summary_csv(args.out, "qs", [row])
     return 0

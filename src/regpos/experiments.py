@@ -23,7 +23,7 @@ from .gaussian import (
     gauss_norm_mean,
     mstar,
 )
-from .interpolation import InterpolationPair, interpolate, property_suite, surrogate
+from .interpolation import SurrogateBody, interpolate, property_suite
 from .positions import ell_product, solve_ell_position
 from .records import ExperimentRecord, JsonlWriter, measured
 from .regular import (
@@ -84,7 +84,7 @@ def _check_gauge_axioms(seed):
     cases = default_zoo(8) + [
         ("hpoly3", random_h_polytope(rng, 3, 10)),
         ("vpoly3", bd.PolytopeV(rng.standard_normal((8, 3)))),
-        ("cplx_b1", bd.complexify(bd.cross_polytope(2))),
+        ("cplx_b1", bd.Complexified(bd.cross_polytope(2))),
     ]
     worst = ("", 0.0)
     for name, K in cases:
@@ -161,7 +161,7 @@ def _check_complexification(seed):
     rng = _rng(seed, 14)
     details = []
     for K in (bd.ball(2), bd.cross_polytope(2), bd.cube(2)):
-        C = bd.complexify(K)
+        C = bd.Complexified(K)
         # intersection with the real plane is the body itself
         X = _sphere(rng, 100, 2)
         emb = np.hstack([X, np.zeros_like(X)])
@@ -183,15 +183,15 @@ def _check_complexification(seed):
             return False, f"alignment residual {max(r1, r2):.2e} for {K.family}"
         details.append(max(r1, r2))
     # pinned values
-    c2 = bd.complexify(bd.ball(2))
+    c2 = bd.Complexified(bd.ball(2))
     sv = np.linalg.svd(np.array([[1.0, 0.3], [0.0, 0.8]]), compute_uv=False)[0]
     got = c2.gauge([1.0, 0.0, 0.3, 0.8])
     if abs(got - sv) > 1e-7:
         return False, f"singular-value oracle mismatch {got} vs {sv}"
-    cb1 = bd.complexify(bd.cross_polytope(2))
+    cb1 = bd.Complexified(bd.cross_polytope(2))
     if abs(cb1.gauge([1, 0, 0, 1]) - np.sqrt(2)) > 1e-7:
         return False, "B_1 complexification value mismatch"
-    seg = bd.complexify(bd.cube(1))
+    seg = bd.Complexified(bd.cube(1))
     if abs(seg.gauge([3.0, 4.0]) - 5.0) > 1e-6:
         return False, "1-d complexification is not the modulus"
     return True, f"alignment residuals {max(details):.2e}; pinned values ok"
@@ -273,33 +273,27 @@ def _check_interpolation(seed):
     n = 6
     ramp = 1.0 + np.arange(n) / (n - 1.0)
     pairs = [
-        InterpolationPair(bd.cross_polytope(n), bd.ball(n), 0.5),
-        InterpolationPair(bd.WeightedLp.from_weights(1.0, ramp), bd.cube(n), 0.3),
-        InterpolationPair(
-            bd.Ellipsoid(np.diag(ramp)), bd.Ellipsoid(np.diag(ramp[::-1].copy())), 0.5
-        ),
+        (bd.cross_polytope(n), bd.ball(n), 0.5),
+        (bd.WeightedLp.from_weights(1.0, ramp), bd.cube(n), 0.3),
+        (bd.Ellipsoid(np.diag(ramp)), bd.Ellipsoid(np.diag(ramp[::-1].copy())), 0.5),
     ]
     for pair in pairs:
-        rep = property_suite(pair, rng=rng, ndirs=1000)
-        if not rep.passed:
-            nm, val = rep.worst()
-            return False, f"{nm} residual {val:.2e}"
+        residuals = property_suite(*pair, rng=rng, ndirs=1000)
+        if not all(r <= 1e-9 for r in residuals.values()):
+            nm = max(residuals, key=residuals.get)
+            return False, f"{nm} residual {residuals[nm]:.2e}"
     # [B_1, B_2]_{1/2} = B_{4/3}
-    mid = interpolate(pairs[0])
+    mid = interpolate(*pairs[0])
     if abs(mid.p - 4.0 / 3.0) > 1e-12:
         return False, f"[B1,B2]_0.5 exponent {mid.p} != 4/3"
     # diagonal ellipsoids interpolate by entrywise geometric means
-    e_mid = interpolate(
-        InterpolationPair(
-            bd.Ellipsoid(np.diag([1.0, 4.0])), bd.Ellipsoid(np.diag([4.0, 1.0])), 0.5
-        )
-    )
+    e_mid = interpolate(bd.Ellipsoid(np.diag([1.0, 4.0])), bd.Ellipsoid(np.diag([4.0, 1.0])), 0.5)
     if not np.allclose(e_mid.weights, [2.0, 2.0]):
         return False, f"ellipsoid midpoint weights {e_mid.weights}"
     # conjugate-exponent duality for [B1, B2]_theta
     th = 0.25
-    lhs = interpolate(InterpolationPair(bd.cross_polytope(n), bd.ball(n), th)).polar()
-    rhs = interpolate(InterpolationPair(bd.cube(n), bd.ball(n), th))
+    lhs = interpolate(bd.cross_polytope(n), bd.ball(n), th).polar()
+    rhs = interpolate(bd.cube(n), bd.ball(n), th)
     X = _sphere(rng, 500, n)
     resid = float(np.max(np.abs(lhs.gauge(X) - rhs.gauge(X)) / rhs.gauge(X)))
     if resid > 1e-9:
@@ -310,9 +304,8 @@ def _check_interpolation(seed):
 def _check_surrogate(seed):
     rng = _rng(seed, 17)
     n = 6
-    pair = InterpolationPair(bd.cross_polytope(n), bd.ball(n), 0.4)
-    sur = surrogate(pair)
-    mid = interpolate(pair)
+    sur = SurrogateBody(bd.cross_polytope(n), bd.ball(n), 0.4)
+    mid = interpolate(bd.cross_polytope(n), bd.ball(n), 0.4)
     X = _sphere(rng, 1000, n)
     gap = float(np.min(sur.gauge(X) - mid.gauge(X)))
     if gap < -1e-12:
@@ -321,7 +314,7 @@ def _check_surrogate(seed):
     if basis_resid > 1e-12:
         return False, f"basis-vector equality residual {basis_resid:.2e}"
     K = bd.WeightedLp.from_weights(1.5, 1.0 + np.arange(n))
-    same = surrogate(InterpolationPair(K, K, 0.7))
+    same = SurrogateBody(K, K, 0.7)
     resid = float(np.max(np.abs(same.gauge(X) - K.gauge(X)) / K.gauge(X)))
     if resid > 1e-12:
         return False, f"K0=K1 surrogate residual {resid:.2e}"
@@ -333,7 +326,7 @@ def _check_section_lower_bound(seed):
     n = 8
     L = bd.WeightedLp.from_weights(1.0, 1.0 + np.arange(n) / (n - 1.0))
     th = 0.4
-    Lth = interpolate(InterpolationPair(L, bd.ball(n), th))
+    Lth = interpolate(L, bd.ball(n), th)
     for i in range(20):
         m = int(rng.integers(2, n))
         E = sp.haar_grassmannian(rng, n, m)
@@ -779,6 +772,10 @@ def run_qs_experiment(
                                     ci=_quantile_ci(d_sop, 0.9)),
                 "d90_pos": measured(quantiles["q90"]["d_projection_of_section"],
                                     ci=_quantile_ci(d_pos, 0.9)),
+                "dmax_sop": measured(d_sop.max(), lower_bound=True),
+                "dmax_pos": measured(d_pos.max(), lower_bound=True),
+                "fp_residual": measured(fp.residual, exact=True),
+                "fp_converged": measured(float(fp.converged), exact=True),
             },
         ))
     return summary

@@ -13,8 +13,6 @@ certified convex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import bodies as bd
@@ -22,12 +20,9 @@ from . import bodies as bd
 __all__ = [
     "theta_of_alpha",
     "phi",
-    "InterpolationPair",
     "interpolate",
-    "surrogate",
     "SurrogateBody",
     "property_suite",
-    "PropertyReport",
 ]
 
 
@@ -47,38 +42,25 @@ def phi(theta: float) -> float:
     return 1.0 / np.tan(np.pi * theta / 4.0)
 
 
-@dataclass(frozen=True)
-class InterpolationPair:
-    K0: bd.ConvexBody
-    K1: bd.ConvexBody
-    theta: float
-
-    def __post_init__(self):
-        if self.K0.dim != self.K1.dim:
-            raise ValueError("interpolation endpoints must share a dimension")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
-    @property
-    def tractable(self) -> bool:
-        return self.K0.as_weighted_lp() is not None and self.K1.as_weighted_lp() is not None
-
-
 def _inv_p(p: float) -> float:
     return 0.0 if np.isinf(p) else 1.0 / p
 
 
-def interpolate(pair: InterpolationPair) -> bd.ConvexBody:
-    """Closed-form interpolant of a tractable pair."""
-    if not pair.tractable:
-        raise ValueError("non-tractable pair: no closed-form interpolant; use surrogate()")
-    th = pair.theta
-    p0, s0 = pair.K0.as_weighted_lp()
-    p1, s1 = pair.K1.as_weighted_lp()
-    ip = (1.0 - th) * _inv_p(p0) + th * _inv_p(p1)
+def interpolate(K0: bd.ConvexBody, K1: bd.ConvexBody, theta: float) -> bd.ConvexBody:
+    """Closed-form interpolant [K0, K1]_theta of two weighted l_p balls or
+    diagonal ellipsoids in the same dimension, theta in [0, 1]."""
+    if K0.dim != K1.dim:
+        raise ValueError("interpolation endpoints must share a dimension")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    form0, form1 = K0.as_weighted_lp(), K1.as_weighted_lp()
+    if form0 is None or form1 is None:
+        raise ValueError("non-tractable pair: no closed-form interpolant; use the surrogate SurrogateBody")
+    p0, s0 = form0
+    p1, s1 = form1
+    ip = (1.0 - theta) * _inv_p(p0) + theta * _inv_p(p1)
     p = np.inf if ip == 0.0 else 1.0 / ip
-    scales = s0 ** (1.0 - th) * s1**th
-    return bd.WeightedLp(p, scales)
+    return bd.WeightedLp(p, s0 ** (1.0 - theta) * s1**theta)
 
 
 class SurrogateBody(bd.ConvexBody):
@@ -129,65 +111,36 @@ class SurrogateBody(bd.ConvexBody):
         }
 
 
-def surrogate(pair: InterpolationPair) -> SurrogateBody:
-    return SurrogateBody(pair.K0, pair.K1, pair.theta)
-
-
-@dataclass
-class PropertyReport:
-    """Per-identity residuals for one interpolation pair."""
-
-    residuals: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(r <= 1e-9 for r in self.residuals.values())
-
-    def worst(self):
-        name = max(self.residuals, key=self.residuals.get)
-        return name, self.residuals[name]
-
-
-def property_suite(pair: InterpolationPair, rng=None, ndirs: int = 1000) -> PropertyReport:
-    """Check duality, linearity (diagonal maps), two-sided scaling and the
-    log-convexity inequality of the interpolated gauge on sampled points."""
+def property_suite(K0, K1, theta: float, rng=None, ndirs: int = 1000) -> dict:
+    """Relative residuals of the endpoint, duality, linearity (diagonal maps)
+    and two-sided scaling identities of [K0, K1]_theta, and the slack of its
+    log-convexity inequality, on sampled points: {identity: residual}."""
     if rng is None:
         rng = np.random.default_rng(0)
-    n = pair.K0.dim
-    th = pair.theta
+    n = K0.dim
+    th = theta
     X = rng.standard_normal((ndirs, n))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    Kth = interpolate(pair)
-    rep = PropertyReport()
+    Kth = interpolate(K0, K1, th)
 
     def rel_resid(a, b):
         return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))
 
-    # endpoints
-    rep.residuals["endpoint_0"] = rel_resid(
-        interpolate(InterpolationPair(pair.K0, pair.K1, 0.0)).gauge(X), pair.K0.gauge(X)
-    )
-    rep.residuals["endpoint_1"] = rel_resid(
-        interpolate(InterpolationPair(pair.K0, pair.K1, 1.0)).gauge(X), pair.K1.gauge(X)
-    )
-    # polar identity
-    lhs = Kth.polar().gauge(X)
-    rhs = interpolate(InterpolationPair(pair.K0.polar(), pair.K1.polar(), th)).gauge(X)
-    rep.residuals["inter_polar"] = rel_resid(lhs, rhs)
+    res = {
+        "endpoint_0": rel_resid(interpolate(K0, K1, 0.0).gauge(X), K0.gauge(X)),
+        "endpoint_1": rel_resid(interpolate(K0, K1, 1.0).gauge(X), K1.gauge(X)),
+        "inter_polar": rel_resid(Kth.polar().gauge(X), interpolate(K0.polar(), K1.polar(), th).gauge(X)),
+    }
     # diagonal linear maps
     T = np.diag(np.exp(rng.uniform(-0.7, 0.7, size=n)))
-    lhs = bd.linear_image(T, Kth).gauge(X)
-    rhs = interpolate(
-        InterpolationPair(bd.linear_image(T, pair.K0), bd.linear_image(T, pair.K1), th)
-    ).gauge(X)
-    rep.residuals["inter_lin"] = rel_resid(lhs, rhs)
+    res["inter_lin"] = rel_resid(bd.linear_image(T, Kth).gauge(X),
+                                 interpolate(bd.linear_image(T, K0), bd.linear_image(T, K1), th).gauge(X))
     # two-sided scaling: [aK0, bK1]_th = a^(1-th) b^th [K0, K1]_th, so the
     # gauge divides by that factor
     a, b = 3.0, 1.0
-    lhs = interpolate(InterpolationPair(pair.K0.scale(a), pair.K1.scale(b), th)).gauge(X)
-    rhs = Kth.gauge(X) / (a ** (1 - th) * b**th)
-    rep.residuals["inter_ab"] = rel_resid(lhs, rhs)
+    res["inter_ab"] = rel_resid(interpolate(K0.scale(a), K1.scale(b), th).gauge(X),
+                                Kth.gauge(X) / (a ** (1 - th) * b**th))
     # interpolation inequality (one-sided; slack only against roundoff)
-    gm = pair.K0.gauge(X) ** (1 - th) * pair.K1.gauge(X) ** th
-    rep.residuals["inter_inq"] = float(np.max((Kth.gauge(X) - gm) / np.maximum(gm, 1e-12)))
-    return rep
+    gm = K0.gauge(X) ** (1 - th) * K1.gauge(X) ** th
+    res["inter_inq"] = float(np.max((Kth.gauge(X) - gm) / np.maximum(gm, 1e-12)))
+    return res

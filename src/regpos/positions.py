@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bodies as bd
 from .gaussian import GaussianSample, ell, ell_star
-from .interpolation import InterpolationPair, interpolate
+from .interpolation import interpolate
 
 __all__ = [
     "PositionMap",
@@ -375,9 +375,7 @@ def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
-    if K.as_weighted_lp() is None:
-        raise ValueError("non-tractable family: balance scale needs a closed-form interpolant")
-    Kth = interpolate(InterpolationPair(K, bd.WeightedLp(2.0, np.ones(K.dim)), theta))
+    Kth = interpolate(K, bd.ball(K.dim), theta)
     l = ell(Kth, 1, sample)
     ls = ell_star(Kth, 1, sample)
     a = float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))

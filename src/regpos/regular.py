@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bodies as bd
 from .gaussian import EllEstimate, GaussianSample
-from .interpolation import InterpolationPair, interpolate, phi, theta_of_alpha
+from .interpolation import interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
 from .subspaces import haar_grassmannian_batch, section_out_radii
 
@@ -39,20 +39,17 @@ __all__ = [
 
 
 def _require_tractable_unconditional(K):
-    form = K.as_weighted_lp()
-    if form is None or not K.unconditional:
+    if K.as_weighted_lp() is None or not K.unconditional:
         raise ValueError("body must be a tractable unconditional family (weighted l_p / diagonal ellipsoid)")
-    return form
 
 
 def fixed_point_map(K, T: PositionMap, theta: float, sample: GaussianSample) -> PositionMap:
     """F(T): the diagonal det-1 map putting [K, T^{-1} B_2]_theta in SAA ell-position."""
-    pK, sK = _require_tractable_unconditional(K)
+    _require_tractable_unconditional(K)
     if not T.diagonal:
         raise ValueError("T must be diagonal")
     # T^{-1} B_2 is the diagonal ellipsoid ||t * x||_2 <= 1, i.e. scales t
-    T_ball = bd.WeightedLp(2.0, np.diag(T.matrix))
-    Kth = interpolate(InterpolationPair(bd.WeightedLp(pK, sK), T_ball, theta))
+    Kth = interpolate(K, bd.WeightedLp(2.0, np.diag(T.matrix)), theta)
     return solve_ell_position(Kth, sample, mode="diagonal", tol=1e-8).T
 
 
@@ -88,7 +85,7 @@ def find_regular_position(
     and the returned position body is a*T(K) with the balance scale a
     equalizing ell and ell* of the interpolant; the result carries both.
     """
-    pK, sK = _require_tractable_unconditional(K)
+    _require_tractable_unconditional(K)
     theta = theta_of_alpha(alpha)
     if sample is None:
         sample = GaussianSample(seed, samples, K.dim)
@@ -96,12 +93,11 @@ def find_regular_position(
     T = PositionMap.from_diag(np.exp(F.log_diag() / (1.0 - theta)), normalize=True)
     residual = float(np.abs(T.log_diag() - fixed_point_map(K, T, theta, sample).log_diag()).max())
 
-    TK = bd.WeightedLp(pK, sK / np.diag(T.matrix))
+    TK = T.apply(K)
     a, l, ls = balance_scale(TK, theta, sample)
-    body = bd.WeightedLp(pK, TK.scales / a)
     return FixedPointResult(
         T=T, alpha=float(alpha), theta=theta, residual=residual,
-        iterations=2, converged=residual <= tol, balance=a, body=body,
+        iterations=2, converged=residual <= tol, balance=a, body=TK.scale(a),
         sample=sample, ell_interp=l, ell_star_interp=ls,
     )
 
@@ -123,9 +119,7 @@ def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody) -> floa
 
     Near a fixed point this re-solve must return (close to) the identity.
     """
-    pK, sK = _require_tractable_unconditional(K)
-    TK = bd.WeightedLp(pK, sK / np.diag(result.T.matrix))
-    F = fixed_point_map(TK, PositionMap.identity(K.dim), result.theta, result.sample)
+    F = fixed_point_map(result.T.apply(K), PositionMap.identity(K.dim), result.theta, result.sample)
     return float(np.abs(np.log(np.diag(F.matrix))).max())
 
 

@@ -179,8 +179,12 @@ class SectionBody(bd.ConvexBody):
             g, Y = self.parent._gauge_subgrad(X0)
             return g, Y @ self.carrier.basis
         # the LP duals give a subgradient of the fiber minimum in x0; else the parent
-        # subgradient at the minimizer does when the parent is smooth (envelope theorem)
+        # subgradient at the minimizer does when the parent is smooth (envelope theorem);
+        # on a kinked parent it need not, so there is no subgradient to give
         rep = _affine_rep(self.parent)
+        if rep is None and not _smooth(self.parent):
+            raise NotImplementedError(f"no projection subgradient for a kinked {self.parent.family} parent "
+                                      "without an LP form")
         g = np.empty(U.shape[0])
         Y = np.empty_like(U)
         for i, x0 in enumerate(X0):

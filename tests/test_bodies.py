@@ -159,7 +159,7 @@ def test_linear_image_singular_rejected():
 
 
 def test_complexify_ball_singular_value_oracle():
-    C = bd.complexify(bd.ball(2))
+    C = bd.Complexified(bd.ball(2))
     x = np.array([1.0, 0.2])
     y = np.array([-0.4, 0.9])
     # max_theta |cos t x + sin t y| is the top singular value of [x y]
@@ -169,12 +169,12 @@ def test_complexify_ball_singular_value_oracle():
 
 
 def test_complexify_segment_is_modulus():
-    seg = bd.complexify(bd.cube(1))
+    seg = bd.Complexified(bd.cube(1))
     assert seg.gauge([3.0, 4.0]) == pytest.approx(5.0, rel=1e-7)
 
 
 def test_complexify_cross_polytope_diagonal_max():
-    C = bd.complexify(bd.cross_polytope(2))
+    C = bd.Complexified(bd.cross_polytope(2))
     # fine-grid oracle for max_theta (|cos| + |sin|)
     ts = np.linspace(0, np.pi, 20001)
     oracle = np.max(np.abs(np.cos(ts)) + np.abs(np.sin(ts)))
@@ -184,7 +184,7 @@ def test_complexify_cross_polytope_diagonal_max():
 
 def test_complexify_real_section_and_circledness():
     K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0])
-    C = bd.complexify(K)
+    C = bd.Complexified(K)
     X = sphere_points(50, 2)
     emb = np.hstack([X, np.zeros_like(X)])
     assert np.abs(C.gauge(emb) - K.gauge(X)).max() <= 1e-7
@@ -368,7 +368,7 @@ def test_spec_round_trip_families():
         bd.Ellipsoid(np.diag([1.0, 2.0])),
         bd.PolytopeH(rows),
         bd.PolytopeV(rows),
-        bd.complexify(bd.cross_polytope(2)),
+        bd.Complexified(bd.cross_polytope(2)),
     ]
     for K in bodies:
         K2 = bd.from_spec(K.spec())
@@ -571,7 +571,7 @@ def test_polar_subgrad_runs_one_support_search(monkeypatch):
         return np.full(Y.shape[0], 2.0), Y / 2.0
 
     monkeypatch.setattr(bd, "support_estimate", counting_search)
-    K = bd.complexify(bd.cross_polytope(2)).polar()
+    K = bd.Complexified(bd.cross_polytope(2)).polar()
     X = RNG.standard_normal((5, 4))
     g, Y = K._gauge_subgrad(X)
     assert calls == [(5, 4)]

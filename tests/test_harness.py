@@ -187,6 +187,28 @@ def test_qs_trial_radii_are_lower_bounds(tmp_path):
         assert summary["measured"][key]["bound"] == "lower" and "exact" not in summary["measured"][key]
 
 
+def test_qs_summary_reports_the_fixed_point_and_largest_distances(tmp_path, capsys):
+    from regpos.regular import find_regular_position
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"body": {"preset": "b1", "dim": 8}, "k": 2, "trials": 12,
+                               "fp_samples": 2000, "report_samples": 100}))
+    assert main(["qs", "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+    *trials, summary = [json.loads(line) for line in (tmp_path / "o" / "qs.jsonl").read_text().splitlines()]
+    fp = find_regular_position(bd.cross_polytope(8), summary["params"]["alpha"], seed=3, samples=2000)
+    got = summary["measured"]
+    assert got["fp_residual"] == {"value": fp.residual, "exact": True}
+    assert got["fp_converged"] == {"value": float(fp.converged), "exact": True}
+    for key, name in (("dmax_sop", "d_section_of_projection"), ("dmax_pos", "d_projection_of_section")):
+        assert got[key] == {"value": max(t["measured"][name]["value"] for t in trials), "bound": "lower"}
+    with open(tmp_path / "o" / "qs_summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["fp_residual"]) == fp.residual and row["fp_converged"] == str(int(fp.converged))
+    assert float(row["dmax_sop"]) == got["dmax_sop"]["value"]
+    assert float(row["dmax_pos"]) == got["dmax_pos"]["value"]
+    assert f"fixed point: residual={fp.residual:.2e} converged={fp.converged}" in capsys.readouterr().out
+
+
 def test_measured_bound_marker():
     assert measured(2.0, lower_bound=True) == {"value": 2.0, "bound": "lower"}
 
@@ -537,6 +559,22 @@ def test_perfbench_tracer_binds_its_names():
     assert gaussian.GaussianSample.block is not block
     tracer.uninstall()
     assert gaussian.GaussianSample.block is block and positions._DiagObjective.__call__ is call
+
+
+def test_every_exported_name_exists():
+    # a stale __all__ entry fails only on `import *`, so check every module's here
+    import pkgutil
+
+    import regpos
+
+    stale, checked = {}, set()
+    for info in pkgutil.iter_modules(regpos.__path__):
+        module = importlib.import_module(f"regpos.{info.name}")
+        if hasattr(module, "__all__"):
+            checked.add(info.name)
+            stale[info.name] = [n for n in module.__all__ if not hasattr(module, n)]
+    assert {"bodies", "interpolation", "regular", "subspaces"} <= checked
+    assert {name: missing for name, missing in stale.items() if missing} == {}
 
 
 def test_cli_props_subset_green(tmp_path, capsys):

@@ -335,13 +335,13 @@ def test_balance_theta_zero_endpoint():
 
 def test_balance_weighted_l1_theta_half():
     from regpos.gaussian import ell as _ell, ell_star as _ell_star
-    from regpos.interpolation import InterpolationPair, interpolate
+    from regpos.interpolation import interpolate
 
     K = bd.WeightedLp.from_weights(1.0, [1.0, 2.0, 3.0, 4.0])
     s = GaussianSample(61, 20000, 4)
     th = 0.5
     a, _, _ = balance_scale(K, th, s)
-    Kth_scaled = interpolate(InterpolationPair(K.scale(a), bd.WeightedLp(2.0, np.ones(4)), th))
+    Kth_scaled = interpolate(K.scale(a), bd.WeightedLp(2.0, np.ones(4)), th)
     la = _ell(Kth_scaled, 1, s)
     lsa = _ell_star(Kth_scaled, 1, s)
     assert abs(la.value - lsa.value) <= 3 * (la.se + lsa.se)

@@ -112,6 +112,49 @@ def test_find_regular_position_ellipsoid_closed_form():
     assert Kbar_unscaled.radii.R / Kbar_unscaled.radii.r <= 1.05
 
 
+def test_position_body_keeps_the_family_of_k():
+    # the position body is a T(K) built by linear_image: an ellipsoid stays an
+    # ellipsoid, and a weighted l_1 ball gets the scales s / t / a bit for bit
+    E = preset("ell_cond4", 6)
+    fp = find_regular_position(E, 0.75, seed=4, samples=2000)
+    assert isinstance(fp.body, bd.Ellipsoid)
+    X = np.random.default_rng(4).standard_normal((50, 6))
+    expect = E.gauge(X / (fp.balance * np.diag(fp.T.matrix)))
+    assert fp.body.gauge(X) == pytest.approx(expect, rel=1e-12)
+    K = bd.cross_polytope(6)
+    fp = find_regular_position(K, 0.75, seed=4, samples=2000)
+    assert type(fp.body) is bd.WeightedLp and fp.body.p == 1.0
+    assert np.array_equal(fp.body.scales, K.scales / np.diag(fp.T.matrix) / fp.balance)
+
+
+def test_qs_on_an_ellipsoid_takes_the_eigen_route(monkeypatch):
+    # every qs radius of an ellipsoid position body is an exact eigenvalue:
+    # no ascent runs, and the distances are those of _ellipsoid_ratio
+    from regpos import _ascent
+    from regpos import subspaces as sp
+    from regpos.experiments import _rng, run_qs_experiment
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("the ascent ran on an ellipsoid")
+
+    monkeypatch.setattr(_ascent, "_extremize", no_ascent)
+    K, k, trials, seed = preset("ell_cond4", 16), 4, 30, 3
+    s = run_qs_experiment(K, 0.75, k, trials=trials, seed=seed, fp_samples=2000, report_samples=100)
+    Kbar = find_regular_position(K, 0.75, seed=seed, samples=2000).body
+    F, E, E2 = sp.haar_flag_batch(_rng(seed, 3), 16, k, trials)
+    Pts = np.swapaxes(E, 1, 2)
+
+    def R(B, Zs, Ps=None):
+        return _ascent._ellipsoid_ratio(B, Zs, Ps, "max")
+
+    Kpol = Kbar.polar()
+    d_sop = np.maximum(R(Kbar, E2, Pts) * R(Kpol, F, Pts), 1.0)
+    d_pos = np.maximum(R(Kbar, F, Pts) * R(Kpol, E2, Pts), 1.0)
+    got = np.array([[o.d_section_of_projection, o.d_projection_of_section] for o in s.outcomes])
+    np.testing.assert_allclose(got, np.stack([d_sop, d_pos], axis=1), rtol=1e-12, atol=0.0)
+    assert [o.section_radius for o in s.outcomes] == pytest.approx(R(Kbar, F), rel=1e-12)
+
+
 def test_find_regular_position_alpha_near_half():
     # alpha = 0.501 makes the interpolant an l_p body with p near 1000, where
     # unnormalized powers |g|^p overflow and the solve would stop at the identity
@@ -185,13 +228,13 @@ def test_balanced_interpolant_equalized_and_bound_recorded():
 def test_balanced_interpolant_functionals_match_fresh_estimates():
     # the balance pass's rescaled estimates are those of [Kbar, B_2]_theta itself
     from regpos.gaussian import ell, ell_star
-    from regpos.interpolation import InterpolationPair, interpolate
+    from regpos.interpolation import interpolate
 
     for K, alpha in ((bd.WeightedLp.from_weights(1.0, np.linspace(1, 2, 6)), 0.75),
                      (bd.WeightedLp.from_weights(3.0, np.linspace(1, 3, 6)), 1.5)):
         fp = find_regular_position(K, alpha, seed=22, samples=4000)
         l, ls, _ = balanced_interpolant_functionals(fp)
-        Kth = interpolate(InterpolationPair(fp.body, bd.WeightedLp(2.0, np.ones(6)), fp.theta))
+        Kth = interpolate(fp.body, bd.WeightedLp(2.0, np.ones(6)), fp.theta)
         for got, fresh in ((l, ell(Kth, 1, fp.sample)), (ls, ell_star(Kth, 1, fp.sample))):
             assert got.value == pytest.approx(fresh.value, rel=1e-12)
             assert got.se == pytest.approx(fresh.se, rel=1e-12)

@@ -13,7 +13,7 @@ from scipy.stats import kstest
 
 from regpos import bodies as bd
 from regpos import subspaces as sp
-from regpos.interpolation import InterpolationPair, surrogate
+from regpos.interpolation import SurrogateBody
 
 RNG = np.random.default_rng(555)
 
@@ -259,6 +259,18 @@ def test_projection_gauge_subgrad_is_a_subgradient(K):
     assert np.all(S.gauge(Z)[:, None] >= Z @ Y.T - 1e-6)
 
 
+@pytest.mark.parametrize("K", [bd.PolytopeV(np.random.default_rng(43).standard_normal((7, 5))),
+                               SurrogateBody(bd.cube(5), bd.cross_polytope(5), 0.5)],
+                         ids=["polytope_v", "surrogate"])
+def test_projection_gauge_subgrad_of_a_kinked_parent_without_lp_form_raises(K):
+    # there the parent subgradient at the fiber minimizer need not be a
+    # subgradient of the projection gauge, so none is returned
+    assert sp._affine_rep(K) is None and not sp._smooth(K)
+    S = sp.SectionBody(K, sp.haar_grassmannian(np.random.default_rng(43), 5, 3), "projection")
+    with pytest.raises(NotImplementedError, match="LP form"):
+        S._gauge_subgrad(np.ones((2, 3)))
+
+
 def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
     # a kinked exact parent without an LP form: L-BFGS stalls on the kinks of
     # sqrt(|x|_inf |x|_1) and the derivative-free polish takes it lower
@@ -271,7 +283,7 @@ def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
 
     monkeypatch.setattr(sp, "_lbfgs", spy)
     rng = np.random.default_rng(0)
-    K = surrogate(InterpolationPair(bd.cube(5), bd.cross_polytope(5), 0.5))
+    K = SurrogateBody(bd.cube(5), bd.cross_polytope(5), 0.5)
     S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
     U = rng.standard_normal((5, 3))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -306,7 +318,7 @@ def test_whole_body_radii_come_from_radii():
               bd.Ellipsoid(np.diag([0.25, 1.0, 4.0])), bd.PolytopeH(rng.standard_normal((6, 3))),
               bd.PolytopeV(rng.standard_normal((5, 3))),
               bd.linear_image(rng.standard_normal((3, 3)) + 3 * np.eye(3), bd.cube(3)),
-              bd.complexify(bd.cross_polytope(2))]
+              bd.Complexified(bd.cross_polytope(2))]
     for K in bodies:
         assert sp.out_radius(K) == K.radii.R and sp.in_radius(K) == K.radii.r
         assert sp.geometric_distance_to_ball(K) == max(K.radii.R / K.radii.r, 1.0)
@@ -471,7 +483,7 @@ def test_each_purpose_runs_at_its_effort(monkeypatch):
     assert run(lambda: section_radius_sample(K, 3, 4, rng)) == survey
     assert run(lambda: run_lowmstar_check(n_list=(4,), samples=100, ell_samples=1000)) == survey
     assert run(lambda: random_h_polytope(rng, 3).radii) == {_ascent.RADIUS}
-    assert run(lambda: bd.complexify(bd.cross_polytope(2)).support(rng.standard_normal((1, 4)))) == {_ascent.SUPPORT}
+    assert run(lambda: bd.Complexified(bd.cross_polytope(2)).support(rng.standard_normal((1, 4)))) == {_ascent.SUPPORT}
     with pytest.raises(TypeError):
         _ascent.ratio_extremum_many(K, bases, starts=8)
 
