@@ -5,10 +5,11 @@ num(z) / gauge(z) over unit z in the column span of Z, for a stack of S
 problems at once.  The numerator is |P z| (P = I when absent) or, for
 relative out-radii, another body's gauge.  Every iterate is a feasible
 evaluation, so reported maxima are certified lower bounds and reported
-minima certified upper bounds.  Ellipsoids with a quadratic numerator take
-an exact stacked eigenvalue route instead, and maxima of a quadratic
-numerator over sections of codimension at most 3 take a vertex search for
-weighted l_1 balls and a vertex walk for weighted cubes (_vertex.py).
+minima certified upper bounds.  Ellipsoids and weighted l_2 balls with a
+quadratic numerator take an exact stacked eigenvalue route instead, and
+maxima of a quadratic numerator over sections of codimension at most 3 take
+a vertex search for weighted l_1 balls and a vertex walk for weighted cubes
+(_vertex.py).
 """
 
 from __future__ import annotations
@@ -110,22 +111,33 @@ def _ratio_fun_grad(body, Zs, Ps, sign):
     return fun_grad
 
 
-def _ellipsoid_ratio(body, Zs, Ps, mode):
-    """Exact extrema for an ellipsoid and a quadratic numerator, all S at once.
+def _quadratic_form(body):
+    """A with gauge^2(x) = x^T A x, for an ellipsoid or a weighted l_2 ball; else None."""
+    if body.family == "ellipsoid":
+        return body.A
+    if body.family == "weighted_lp" and body.p == 2:
+        return np.diag(body.scales**2)
+    return None
 
-    The squared ratio is w^T N w / w^T M w with M = Z^T A Z; whitening by the
-    Cholesky factor M = L L^T turns it into the eigenvalues of L^-1 N L^-T.
-    Returns the (S,) values.
+
+def _ellipsoid_ratio(body, Zs, Ps, mode):
+    """Exact extrema for a quadratic gauge and a quadratic numerator, all S at once.
+
+    The squared ratio is w^T N w / w^T M w with M = Z^T A Z.  With Ps None,
+    N = Z^T Z = I and the extrema are M's extreme eigenvalues to the power
+    -1/2; otherwise whitening by the Cholesky factor M = L L^T turns the
+    ratio into the eigenvalues of L^-1 N L^-T.  Returns the (S,) values.
     """
     ZT = _mT(Zs)
+    M = ZT @ _quadratic_form(body) @ Zs
     if Ps is None:
-        N = ZT @ Zs
-    elif _is_body(Ps):
-        N = ZT @ Ps.A @ Zs
+        return np.linalg.eigvalsh(M)[:, 0 if mode == "max" else -1] ** -0.5
+    if _is_body(Ps):
+        N = ZT @ _quadratic_form(Ps) @ Zs
     else:
         PZ = Ps @ Zs
         N = _mT(PZ) @ PZ
-    LinvT = _mT(np.linalg.inv(np.linalg.cholesky(ZT @ body.A @ Zs)))
+    LinvT = _mT(np.linalg.inv(np.linalg.cholesky(M)))
     vals = np.linalg.eigvalsh(_mT(LinvT) @ N @ LinvT)
     return np.sqrt(np.maximum(vals[:, -1 if mode == "max" else 0], 0.0))
 
@@ -140,13 +152,14 @@ def _orthonormal(Zs):
 
 
 def _extrema(body, Zs, Ps, mode, rng, effort):
-    """(S,) extrema: exact eigenvalues for an ellipsoid with a quadratic numerator,
-    the vertex routes for maxima of a quadratic numerator over sections of a
-    weighted l_1 ball or cube of codimension 1..MAX_CODIM, else the ascent's
-    from rng at effort (starts, iters, probes, polish)."""
+    """(S,) extrema: exact eigenvalues for an ellipsoid or weighted l_2 ball
+    with a quadratic numerator, the vertex routes for maxima of a quadratic
+    numerator over sections of a weighted l_1 ball or cube of codimension
+    1..MAX_CODIM, else the ascent's from rng at effort (starts, iters,
+    probes, polish)."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    if body.family == "ellipsoid" and (not _is_body(Ps) or Ps.family == "ellipsoid"):
+    if _quadratic_form(body) is not None and (not _is_body(Ps) or _quadratic_form(Ps) is not None):
         return _ellipsoid_ratio(body, Zs, Ps, mode)
     if (body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and not _is_body(Ps)
             and 1 <= Zs.shape[1] - Zs.shape[2] <= MAX_CODIM):
@@ -181,9 +194,9 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
 
     Zs is (S, n, d) with orthonormal columns; other bases raise ValueError.
     The numerator is |z| when Ps is None, |Ps[i] z| for an (S, q, n) stack,
-    or the gauge of Ps when it is a body.  Exact for ellipsoids with a
-    quadratic numerator; else maxima are lower bounds and minima upper
-    bounds.
+    or the gauge of Ps when it is a body.  Exact for ellipsoids and weighted
+    l_2 balls with a quadratic numerator; else maxima are lower bounds and
+    minima upper bounds.
     """
     return _extrema(body, _orthonormal(Zs), Ps, mode, rng, SURVEY)
 

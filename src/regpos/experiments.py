@@ -904,11 +904,20 @@ def run_regularity_curve(
 # ======================================================================
 
 
+def _shared_samples(bodies, seed, samples):
+    """(name, K, sample) per body; consecutive bodies of one dimension share
+    the one GaussianSample(seed, samples, dim), which is drawn on first use."""
+    sample = None
+    for name, K in bodies:
+        if sample is None or sample.dim != K.dim:
+            sample = GaussianSample(seed, samples, K.dim)
+        yield name, K, sample
+
+
 def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, writer=None):
     """Solve the ell-position for each named body; returns summary rows."""
     rows = []
-    for name, K in bodies:
-        sample = GaussianSample(seed, samples, K.dim)
+    for name, K, sample in _shared_samples(bodies, seed, samples):
         res = solve_ell_position(K, sample, tol=tol)
         prod = ell_product(res.T.apply(K), sample)
         rows.append({
@@ -934,8 +943,8 @@ def run_ell_positions(bodies, samples=20000, seed=0, tol=1e-6, writer=None):
 def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None):
     """find_regular_position per body; returns summary rows."""
     rows = []
-    for name, K in bodies:
-        fp = find_regular_position(K, alpha, seed=seed, samples=samples)
+    for name, K, sample in _shared_samples(bodies, seed, samples):
+        fp = find_regular_position(K, alpha, sample=sample)
         cert = ell_position_certificate(fp, K)
         l, ls, bound = balanced_interpolant_functionals(fp)
         rows.append({
@@ -959,7 +968,7 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None
                     "rad_bound_sqrt_2nphi": measured(bound, exact=True),
                 },
             ))
-        del fp   # frees its sample and power table before the next fixed point
+        del fp   # so a sample is freed before the next dimension's is drawn
     return rows
 
 

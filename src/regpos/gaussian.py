@@ -6,9 +6,10 @@ is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
 agree across sample sizes; evaluation sums per-block results in block order.
 The whole (M, N) array is drawn once, on first use, and is then held read-only
 for the sample's lifetime (M * N * 8 bytes); blocks are views into it.  A
-weighted l_p ell-position solve on the sample adds a read-only power table of
-the same size for its p, kept for the sample's lifetime until a solve with
-another p replaces it.
+weighted l_p ell-position solve, or a balance pass, on the sample adds a
+read-only power table of the same size for its p, kept for the sample's
+lifetime until a call with another p replaces it; the old table is released
+before the new one is built.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class EllEstimate:
     p: int
 
 
-def _moments(sample, values_fn):
-    s, sq, m = map(sum, zip(*(_block_moments(values_fn(G)) for G in sample.blocks())))
+def _moments(values):
+    """Mean, unbiased variance and count of per-block value arrays, summed in block order."""
+    s, sq, m = map(sum, zip(*map(_block_moments, values)))
     mean = s / m
     var = max(sq / m - mean * mean, 0.0) * m / (m - 1)
     return mean, var, m
@@ -118,8 +120,9 @@ def _block_moments(v):
     return float(v.sum()), float((v * v).sum()), v.size
 
 
-def _estimate(sample, values_fn, p):
-    mean, var, m = _moments(sample, values_fn)
+def _estimate(values, p):
+    """The EllEstimate of power p in {1, 2} from the per-block values |G|_K^p."""
+    mean, var, m = _moments(values)
     if p == 1:
         return EllEstimate(mean, np.sqrt(var / m), m, 1)
     value = np.sqrt(mean)
@@ -143,7 +146,7 @@ def _estimate_functional(K, name, sample):
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
     fn, p = _FUNCTIONALS[name]
-    return _estimate(sample, lambda G: fn(K, G), p)
+    return _estimate((fn(K, G) for G in sample.blocks()), p)
 
 
 def _power_name(p, names):
@@ -174,7 +177,7 @@ def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstima
     if not bodyA.dim == bodyB.dim == sample.dim:
         raise ValueError("bodies and sample must share a dimension")
     fn = _FUNCTIONALS[functional][0]
-    mean, var, m = _moments(sample, lambda G: fn(bodyA, G) - fn(bodyB, G))
+    mean, var, m = _moments(fn(bodyA, G) - fn(bodyB, G) for G in sample.blocks())
     return EllEstimate(mean, np.sqrt(var / m), m, 1)
 
 

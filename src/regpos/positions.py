@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bodies as bd
-from .gaussian import GaussianSample, ell, ell_star
+from .gaussian import GaussianSample, _estimate, ell, ell_star
 from .interpolation import interpolate
 
 __all__ = [
@@ -101,23 +101,28 @@ _POWER_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _block_powers(G, p):
-    """(|G| / m)^p, read-only, and m^2 for m the largest |g| of the block."""
+    """(|G| / m)^p, read-only, and m, the largest |g| of the block."""
     # in place, sparing two temporaries
     A = np.abs(G)
     m = A.max(initial=np.finfo(float).tiny)
     np.power(np.divide(A, m, out=A), p, out=A)
     A.setflags(write=False)
-    return A, m * m
+    return A, m
 
 
 def _power_table(sample, p):
     """_block_powers of every block, built once per (sample, p): every solve of
-    a fixed point and of its certificate shares one p, so the last is kept."""
+    a fixed point, its balance pass and its certificate share one p, so the
+    last is kept."""
     cached = sample.__dict__.get("_power_table")
-    if cached is None or cached[0] != p:
-        cached = p, [_block_powers(G, p) for G in sample.blocks()]
-        sample.__dict__["_power_table"] = cached
-    return cached[1]
+    if cached is not None and cached[0] == p:
+        return cached[1]
+    # release the old table before building the new one, so one table is live
+    del cached
+    sample.__dict__.pop("_power_table", None)
+    table = [_block_powers(G, p) for G in sample.blocks()]
+    sample.__dict__["_power_table"] = p, table
+    return table
 
 
 class _DiagObjective:
@@ -157,11 +162,11 @@ class _DiagObjective:
             c = np.exp(u - top)
             unit = np.exp(2.0 * top / self.p)
             # einsum, not BLAS: the sums must not depend on the BLAS thread count
-            def blockfn(G, A, m2):
+            def blockfn(G, A, m):
                 S = np.einsum("mi,i->m", A, c)
                 if S.min() < _POWER_FLOOR:
                     return self._subgrad_block(G, es)
-                r = m2 * S ** (2.0 / self.p - 1.0)
+                r = (m * m) * S ** (2.0 / self.p - 1.0)
                 return unit * float((S * r).sum()), unit * 2.0 * c * np.einsum("mi,m->i", A, r)
 
             parts = [blockfn(G, *P) for G, P in zip(self.blocks, self.powers)]
@@ -363,6 +368,28 @@ def ell_product(K: bd.ConvexBody, sample: GaussianSample) -> ProductEstimate:
     return ProductEstimate(mua * mub, float(np.sqrt(max(var, 0.0))), mua, mub)
 
 
+def _table_ell(K, sample):
+    """ell(K) for a weighted l_p ball K with finite p, read from the sample's
+    power table: the gauge of a row is m (sum_i a_i c_i)^(1/p) with
+    c_i = s_i^p, one matvec A c per block.  A block whose row sums come near
+    underflow goes through the gauge, as in _DiagObjective."""
+    p, s = K.as_weighted_lp()
+    # c is divided by its max e^top to stay in range; the gauge scales by e^(top / p)
+    u = p * np.log(s)
+    top = u.max()
+    c = np.exp(u - top)
+    unit = np.exp(top / p)
+
+    def values(G, A, m):
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        S = np.einsum("mi,i->m", A, c)
+        if S.min() < _POWER_FLOOR:
+            return K._gauge(G)
+        return (m * unit) * S ** (1.0 / p)
+
+    return _estimate((values(G, *P) for G, P in zip(sample.blocks(), _power_table(sample, p))), 1)
+
+
 def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):
     """(a, ell, ell*): the a > 0 with ell([aK, B_2]_theta) = ell*([aK, B_2]_theta),
     and the two EllEstimates of that balanced interpolant on the sample.
@@ -371,12 +398,16 @@ def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):
     its ell by a^(1-theta) and multiplies its ell* by the same factor, so
     a = (ell/ell*)^(1/(2(1-theta))) evaluated on [K, B_2]_theta, and the
     estimates (values and standard errors) of [aK, B_2]_theta are those of
-    [K, B_2]_theta divided and multiplied by a^(1-theta).
+    [K, B_2]_theta divided and multiplied by a^(1-theta).  For finite p the
+    interpolant's ell comes from the sample's power table, which the fixed
+    point's solves have built for the same p.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
+    if sample.dim != K.dim:
+        raise ValueError("sample dimension does not match the body")
     Kth = interpolate(K, bd.ball(K.dim), theta)
-    l = ell(Kth, 1, sample)
+    l = ell(Kth, 1, sample) if np.isinf(Kth.p) else _table_ell(Kth, sample)
     ls = ell_star(Kth, 1, sample)
     a = float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))
     f = a ** (1.0 - theta)

@@ -347,6 +347,54 @@ def test_balance_weighted_l1_theta_half():
     assert abs(la.value - lsa.value) <= 3 * (la.se + lsa.se)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.2, 2.0, 6.0])
+def test_balance_ell_from_the_power_table_matches_the_gauge(p):
+    # two blocks: each block is read through its own table entry
+    s = GaussianSample(62, 20000, 8)
+    assert s.n_blocks() == 2
+    K = bd.WeightedLp(p, np.exp(np.random.default_rng(5).uniform(-1.0, 1.0, 8)))
+    got, ref = positions._table_ell(K, s), ell(K, 1, s)
+    assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert got.se == pytest.approx(ref.se, rel=1e-10, abs=0.0)
+    assert got.count == ref.count and got.p == 1
+    # and through balance_scale, whose ell is that of [K, B_2]_theta over a^(1-theta)
+    from regpos.interpolation import interpolate
+
+    th = 0.4
+    a, l, _ = balance_scale(K, th, s)
+    ref = ell(interpolate(K, bd.ball(8), th), 1, s)
+    assert l.value * a ** (1.0 - th) == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+
+
+def test_balance_ell_large_p_block_takes_the_gauge(monkeypatch):
+    # at p = 1000 the block-max powers underflow, so every block's row sums
+    # fall below the floor and its ell comes from the gauge
+    s = GaussianSample(63, 20000, 8)
+    K = bd.WeightedLp(1000.0, np.exp(np.random.default_rng(6).uniform(-1.0, 1.0, 8)))
+    ref = ell(K, 1, s)
+    rows = []
+    gauge = bd.WeightedLp._gauge
+    monkeypatch.setattr(bd.WeightedLp, "_gauge", lambda self, X: rows.append(len(X)) or gauge(self, X))
+    got = positions._table_ell(K, s)
+    assert rows == [16384, 3616]
+    assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+
+
+def test_balance_cube_at_theta_zero_takes_the_gauge(monkeypatch):
+    # [B_inf, B_2]_0 is the cube: p = inf has no power table
+    def no_table(*args):
+        raise AssertionError("a power table was built for p = inf")
+
+    monkeypatch.setattr(positions, "_power_table", no_table)
+    from regpos.gaussian import ell_star
+
+    s = GaussianSample(64, 2000, 4)
+    a, l, _ = balance_scale(bd.cube(4), 0.0, s)
+    ref = ell(bd.cube(4), 1, s)
+    assert a == pytest.approx(np.sqrt(ref.value / ell_star(bd.cube(4), 1, s).value), rel=1e-12)
+    assert l.value * a == pytest.approx(ref.value, rel=1e-15)
+
+
 def test_balance_rejects_nontractable():
     K = bd.PolytopeH(np.random.default_rng(1).standard_normal((8, 4)))
     with pytest.raises(ValueError, match="tractable"):

@@ -180,6 +180,45 @@ def test_power_table_built_once_per_sample_and_p(monkeypatch):
     assert len(builds) == 2
 
 
+def test_power_table_switch_releases_the_old_table():
+    # a new p drops the old table before building its own: the peak stays
+    # near one table, where holding the old one through the build gives two
+    import tracemalloc
+
+    sample = GaussianSample(9, 20000, 6)
+    sample.vectors()
+    size = sample.count * sample.dim * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        positions._power_table(sample, 1.5)
+        tracemalloc.reset_peak()
+        positions._power_table(sample, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 1.5 * size
+
+
+def test_regular_positions_share_one_sample_per_dimension(monkeypatch):
+    from regpos.experiments import run_regular_positions
+
+    bodies = [("b1", bd.cross_polytope(6)), ("wlp3", preset("wlp3", 6)), ("binf", bd.cube(5))]
+    alpha, seed, samples = 0.75, 14, 3000
+    expect = []
+    for _, K in bodies:
+        fp = find_regular_position(K, alpha, seed=seed, samples=samples)
+        expect.append([fp.residual, fp.balance, ell_position_certificate(fp, K),
+                       fp.ell_interp.value, fp.ell_star_interp.value])
+    drawn = []
+    post_init = GaussianSample.__post_init__
+    monkeypatch.setattr(GaussianSample, "__post_init__", lambda self: drawn.append(self.dim) or post_init(self))
+    rows = run_regular_positions(bodies, alpha=alpha, samples=samples, seed=seed)
+    assert drawn == [6, 5]
+    got = [[r["residual"], r["balance"], r["certificate"], r["ell_interp"], r["ell_star_interp"]] for r in rows]
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
 def test_find_regular_position_b1_symmetry_forces_identity():
     K = bd.cross_polytope(8)
     fp = find_regular_position(K, 0.75, seed=6, samples=20000)

@@ -373,6 +373,28 @@ def test_stacked_ellipsoid_route_matches_per_subspace_eigvalsh():
             assert vals[i] == pytest.approx(np.sqrt(lam[-1] if mode == "max" else lam[0]), rel=1e-12)
 
 
+def test_weighted_l2_ball_takes_the_eigen_route(monkeypatch):
+    # a weighted l_2 ball is the ellipsoid diag(s^2), as a body and as a body
+    # numerator: its radii are exact eigenvalues and no ascent runs
+    from regpos import _ascent
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("the ascent ran on a weighted l_2 ball")
+
+    monkeypatch.setattr(_ascent, "_extremize", no_ascent)
+    n = 10
+    rng = np.random.default_rng(23)
+    s, t = np.exp(rng.uniform(-1.0, 1.0, (2, n)))
+    W, E = bd.WeightedLp(2.0, s), bd.Ellipsoid(np.diag(s**2))
+    Wt, Et = bd.WeightedLp(2.0, t), bd.Ellipsoid(np.diag(t**2))
+    Zs = sp.haar_grassmannian_batch(rng, n, 6, 30)
+    for mode in ("max", "min"):
+        for body, num, ref_body, ref_num in ((W, None, E, None), (W, Wt, E, Et), (E, Wt, E, Et)):
+            got = _ascent.ratio_extremum_many(body, Zs, num, mode)
+            ref = _ascent.ratio_extremum_many(ref_body, Zs, ref_num, mode)
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
 def test_ascent_never_exceeds_b1_hyperplane_pair_formula():
     from regpos._ascent import ratio_extremum, ratio_extremum_many
 
