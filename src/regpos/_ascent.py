@@ -46,7 +46,7 @@ def _tangent(G, W):
     return G
 
 
-def ascend(fun_grad, W0, iters=120, step0=0.25):
+def ascend(fun_grad, W0, iters, step0=0.25):
     """Maximize f over unit rows by projected gradient with per-row adaptive steps.
 
     fun_grad maps (..., d) unit rows to fresh (f, grad) arrays of shapes (...),

@@ -545,16 +545,6 @@ class LinearImage(ConvexBody):
     def _make_polar(self):
         return linear_image(self.Tinv.T, self.base.polar())
 
-    def as_weighted_lp(self):
-        d = np.diag(self.T)
-        if not (np.allclose(self.T, np.diag(d)) and np.all(d > 0)):
-            return None
-        form = self.base.as_weighted_lp()
-        if form is None:
-            return None
-        p, s = form
-        return p, s / d
-
     def spec(self):
         return {
             "family": "linear_image",
@@ -690,8 +680,9 @@ def linear_image(T, K: ConvexBody) -> ConvexBody:
     """T(K) with closed-form family simplifications where available."""
     M = _as_matrix(T, K.dim)
     d = np.diag(M)
-    if isinstance(K, WeightedLp) and np.allclose(M, np.diag(d)) and np.all(d > 0):
-        return WeightedLp(K.p, K.scales / d)
+    # a weighted l_p ball is unconditional: a sign flip of an axis maps it onto itself
+    if isinstance(K, WeightedLp) and np.allclose(M, np.diag(d)) and np.all(d != 0):
+        return WeightedLp(K.p, K.scales / np.abs(d))
     if isinstance(K, Ellipsoid):
         Minv = np.linalg.inv(M)
         return Ellipsoid(Minv.T @ K.A @ Minv)

@@ -256,8 +256,7 @@ def _cmd_qs(args, cfg):
         "d90_sop": s.quantiles["q90"]["d_section_of_projection"],
         "d90_pos": s.quantiles["q90"]["d_projection_of_section"],
         "exceed_sop": s.exceed_sop, "exceed_pos": s.exceed_pos,
-        "dmax_sop": max(o.d_section_of_projection for o in s.outcomes),
-        "dmax_pos": max(o.d_projection_of_section for o in s.outcomes),
+        "dmax_sop": s.dmax_sop, "dmax_pos": s.dmax_pos,
         "fp_residual": s.fp_residual, "fp_converged": int(s.fp_converged),
     }
     _summary_csv(args.out, "qs", [row])

@@ -17,6 +17,8 @@ from . import subspaces as sp
 from .gaussian import (
     FixedSample,
     GaussianSample,
+    _bootstrap_ci,
+    _estimate,
     crn_diff,
     ell,
     ell_star,
@@ -353,11 +355,9 @@ def _check_subspace_sampling(seed):
     v = np.zeros(n)
     v[0] = 1.0
     Qs = sp.haar_grassmannian_batch(rng, n, m, reps)
-    vals = np.linalg.norm(np.einsum("snm,n->sm", Qs, v), axis=1) ** 2
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(reps))
-    if abs(mean - target) > max(4 * se, 0.02):
-        return False, f"E|P_F v|^2 = {mean:.4f} vs m/n = {target}"
+    e = _estimate([np.linalg.norm(np.einsum("snm,n->sm", Qs, v), axis=1) ** 2], 1)
+    if abs(e.value - target) > max(4 * e.se, 0.02):
+        return False, f"E|P_F v|^2 = {e.value:.4f} vs m/n = {target}"
     # flag construction
     F, E, E2 = (sp.Subspace(B[0]) for B in sp.haar_flag_batch(rng, 8, 3, 1))
     checks = [
@@ -369,16 +369,13 @@ def _check_subspace_sampling(seed):
     ]
     if not all(checks):
         return False, f"flag invariants failed: {checks}"
-    detail_mean = f"E|P_F v|^2 = {mean:.4f} (target {target})"
+    detail_mean = f"E|P_F v|^2 = {e.value:.4f} (target {target})"
     # flag F-marginal matches the plain Grassmannian on the |P_F v|^2 statistic
     reps = 10000
     n, k = 6, 2
     flags = sp.haar_flag_batch(rng, n, k, reps)[0]
-    direct = np.linalg.norm(np.einsum("snm,n->sm", flags, np.eye(n)[0]), axis=1) ** 2
-    m1 = n - k + 1
-    expect = m1 / n
-    se = float(direct.std(ddof=1) / np.sqrt(reps))
-    if abs(direct.mean() - expect) > max(4 * se, 0.02):
+    direct = _estimate([np.linalg.norm(np.einsum("snm,n->sm", flags, np.eye(n)[0]), axis=1) ** 2], 1)
+    if abs(direct.value - (n - k + 1) / n) > max(4 * direct.se, 0.02):
         return False, "flag F-marginal statistic off"
     return True, f"{detail_mean}; flag invariants hold"
 
@@ -676,6 +673,8 @@ class QSSummary:
     quantiles: dict
     exceed_sop: float
     exceed_pos: float
+    dmax_sop: float                   # the largest distances over the trials
+    dmax_pos: float
     fp_converged: bool
     fp_residual: float
     outcomes: list = field(default_factory=list)
@@ -743,10 +742,12 @@ def run_qs_experiment(
         n=n, k=k, alpha=float(alpha), theta=fp.theta, trials=trials,
         P_emp=report.P_emp, threshold=float(threshold), quantiles=quantiles,
         exceed_sop=exceed_sop, exceed_pos=exceed_pos,
+        dmax_sop=float(d_sop.max()), dmax_pos=float(d_pos.max()),
         fp_converged=fp.converged, fp_residual=fp.residual, outcomes=outcomes,
     )
     if writer is not None:
         body_spec = K.spec()
+        q90 = lambda D: np.quantile(D, 0.9, axis=1)
         params = {"n": n, "k": k, "alpha": float(alpha), "c": c, "trials": trials,
                   "fp_samples": fp_samples, "report_samples": report_samples}
         for i, oc in enumerate(outcomes):
@@ -769,22 +770,16 @@ def run_qs_experiment(
                 "exceed_sop": measured(exceed_sop, ci=binomial_ci(exceed_sop, trials)),
                 "exceed_pos": measured(exceed_pos, ci=binomial_ci(exceed_pos, trials)),
                 "d90_sop": measured(quantiles["q90"]["d_section_of_projection"],
-                                    ci=_quantile_ci(d_sop, 0.9)),
+                                    ci=_bootstrap_ci(d_sop, q90, np.random.default_rng(0))),
                 "d90_pos": measured(quantiles["q90"]["d_projection_of_section"],
-                                    ci=_quantile_ci(d_pos, 0.9)),
-                "dmax_sop": measured(d_sop.max(), lower_bound=True),
-                "dmax_pos": measured(d_pos.max(), lower_bound=True),
+                                    ci=_bootstrap_ci(d_pos, q90, np.random.default_rng(0))),
+                "dmax_sop": measured(summary.dmax_sop, lower_bound=True),
+                "dmax_pos": measured(summary.dmax_pos, lower_bound=True),
                 "fp_residual": measured(fp.residual, exact=True),
                 "fp_converged": measured(float(fp.converged), exact=True),
             },
         ))
     return summary
-
-
-def _quantile_ci(values, q):
-    idx = np.random.default_rng(0).integers(0, len(values), size=(200, len(values)))
-    stats = np.quantile(np.asarray(values)[idx], q, axis=1)
-    return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
 # ======================================================================

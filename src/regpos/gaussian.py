@@ -1,5 +1,7 @@
 """Gaussian functionals ell_p(K), ell*(K), M*(K) by sample-average
-approximation with common random numbers.
+approximation with common random numbers, and the one uncertainty layer
+behind every reported number: _moments gives every mean, standard error and
+covariance, and _bootstrap_ci every quantile CI.
 
 A GaussianSample is a deterministic function of (seed, count, dim): block b
 is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
@@ -7,9 +9,9 @@ agree across sample sizes; evaluation sums per-block results in block order.
 The whole (M, N) array is drawn once, on first use, and is then held read-only
 for the sample's lifetime (M * N * 8 bytes); blocks are views into it.  A
 weighted l_p ell-position solve, or a balance pass, on the sample adds a
-read-only power table of the same size for its p, kept for the sample's
-lifetime until a call with another p replaces it; the old table is released
-before the new one is built.
+read-only power table of the same size for its p (positions._power_table
+builds and owns it), kept for the sample's lifetime until a call with another
+p replaces it; the old table is released before the new one is built.
 """
 
 from __future__ import annotations
@@ -110,14 +112,34 @@ class EllEstimate:
 
 
 def _moments(values):
-    """Mean, unbiased variance and count of per-block value arrays, summed in block order."""
-    s, sq, m = map(sum, zip(*map(_block_moments, values)))
-    mean = s / m
-    var = max(sq / m - mean * mean, 0.0) * m / (m - 1)
-    return mean, var, m
+    """(mean, unbiased variance, count) of per-block value arrays of shape (m,),
+    or ((k,) means, (k, k) covariance, count) for shape (k, m).  The means are
+    the block sums, added in block order, over the count; the (co)variances sum
+    deviations about the first block's means (Chan, Golub & LeVeque 1983), so
+    they do not cancel as E[x^2] - mean^2 does when the spread is small."""
+    m = 0
+    for v in values:
+        if not m:
+            shift, total, dev, sq = v.mean(axis=-1, keepdims=True), 0.0, 0.0, 0.0
+        d = np.atleast_2d(v - shift)
+        total = total + v.sum(axis=-1)
+        dev = dev + d.sum(axis=-1)
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        sq = sq + np.einsum("im,jm->ij", d, d)
+        m += v.shape[-1]
+    cov = (sq - np.multiply.outer(dev, dev) / m) / (m - 1)
+    np.fill_diagonal(cov, np.maximum(cov.diagonal(), 0.0))
+    if v.ndim == 1:
+        return float(total) / m, float(cov[0, 0]), m
+    return total / m, cov, m
 
-def _block_moments(v):
-    return float(v.sum()), float((v * v).sum()), v.size
+
+def _bootstrap_ci(values, stat, rng):
+    """The 2.5 and 97.5 percentiles of stat, which maps (200, m) resamples to
+    (200,) statistics, over 200 resamples of values drawn from rng at once."""
+    values = np.asarray(values)
+    stats = stat(values[rng.integers(0, len(values), size=(200, len(values)))])
+    return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
 def _estimate(values, p):
@@ -177,8 +199,7 @@ def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstima
     if not bodyA.dim == bodyB.dim == sample.dim:
         raise ValueError("bodies and sample must share a dimension")
     fn = _FUNCTIONALS[functional][0]
-    mean, var, m = _moments(fn(bodyA, G) - fn(bodyB, G) for G in sample.blocks())
-    return EllEstimate(mean, np.sqrt(var / m), m, 1)
+    return _estimate((fn(bodyA, G) - fn(bodyB, G) for G in sample.blocks()), 1)
 
 
 def gauss_norm_mean(N: int) -> float:

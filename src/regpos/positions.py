@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bodies as bd
-from .gaussian import GaussianSample, _estimate, ell, ell_star
+from .gaussian import GaussianSample, _estimate, _moments, ell, ell_star
 from .interpolation import interpolate
 
 __all__ = [
@@ -125,6 +125,21 @@ def _power_table(sample, p):
     return table
 
 
+def _read_power_table(powers, u):
+    """(top, c, per block (A, m, S)): the row sums S = A c of a power table at
+    c = e^(u - top), top = max u, which keeps c in range; S is None for a block
+    near underflow (large p), which its caller evaluates through the gauge."""
+    top = u.max()
+    c = np.exp(u - top)
+
+    def read(A, m):
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        S = np.einsum("mi,i->m", A, c)
+        return A, m, None if S.min() < _POWER_FLOOR else S
+
+    return top, c, (read(*P) for P in powers)
+
+
 class _DiagObjective:
     """psi(w) = mean_j gauge(e^w * g_j)^2 over traceless w (w is recentered).
 
@@ -156,20 +171,17 @@ class _DiagObjective:
         if self.powers is None:
             parts = [self._subgrad_block(G, es) for G in self.blocks]
         else:
-            # c is divided by its max e^top to stay in range; psi scales by e^(2 top / p)
-            u = self.p * (self.log_s + wt)
-            top = u.max()
-            c = np.exp(u - top)
+            # psi scales by e^(2 top / p) for the table's c = e^(u - top)
+            top, c, rows = _read_power_table(self.powers, self.p * (self.log_s + wt))
             unit = np.exp(2.0 * top / self.p)
-            # einsum, not BLAS: the sums must not depend on the BLAS thread count
-            def blockfn(G, A, m):
-                S = np.einsum("mi,i->m", A, c)
-                if S.min() < _POWER_FLOOR:
+
+            def blockfn(G, A, m, S):
+                if S is None:
                     return self._subgrad_block(G, es)
                 r = (m * m) * S ** (2.0 / self.p - 1.0)
                 return unit * float((S * r).sum()), unit * 2.0 * c * np.einsum("mi,m->i", A, r)
 
-            parts = [blockfn(G, *P) for G, P in zip(self.blocks, self.powers)]
+            parts = [blockfn(G, *row) for G, row in zip(self.blocks, rows)]
         val, grad = map(sum, zip(*parts))
         grad = grad / self.count
         return val / self.count, grad - grad.mean()
@@ -227,15 +239,16 @@ def _dot(a, b):
 _ARMIJO = 1e-4
 _BACKTRACKS = 20
 _EPS = np.finfo(float).eps
+_PAIRS = 20   # curvature pairs the L-BFGS recursion keeps
 
 
-def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20, at_x0=None):
+def _lbfgs(fun, x0, *, maxiter, ftol, gtol, at_x0=None):
     """Minimize fun (which returns the value and the gradient) from x0 by
     L-BFGS; returns (x, f, g, iterations, converged), where converged means
     max |g| <= gtol.  at_x0, when given, is fun(x0), which is then not
     evaluated again.
 
-    The direction comes from the two-loop recursion over the last `memory`
+    The direction comes from the two-loop recursion over the last _PAIRS
     pairs (s, y), scaled by s.y / y.y; a pair with s.y <= 0 is skipped.  The
     first step, and any step after a direction that fails to descend (the
     pairs are then dropped), is -g scaled to min(1, 1/|g|).  Steps halve
@@ -283,7 +296,7 @@ def _lbfgs(fun, x0, *, maxiter, ftol, gtol, memory=20, at_x0=None):
         sy = _dot(s, y)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
-            del pairs[:-memory]
+            del pairs[:-_PAIRS]
         it += 1
         small = f - fn <= ftol * max(abs(f), abs(fn), 1.0)
         x, f, g = xn, fn, gn
@@ -350,22 +363,10 @@ class ProductEstimate(NamedTuple):
 
 def ell_product(K: bd.ConvexBody, sample: GaussianSample) -> ProductEstimate:
     """ell(K) * ell*(K) with a delta-method standard error under CRN."""
-
-    def blockfn(G):
-        a = K._gauge(G)
-        b = K._support(G)
-        return (
-            float(a.sum()), float(b.sum()), float((a * a).sum()),
-            float((b * b).sum()), float((a * b).sum()), a.size,
-        )
-
-    sa, sb, saa, sbb, sab, m = map(sum, zip(*map(blockfn, sample.blocks())))
-    mua, mub = sa / m, sb / m
-    va = max(saa / m - mua**2, 0.0) * m / (m - 1)
-    vb = max(sbb / m - mub**2, 0.0) * m / (m - 1)
-    cab = (sab / m - mua * mub) * m / (m - 1)
-    var = (mub**2 * va + mua**2 * vb + 2 * mua * mub * cab) / m
-    return ProductEstimate(mua * mub, float(np.sqrt(max(var, 0.0))), mua, mub)
+    (a, b), cov, m = _moments(np.stack([K._gauge(G), K._support(G)]) for G in sample.blocks())
+    a, b = float(a), float(b)
+    var = (b * b * cov[0, 0] + a * a * cov[1, 1] + 2.0 * a * b * cov[0, 1]) / m
+    return ProductEstimate(a * b, float(np.sqrt(max(var, 0.0))), a, b)
 
 
 def _table_ell(K, sample):
@@ -374,20 +375,11 @@ def _table_ell(K, sample):
     c_i = s_i^p, one matvec A c per block.  A block whose row sums come near
     underflow goes through the gauge, as in _DiagObjective."""
     p, s = K.as_weighted_lp()
-    # c is divided by its max e^top to stay in range; the gauge scales by e^(top / p)
-    u = p * np.log(s)
-    top = u.max()
-    c = np.exp(u - top)
+    # the gauge scales by e^(top / p) for the table's c = e^(u - top)
+    top, _, rows = _read_power_table(_power_table(sample, p), p * np.log(s))
     unit = np.exp(top / p)
-
-    def values(G, A, m):
-        # einsum, not BLAS: the sums must not depend on the BLAS thread count
-        S = np.einsum("mi,i->m", A, c)
-        if S.min() < _POWER_FLOOR:
-            return K._gauge(G)
-        return (m * unit) * S ** (1.0 / p)
-
-    return _estimate((values(G, *P) for G, P in zip(sample.blocks(), _power_table(sample, p))), 1)
+    return _estimate((K._gauge(G) if S is None else (m * unit) * S ** (1.0 / p)
+                      for G, (_, m, S) in zip(sample.blocks(), rows)), 1)
 
 
 def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
-from .gaussian import EllEstimate, GaussianSample
+from .gaussian import EllEstimate, GaussianSample, _bootstrap_ci
 from .interpolation import interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
 from .subspaces import haar_grassmannian_batch, section_out_radii
@@ -39,7 +39,7 @@ __all__ = [
 
 
 def _require_tractable_unconditional(K):
-    if K.as_weighted_lp() is None or not K.unconditional:
+    if K.as_weighted_lp() is None:
         raise ValueError("body must be a tractable unconditional family (weighted l_p / diagonal ellipsoid)")
 
 
@@ -165,8 +165,7 @@ def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None)
     q = max(q_nominal, 10 / samples)
     # order statistic j is the smallest R with #(values > R) <= q * samples
     j = max(samples - int(np.floor(q * samples)) - 1, 0)
-    stats = np.sort(values[rng.integers(0, samples, size=(200, samples))], axis=1)[:, j]
-    ci = (float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5)))
+    ci = _bootstrap_ci(values, lambda R: np.sort(R, axis=1)[:, j], rng)
     return GelfandEstimate(float(np.sort(values)[j]), ci, q, q > q_nominal, k, samples, c,
                            float(values.min()))
 

@@ -270,12 +270,13 @@ def test_linear_image_support_and_weighted_lp_form():
         np.abs(Y @ T).max(axis=1), rel=1e-12)
     h = np.sqrt(np.einsum("mi,ij,mj->m", Y @ T, np.linalg.inv(A), Y @ T))
     assert bd.LinearImage(T, bd.Ellipsoid(A)).support(Y) == pytest.approx(h, rel=1e-12)
-    # a positive diagonal map of a weighted l_p ball is the weighted ball with scales s / d
+    # a diagonal map of a weighted l_p ball is the weighted ball with scales s / |d|
     base = bd.WeightedLp(1.5, [1.0, 2.0, 3.0])
-    img = bd.LinearImage(np.diag([2.0, 1.0, 0.5]), base)
-    p, scales = img.as_weighted_lp()
-    assert p == 1.5 and scales == pytest.approx([0.5, 2.0, 6.0], rel=1e-15)
-    assert bd.WeightedLp(p, scales).gauge(Y) == pytest.approx(img.gauge(Y), rel=1e-12)
+    for d in ([2.0, 1.0, 0.5], [2.0, -1.0, -0.5]):
+        p, scales = bd.linear_image(np.diag(d), base).as_weighted_lp()
+        assert p == 1.5 and scales == pytest.approx([0.5, 2.0, 6.0], rel=1e-15)
+        img = bd.LinearImage(np.diag(d), base)
+        assert bd.WeightedLp(p, scales).gauge(Y) == pytest.approx(img.gauge(Y), rel=1e-12)
     for T2, K in ((T, base), (np.diag([2.0, -1.0, 0.5]), base),
                   (np.diag([2.0, 1.0, 0.5]), bd.PolytopeH(np.eye(3)))):
         assert bd.LinearImage(T2, K).as_weighted_lp() is None

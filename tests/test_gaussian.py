@@ -9,8 +9,11 @@ from scipy.special import ndtr
 from regpos import bodies as bd
 from regpos import subspaces as sp
 from regpos.gaussian import (
+    BLOCK,
     FixedSample,
     GaussianSample,
+    _estimate,
+    _moments,
     crn_diff,
     ell,
     ell_star,
@@ -184,3 +187,36 @@ def test_estimate_validation():
         ell(bd.ball(4), 3, s)
     with pytest.raises(ValueError):
         ell(bd.ball(5), 2, s)
+
+
+def test_standard_error_keeps_its_digits_on_a_large_mean():
+    # |x| = x on [-1, 1]^1 for x = 1e8 + N(0, 1): E[x^2] - mean^2 cancels all 16 digits here
+    x = 1e8 + np.random.default_rng(31).standard_normal(2 * BLOCK + 1000)
+    ref = np.std(x, ddof=1) / np.sqrt(x.size)
+    e = ell(bd.cube(1), 1, FixedSample(x[:, None]))
+    assert e.se == pytest.approx(ref, rel=1e-10)
+    assert _estimate(np.array_split(x, 3), 1).se == pytest.approx(ref, rel=1e-10)
+
+
+def test_moments_sum_block_means_in_block_order():
+    rng = np.random.default_rng(32)
+    blocks = [rng.standard_normal((2, m)) + [[3.0], [-1.0]] for m in (BLOCK, BLOCK, 77)]
+    means, cov, m = _moments(blocks)
+    assert m == 2 * BLOCK + 77
+    for i in range(2):
+        total = 0.0
+        for v in blocks:
+            total += float(v[i].sum())
+        assert means[i] == total / m
+        mean, var, _ = _moments(v[i] for v in blocks)
+        assert mean == total / m and var == pytest.approx(cov[i, i], rel=1e-13)
+    assert cov == pytest.approx(np.cov(np.hstack(blocks)), rel=1e-12)
+
+
+def test_crn_diff_is_the_estimate_of_the_differences():
+    s = GaussianSample(33, 20000, 5)
+    A, B = bd.cross_polytope(5), bd.WeightedLp.from_weights(3.0, np.arange(1.0, 6.0))
+    d = crn_diff(A, B, "ell", s)
+    diff = A._gauge(s.vectors()) - B._gauge(s.vectors())
+    assert d.se == pytest.approx(np.std(diff, ddof=1) / np.sqrt(diff.size), rel=1e-12)
+    assert d.value == pytest.approx(diff.mean(), rel=1e-13)

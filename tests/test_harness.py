@@ -209,6 +209,37 @@ def test_qs_summary_reports_the_fixed_point_and_largest_distances(tmp_path, caps
     assert f"fixed point: residual={fp.residual:.2e} converged={fp.converged}" in capsys.readouterr().out
 
 
+def test_qs_d90_ci_is_the_seeded_bootstrap_of_the_trials(tmp_path):
+    # 200 resamples from default_rng(0), 0.9 quantile of each, 2.5 and 97.5 percentiles
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"body": {"preset": "b1", "dim": 8}, "k": 2, "trials": 12,
+                               "fp_samples": 2000, "report_samples": 100}))
+    assert main(["qs", "--config", str(cfg), "--seed", "4", "--out", str(tmp_path / "o")]) == 0
+    *trials, summary = [json.loads(line) for line in (tmp_path / "o" / "qs.jsonl").read_text().splitlines()]
+    for key, name in (("d90_sop", "d_section_of_projection"), ("d90_pos", "d_projection_of_section")):
+        d = np.array([t["measured"][name]["value"] for t in trials])
+        idx = np.random.default_rng(0).integers(0, d.size, size=(200, d.size))
+        stats = np.quantile(d[idx], 0.9, axis=1)
+        ref = [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
+        assert summary["measured"][key] == {"value": float(np.quantile(d, 0.9)), "ci": ref}
+
+
+@pytest.mark.parametrize("cmd, cfg", [
+    ("ellpos", {"bodies": [{"preset": "b1", "dim": 6}, {"preset": "wlp3", "dim": 6}], "samples": 3000}),
+    ("lowmstar", {"n_list": [8], "samples": 100}),
+])
+def test_cli_standard_error_outputs_identical_across_runs(cmd, cfg, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    outs = [str(tmp_path / f"o{i}") for i in range(2)]
+    for threads, out in zip(("1", "2"), outs):
+        assert main([cmd, "--config", str(path), "--seed", "3", "--threads", threads, "--out", out]) == 0
+    files = sorted(os.listdir(outs[0]))
+    assert files == [f"{cmd}.jsonl", f"{cmd}_summary.csv"]
+    for f in files:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+
+
 def test_measured_bound_marker():
     assert measured(2.0, lower_bound=True) == {"value": 2.0, "bound": "lower"}
 
@@ -633,3 +664,38 @@ def test_cli_qs_runs(tmp_path):
     assert (tmp_path / "o" / "qs_summary.csv").exists()
     lines = (tmp_path / "o" / "qs.jsonl").read_text().splitlines()
     assert len(lines) == 51  # 50 trials + summary
+
+
+
+def _l1(weights):
+    return {"family": "weighted_lp", "p": 1, "weights": weights}
+
+
+# (a diagonal image of B_1, the weighted l_1 ball with scales 1 / |d| it equals)
+_FLIPPED_L1 = ({"family": "linear_image", "matrix": np.diag([-1.0, 2.0, 1.0, -0.5]).tolist(),
+                "base": _l1([1, 1, 1, 1])}, _l1([1.0, 0.5, 1.0, 2.0]))
+_DIAG_IMAGE_CASES = [
+    ("regpos", _FLIPPED_L1, lambda b: {"bodies": [b], "samples": 2000}),
+    ("regpos", ({"family": "linear_image", "matrix": [[-1, 0], [0, 2]], "base": _l1([1, 1])}, _l1([1.0, 0.5])),
+     lambda b: {"bodies": [b], "samples": 2000}),
+    ("qs", _FLIPPED_L1, lambda b: {"body": b, "k": 2, "trials": 12, "fp_samples": 2000, "report_samples": 100}),
+    ("curve", _FLIPPED_L1, lambda b: {"body": b, "k_grid": [1, 2, 4], "alphas": [0.75, 1.0], "samples": 100,
+                                      "fp_samples": 2000}),
+]
+
+
+@pytest.mark.parametrize("cmd, bodies, config", _DIAG_IMAGE_CASES,
+                         ids=[f"{c}-n{len(b[1]['weights'])}" for c, b, _ in _DIAG_IMAGE_CASES])
+def test_cli_diagonal_image_of_a_weighted_ball_is_that_ball(cmd, bodies, config, tmp_path):
+    # a diagonal map, signs and all, takes a weighted l_p ball to the weighted
+    # ball with scales s / |d|, which every command positions
+    outs = []
+    for i, body in enumerate(bodies):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(config(body)))
+        outs.append(str(tmp_path / f"o{i}"))
+        assert main([cmd, "--config", str(path), "--seed", "2", "--out", outs[-1]]) == 0
+    files = sorted(os.listdir(outs[0]))
+    assert files and files == sorted(os.listdir(outs[1]))
+    for f in files:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f

@@ -9,7 +9,7 @@ import pytest
 from regpos import bodies as bd
 from regpos import positions
 from regpos import subspaces as sp
-from regpos.gaussian import FixedSample, GaussianSample, ell
+from regpos.gaussian import FixedSample, GaussianSample, ell, ell_star
 from regpos.positions import PositionMap, _DiagObjective, balance_scale, ell_product, solve_ell_position
 
 
@@ -291,6 +291,20 @@ def test_product_scale_invariant_under_crn():
     a = ell_product(K, SAMPLE)
     b = ell_product(K.scale(3.0), SAMPLE)
     assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+def test_product_se_is_the_two_pass_delta_method():
+    # the delta method for a b: var = (b^2 var a + a^2 var b + 2 a b cov(a, b)) / m
+    K = bd.linear_image(np.diag([3.0, 1.0, 0.5, 0.5, 2.0, 1.0, 1.0, 4.0]), bd.cross_polytope(8))
+    G = SAMPLE.vectors()
+    a, b = K._gauge(G), K._support(G)
+    C = np.cov(np.stack([a, b]))
+    ref = np.sqrt((b.mean() ** 2 * C[0, 0] + a.mean() ** 2 * C[1, 1]
+                   + 2 * a.mean() * b.mean() * C[0, 1]) / a.size)
+    p = ell_product(K, SAMPLE)
+    assert p.se == pytest.approx(ref, rel=1e-10)
+    assert (p.ell, p.ell_star) == (ell(K, 1, SAMPLE).value, ell_star(K, 1, SAMPLE).value)
+    assert p.value == p.ell * p.ell_star
 
 
 def test_solved_position_product_not_worse_than_random_position():

@@ -334,6 +334,17 @@ def test_gelfand_upper_bound_example():
     assert random_gelfand(K, 2, 500, rng=rng, values=vals[:500]).upper >= ub
 
 
+@pytest.mark.parametrize("k, value, ci", [
+    (1, 0.7178271175020501, (0.6330812292745551, 0.8232854131835197)),
+    (3, 1.874598052179291, (1.6468137780738044, 2.3031655734952405)),
+])
+def test_random_gelfand_bootstrap_ci_is_seeded(k, value, ci):
+    # 200 resamples of order statistic j drawn from the caller's rng, pinned
+    vals = np.random.default_rng(21).lognormal(size=300)
+    g = random_gelfand(bd.cross_polytope(8), k, 300, rng=np.random.default_rng(22), values=vals)
+    assert (g.value, g.ci) == (value, ci)
+
+
 def test_random_gelfand_values_must_match_samples():
     K = bd.cross_polytope(8)
     ramp = np.linspace(0.3, 0.9, 400)
