@@ -357,7 +357,7 @@ class Ellipsoid(ConvexBody):
         self._eigvals = w
         self._eigvecs = V
         self._Ainv = (V / w) @ V.T
-        self.unconditional = bool(np.allclose(A, np.diag(np.diag(A)), atol=1e-14 * w[-1]))
+        self.unconditional = _is_diagonal(A, 1e-14)
 
     def _gauge(self, X):
         return np.sqrt(np.maximum(np.einsum("mi,ij,mj->m", X, self.A, X), 0.0))
@@ -524,8 +524,7 @@ class LinearImage(ConvexBody):
         T.setflags(write=False)
         self.Tinv = np.linalg.inv(T)
         self.base = base
-        diag = np.allclose(T, np.diag(np.diag(T)), atol=1e-14 * sv[0])
-        self.unconditional = base.unconditional and diag
+        self.unconditional = base.unconditional and _is_diagonal(T, 1e-14)
         self.exact = base.exact
 
     def _gauge(self, X):
@@ -669,6 +668,13 @@ class Complexified(ConvexBody):
 # ----------------------------------------------------------------------
 
 
+def _is_diagonal(M, rtol=1e-8):
+    """Whether no off-diagonal entry of the square M exceeds rtol times its
+    largest entry, in absolute value: a test that scales with M."""
+    A = np.abs(M)
+    return bool((A - np.diag(np.diag(A))).max() <= rtol * A.max())
+
+
 def _as_matrix(T, dim):
     M = np.asarray(getattr(T, "matrix", T), dtype=float)
     if M.ndim == 0:
@@ -681,7 +687,7 @@ def linear_image(T, K: ConvexBody) -> ConvexBody:
     M = _as_matrix(T, K.dim)
     d = np.diag(M)
     # a weighted l_p ball is unconditional: a sign flip of an axis maps it onto itself
-    if isinstance(K, WeightedLp) and np.allclose(M, np.diag(d)) and np.all(d != 0):
+    if isinstance(K, WeightedLp) and _is_diagonal(M) and np.all(d != 0):
         return WeightedLp(K.p, K.scales / np.abs(d))
     if isinstance(K, Ellipsoid):
         Minv = np.linalg.inv(M)

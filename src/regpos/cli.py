@@ -250,6 +250,7 @@ def _cmd_qs(args, cfg):
               f"d_pos={q['d_projection_of_section']:.4f}")
     print(f"exceedance: sop={s.exceed_sop:.4f} pos={s.exceed_pos:.4f} "
           f"(bound 2e^-ck = {2*np.exp(-c*k):.4f})")
+    print(f"margin dmax/threshold: sop={s.margin_sop:.4f} pos={s.margin_pos:.4f}")
     row = {
         "n": s.n, "k": s.k, "alpha": s.alpha, "trials": s.trials,
         "P_emp": s.P_emp, "threshold": s.threshold,
@@ -257,6 +258,7 @@ def _cmd_qs(args, cfg):
         "d90_pos": s.quantiles["q90"]["d_projection_of_section"],
         "exceed_sop": s.exceed_sop, "exceed_pos": s.exceed_pos,
         "dmax_sop": s.dmax_sop, "dmax_pos": s.dmax_pos,
+        "margin_sop": s.margin_sop, "margin_pos": s.margin_pos,
         "fp_residual": s.fp_residual, "fp_converged": int(s.fp_converged),
     }
     _summary_csv(args.out, "qs", [row])

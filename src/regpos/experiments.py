@@ -675,6 +675,8 @@ class QSSummary:
     exceed_pos: float
     dmax_sop: float                   # the largest distances over the trials
     dmax_pos: float
+    margin_sop: float                 # dmax / threshold: an exceedance is 0 iff its margin is <= 1
+    margin_pos: float
     fp_converged: bool
     fp_residual: float
     outcomes: list = field(default_factory=list)
@@ -704,7 +706,9 @@ def run_qs_experiment(
         alpha = 0.5 + 1.0 / np.log(n / k)
 
     fp = find_regular_position(K, alpha, seed=seed, samples=fp_samples)
-    Kbar = fp.body
+    # keep only the reported fields, so the sample and its power table are freed here
+    Kbar, theta, fp_converged, fp_residual = fp.body, fp.theta, fp.converged, fp.residual
+    del fp
     Kpol = Kbar.polar()
     report = regularity_report(Kbar, alpha, samples=report_samples, c=c, seed=seed + 1)
     Rbar = report.P_emp * (n / k) ** alpha
@@ -734,16 +738,18 @@ def run_qs_experiment(
     }
     exceed_sop = float(np.mean(d_sop > threshold))
     exceed_pos = float(np.mean(d_pos > threshold))
+    dmax_sop, dmax_pos = float(d_sop.max()), float(d_pos.max())
     outcomes = [
         QSOutcome(float(a), float(b), float(rf), float(rp), bool(a <= threshold and b <= threshold))
         for a, b, rf, rp in zip(d_sop, d_pos, RF_body, RF_pol)
     ]
     summary = QSSummary(
-        n=n, k=k, alpha=float(alpha), theta=fp.theta, trials=trials,
+        n=n, k=k, alpha=float(alpha), theta=theta, trials=trials,
         P_emp=report.P_emp, threshold=float(threshold), quantiles=quantiles,
         exceed_sop=exceed_sop, exceed_pos=exceed_pos,
-        dmax_sop=float(d_sop.max()), dmax_pos=float(d_pos.max()),
-        fp_converged=fp.converged, fp_residual=fp.residual, outcomes=outcomes,
+        dmax_sop=dmax_sop, dmax_pos=dmax_pos,
+        margin_sop=float(dmax_sop / threshold), margin_pos=float(dmax_pos / threshold),
+        fp_converged=fp_converged, fp_residual=fp_residual, outcomes=outcomes,
     )
     if writer is not None:
         body_spec = K.spec()
@@ -775,8 +781,11 @@ def run_qs_experiment(
                                     ci=_bootstrap_ci(d_pos, q90, np.random.default_rng(0))),
                 "dmax_sop": measured(summary.dmax_sop, lower_bound=True),
                 "dmax_pos": measured(summary.dmax_pos, lower_bound=True),
-                "fp_residual": measured(fp.residual, exact=True),
-                "fp_converged": measured(float(fp.converged), exact=True),
+                # exact in the recorded distances and threshold, as within_threshold is
+                "margin_sop": measured(summary.margin_sop, exact=True),
+                "margin_pos": measured(summary.margin_pos, exact=True),
+                "fp_residual": measured(fp_residual, exact=True),
+                "fp_converged": measured(float(fp_converged), exact=True),
             },
         ))
     return summary
@@ -862,7 +871,10 @@ def run_regularity_curve(
     curve = []
     for ai, alpha in enumerate(alphas):
         fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples)
-        rep = regularity_report(fp.body, alpha, k_grid=k_grid, samples=samples,
+        # keep only the reported fields, so the sample and its power table are freed here
+        body, fp_row = fp.body, {"fp_converged": fp.converged, "fp_residual": fp.residual, "balance": fp.balance}
+        del fp
+        rep = regularity_report(body, alpha, k_grid=k_grid, samples=samples,
                                 c=c, seed=seed + 1000 + ai)
         for which in ("body", "polar"):
             for k, g in zip(rep.k_grid, rep.cr[which]):
@@ -874,9 +886,7 @@ def run_regularity_curve(
                 })
         curve.append({
             "alpha": alpha, "P_emp": rep.P_emp,
-            "reference_shape": 1.0 / np.sqrt(alpha - 0.5),
-            "fp_converged": fp.converged, "fp_residual": fp.residual,
-            "balance": fp.balance,
+            "reference_shape": 1.0 / np.sqrt(alpha - 0.5), **fp_row,
         })
         if writer is not None:
             writer.write(ExperimentRecord(
@@ -887,10 +897,9 @@ def run_regularity_curve(
                     "P_emp": measured(rep.P_emp, lower_bound=True),
                     "slope_body": measured(rep.slopes["body"], se=rep.slope_se["body"]),
                     "slope_polar": measured(rep.slopes["polar"], se=rep.slope_se["polar"]),
-                    "fp_residual": measured(fp.residual, exact=True),
+                    "fp_residual": measured(fp_row["fp_residual"], exact=True),
                 },
             ))
-        del fp   # frees its sample and power table before the next fixed point
     return {"rows": rows, "curve": curve}
 
 

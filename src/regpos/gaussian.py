@@ -6,12 +6,19 @@ covariance, and _bootstrap_ci every quantile CI.
 A GaussianSample is a deterministic function of (seed, count, dim): block b
 is drawn from the b-th spawn of SeedSequence([seed, dim]), so prefixes
 agree across sample sizes; evaluation sums per-block results in block order.
-The whole (M, N) array is drawn once, on first use, and is then held read-only
-for the sample's lifetime (M * N * 8 bytes); blocks are views into it.  A
-weighted l_p ell-position solve, or a balance pass, on the sample adds a
-read-only power table of the same size for its p (positions._power_table
-builds and owns it), kept for the sample's lifetime until a call with another
-p replaces it; the old table is released before the new one is built.
+Blocks are the unit of drawing and summing, row tiles the unit of
+evaluation: _values runs a per-row value kernel over tiles of about _TILE
+entries (2048 rows at N = 32), whose temporaries stay in cache, and joins
+the tile values into each block's value array, so every value and sum is
+that of the whole block.
+
+The whole (M, N) array is drawn once, on first use, and is then held
+read-only for the sample's lifetime (M * N * 8 bytes); blocks are views into
+it.  A weighted l_p ell-position solve, or a balance pass, with finite p
+other than 2 adds a read-only power table of the same size for its p
+(positions._power_table builds and owns it), kept for the sample's lifetime
+until a call with another p replaces it; the old table is released before
+the new one is built.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
 ]
 
 BLOCK = 1 << 14
+_TILE = 1 << 16   # entries of one row tile of a value kernel
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,19 @@ def _estimate(values, p):
     return EllEstimate(value, se, m, 2)
 
 
-# name -> (per-row values on a block G, the power p of the estimate)
+def _tiled(fn, G):
+    """fn's per-row values (an array whose last axis runs over the rows) on
+    the rows of G, evaluated over row tiles of about _TILE entries and joined."""
+    step = max(_TILE // G.shape[1], 1)
+    return np.concatenate([fn(G[i : i + step]) for i in range(0, len(G), step)], axis=-1)
+
+
+def _values(fn, sample):
+    """Per-block value arrays of the row kernel fn over the sample, in block order."""
+    return (_tiled(fn, G) for G in sample.blocks())
+
+
+# name -> (per-row values on rows G, the power p of the estimate)
 _FUNCTIONALS = {
     "ell": (lambda K, G: K._gauge(G), 1),
     "ell2": (lambda K, G: K._gauge(G) ** 2, 2),
@@ -168,7 +188,7 @@ def _estimate_functional(K, name, sample):
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
     fn, p = _FUNCTIONALS[name]
-    return _estimate((fn(K, G) for G in sample.blocks()), p)
+    return _estimate(_values(lambda G: fn(K, G), sample), p)
 
 
 def _power_name(p, names):
@@ -199,7 +219,7 @@ def crn_diff(bodyA, bodyB, functional: str, sample: GaussianSample) -> EllEstima
     if not bodyA.dim == bodyB.dim == sample.dim:
         raise ValueError("bodies and sample must share a dimension")
     fn = _FUNCTIONALS[functional][0]
-    return _estimate((fn(bodyA, G) - fn(bodyB, G) for G in sample.blocks()), 1)
+    return _estimate(_values(lambda G: fn(bodyA, G) - fn(bodyB, G), sample), 1)
 
 
 def gauss_norm_mean(N: int) -> float:

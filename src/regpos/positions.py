@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bodies as bd
-from .gaussian import GaussianSample, _estimate, _moments, ell, ell_star
+from .gaussian import GaussianSample, _estimate, _moments, _tiled, _values, ell, ell_star
 from .interpolation import interpolate
 
 __all__ = [
@@ -50,8 +50,7 @@ class PositionMap:
         inv = np.linalg.inv(M) if inverse is None else np.array(inverse, dtype=float)
         self.inverse = inv
         inv.setflags(write=False)
-        d = np.diag(M)
-        self.diagonal = bool(np.allclose(M, np.diag(d)))
+        self.diagonal = bd._is_diagonal(M)
         self.det = float(np.linalg.det(M))
 
     @property
@@ -187,6 +186,23 @@ class _DiagObjective:
         return val / self.count, grad - grad.mean()
 
 
+class _L2Objective:
+    """The _DiagObjective of a weighted l_2 ball (p = 2) with scales s, in
+    closed form: psi(w) = sum_i q_i e^(2 w_i) with q_i = s_i^2 mu_i and
+    mu_i = mean_j g_ji^2.  Under sum_i w_i = 0, AM-GM puts its exact minimum
+    where every term is equal: w_i = -log(q_i) / 2, centred (`optimum`)."""
+
+    def __init__(self, s, sample):
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        mu = sum(np.einsum("mi,mi->i", G, G) for G in sample.blocks()) / sample.count
+        self.log_q = 2.0 * np.log(s) + np.log(mu)
+        self.optimum = -0.5 * (self.log_q - self.log_q.mean())
+
+    def __call__(self, w):
+        c = np.exp(self.log_q + 2.0 * (w - w.mean()))
+        return float(c.sum()), 2.0 * (c - c.mean())
+
+
 def _dexp_factor(lam):
     """Divided differences (e^a - e^b)/(a - b), stable near coincidences."""
     d = 0.5 * (lam[:, None] - lam[None, :])
@@ -314,7 +330,12 @@ def solve_ell_position(
     max_iter: int = 500,
 ) -> EllPositionResult:
     """SAA ell-position of K: the returned T minimizes mean ||T^{-1} g_j||_K^2
-    over SPD determinant-one maps (diagonal when K is unconditional)."""
+    over SPD determinant-one maps (diagonal when K is unconditional).
+
+    In diagonal mode a weighted l_2 ball (p = 2, diagonal ellipsoids
+    included) takes its exact optimum in closed form (_L2Objective), with
+    `iterations` 0: its residual is then an algebraic check of that optimum,
+    at rounding level.  Every other body is solved by L-BFGS."""
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
     if mode == "auto":
@@ -322,14 +343,22 @@ def solve_ell_position(
     if mode not in ("diagonal", "full"):
         raise ValueError("mode must be 'auto', 'diagonal' or 'full'")
     n = K.dim
-    obj = _DiagObjective(K, sample) if mode == "diagonal" else _FullObjective(K, sample)
+    form = K.as_weighted_lp() if mode == "diagonal" else None
+    exact = form is not None and form[0] == 2.0
+    if exact:
+        obj = _L2Objective(form[1], sample)
+    else:
+        obj = _DiagObjective(K, sample) if mode == "diagonal" else _FullObjective(K, sample)
     x = np.zeros(n if mode == "diagonal" else n * n)
     psi, grad = obj(x)
     psi_id = psi
+    if exact:
+        x = obj.optimum
+        psi, grad = obj(x)
     iters = 0
     residual = float(np.linalg.norm(grad) / max(psi, 1e-300))
     rounds = 0
-    while residual > tol and iters < max_iter and rounds < 4:
+    while not exact and residual > tol and iters < max_iter and rounds < 4:
         x, psi, grad, nit, _ = _lbfgs(obj, x, maxiter=max_iter - iters, ftol=1e-18,
                                       gtol=0.1 * tol * max(psi, 1e-300), at_x0=(psi, grad))
         iters += max(nit, 1)
@@ -363,7 +392,7 @@ class ProductEstimate(NamedTuple):
 
 def ell_product(K: bd.ConvexBody, sample: GaussianSample) -> ProductEstimate:
     """ell(K) * ell*(K) with a delta-method standard error under CRN."""
-    (a, b), cov, m = _moments(np.stack([K._gauge(G), K._support(G)]) for G in sample.blocks())
+    (a, b), cov, m = _moments(_values(lambda G: np.stack([K._gauge(G), K._support(G)]), sample))
     a, b = float(a), float(b)
     var = (b * b * cov[0, 0] + a * a * cov[1, 1] + 2.0 * a * b * cov[0, 1]) / m
     return ProductEstimate(a * b, float(np.sqrt(max(var, 0.0))), a, b)
@@ -378,7 +407,7 @@ def _table_ell(K, sample):
     # the gauge scales by e^(top / p) for the table's c = e^(u - top)
     top, _, rows = _read_power_table(_power_table(sample, p), p * np.log(s))
     unit = np.exp(top / p)
-    return _estimate((K._gauge(G) if S is None else (m * unit) * S ** (1.0 / p)
+    return _estimate((_tiled(K._gauge, G) if S is None else (m * unit) * S ** (1.0 / p)
                       for G, (_, m, S) in zip(sample.blocks(), rows)), 1)
 
 
@@ -390,16 +419,17 @@ def balance_scale(K: bd.ConvexBody, theta: float, sample: GaussianSample):
     its ell by a^(1-theta) and multiplies its ell* by the same factor, so
     a = (ell/ell*)^(1/(2(1-theta))) evaluated on [K, B_2]_theta, and the
     estimates (values and standard errors) of [aK, B_2]_theta are those of
-    [K, B_2]_theta divided and multiplied by a^(1-theta).  For finite p the
-    interpolant's ell comes from the sample's power table, which the fixed
-    point's solves have built for the same p.
+    [K, B_2]_theta divided and multiplied by a^(1-theta).  For finite p other
+    than 2 the interpolant's ell comes from the sample's power table, which
+    the fixed point's L-BFGS solves have built for the same p; the closed-form
+    p = 2 solve builds none, so there the gauge gives it.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1)")
     if sample.dim != K.dim:
         raise ValueError("sample dimension does not match the body")
     Kth = interpolate(K, bd.ball(K.dim), theta)
-    l = ell(Kth, 1, sample) if np.isinf(Kth.p) else _table_ell(Kth, sample)
+    l = ell(Kth, 1, sample) if Kth.p in (2.0, np.inf) else _table_ell(Kth, sample)
     ls = ell_star(Kth, 1, sample)
     a = float((l.value / ls.value) ** (1.0 / (2.0 * (1.0 - theta))))
     f = a ** (1.0 - theta)

@@ -9,7 +9,11 @@ interpolant's log-scales are (1-theta) log s + theta log t, and the diagonal
 ell-position of a weighted l_p ball moves rigidly with its log-scales.  So
 the fixed point is log t = log F(I) / (1-theta), and one more evaluation of
 F there gives the reported residual ||log T - log F(T)||_inf; a residual
-above tolerance is reported, never hidden.
+above tolerance is reported, never hidden.  For p = 2 (diagonal ellipsoids
+and weighted l_2 balls) each evaluation of F is the exact closed-form
+ell-position, so the residual and the certificate are algebraic checks of
+an exact optimum, at rounding level; for other p they measure the L-BFGS
+solves as well.
 """
 
 from __future__ import annotations
@@ -118,6 +122,8 @@ def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody) -> floa
     """||log T'||_inf for T' the SAA ell-position map of [T(K), B_2]_theta.
 
     Near a fixed point this re-solve must return (close to) the identity.
+    For p = 2 the re-solve is the exact closed form, so the certificate is an
+    algebraic check at rounding level.
     """
     F = fixed_point_map(result.T.apply(K), PositionMap.identity(K.dim), result.theta, result.sample)
     return float(np.abs(np.log(np.diag(F.matrix))).max())

@@ -260,6 +260,21 @@ def test_polytope_v_subgradient_inequality():
     assert np.all(K.gauge(Z)[:, None] >= Z @ Y.T - 1e-7)
 
 
+def test_linear_image_judges_diagonality_relative_to_the_map():
+    # the off-diagonal entries of 1e-9 [[1, 1], [-1, 1]] are as large as its
+    # diagonal: the image is a rotated, scaled B_1, not a weighted l_1 ball
+    M = 1e-9 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+    img = bd.linear_image(M, bd.cross_polytope(2))
+    assert not isinstance(img, bd.WeightedLp)
+    x = np.array([1e-9, 1e-9])
+    assert img.gauge(x) == pytest.approx(bd.LinearImage(M, bd.cross_polytope(2)).gauge(x), rel=1e-12)
+    assert img.gauge(x) == pytest.approx(1.0, rel=1e-12)
+    # a diagonal map at any scale still gives the weighted ball
+    for scale in (1e-9, 1.0, 1e9):
+        D = bd.linear_image(scale * np.diag([1.0, -2.0]), bd.cross_polytope(2))
+        assert isinstance(D, bd.WeightedLp) and D.scales == pytest.approx([1 / scale, 0.5 / scale], rel=1e-15)
+
+
 def test_linear_image_support_and_weighted_lp_form():
     # h_{T K}(y) = h_K(T^T y): |T^T y|_inf on B_1 and sqrt(y^T T A^-1 T^T y) on E_A
     rng = np.random.default_rng(53)

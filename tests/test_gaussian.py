@@ -220,3 +220,54 @@ def test_crn_diff_is_the_estimate_of_the_differences():
     diff = A._gauge(s.vectors()) - B._gauge(s.vectors())
     assert d.se == pytest.approx(np.std(diff, ddof=1) / np.sqrt(diff.size), rel=1e-12)
     assert d.value == pytest.approx(diff.mean(), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [7, 64])
+def test_tiled_values_equal_the_whole_block_values(n, monkeypatch):
+    # 20000 rows: two blocks, and a last tile shorter than the 2^16 / n rows of the others
+    from regpos import gaussian
+    from regpos.positions import _table_ell, ell_product
+
+    s = GaussianSample(34, 20000, n)
+    assert s.n_blocks() == 2 and s.count % (gaussian._TILE // n)
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    bodies = [
+        bd.cross_polytope(n),
+        bd.cube(n),
+        bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, n)),
+        bd.WeightedLp.from_weights(3.0, np.linspace(1.0, 3.0, n)),
+        bd.Ellipsoid(A @ A.T + n * np.eye(n)),
+        bd.linear_image(np.eye(n) + 0.3 * A / np.sqrt(n), bd.WeightedLp(1.5, np.ones(n))),
+    ]
+    # the gauge of an H-polytope and the support of its polar are BLAS matmuls
+    # (their other oracles solve one LP per row)
+    H = bd.PolytopeH(rng.standard_normal((2 * n, n)))
+    large_p = bd.WeightedLp(1000.0, np.exp(np.linspace(-1.0, 1.0, n)))
+
+    def run():
+        out = [(ell(K, p, s), ell_star(K, p, s)) for K in bodies for p in (1, 2)]
+        out += [mstar(K, s) for K in bodies]
+        out += [crn_diff(K1, K2, f, s) for K1, K2 in zip(bodies, bodies[1:]) for f in ("ell", "ell_star")]
+        out += [ell_product(K, s) for K in bodies]
+        out += [ell(H, 1, s), ell_star(H.polar(), 1, s), mstar(H.polar(), s)]
+        return out + [_table_ell(large_p, s)]   # every block of p = 1000 takes the gauge
+
+    tiled = run()
+    monkeypatch.setattr(gaussian, "_TILE", 1 << 40)   # one tile per block
+    assert tiled == run()
+
+
+def test_value_kernels_never_see_more_rows_than_one_tile(monkeypatch):
+    from regpos.gaussian import _TILE
+
+    n = 32
+    s = GaussianSample(35, 20000, n)
+    rows = []
+    for cls in (bd.WeightedLp, bd.Ellipsoid):
+        for name in ("_gauge", "_support"):
+            kernel = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, X, kernel=kernel: rows.append(len(X)) or kernel(self, X))
+    for K in (bd.cross_polytope(n), bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, n)), bd.ball(n)):
+        ell_star(K, 1, s)
+    assert sum(rows) >= 3 * s.count and max(rows) <= _TILE // n

@@ -209,6 +209,49 @@ def test_qs_summary_reports_the_fixed_point_and_largest_distances(tmp_path, caps
     assert f"fixed point: residual={fp.residual:.2e} converged={fp.converged}" in capsys.readouterr().out
 
 
+def test_qs_margin_is_the_largest_distance_over_the_threshold(tmp_path, capsys):
+    for seed, k in ((3, 2), (5, 4)):
+        cfg = tmp_path / f"c{seed}.json"
+        cfg.write_text(json.dumps({"body": {"preset": "b1", "dim": 8 * k // 2}, "k": k, "trials": 12,
+                                   "fp_samples": 2000, "report_samples": 100}))
+        out = tmp_path / f"o{seed}"
+        assert main(["qs", "--config", str(cfg), "--seed", str(seed), "--out", str(out)]) == 0
+        got = json.loads((out / "qs.jsonl").read_text().splitlines()[-1])["measured"]
+        with open(out / "qs_summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        printed = capsys.readouterr().out
+        for tag in ("sop", "pos"):
+            margin = got[f"margin_{tag}"]["value"]
+            assert margin == got[f"dmax_{tag}"]["value"] / got["threshold"]["value"]
+            assert float(row[f"margin_{tag}"]) == margin
+            # an exceedance is 0 exactly when the margin is at most 1
+            assert (got[f"exceed_{tag}"]["value"] == 0.0) == (margin <= 1.0)
+            assert f"{tag}={margin:.4f}" in printed.split("margin dmax/threshold:")[1]
+
+
+def test_qs_and_curve_free_the_fixed_point_sample_before_the_report(monkeypatch):
+    import weakref
+
+    from regpos import experiments as ex
+
+    samples = []
+    find, report = ex.find_regular_position, ex.regularity_report
+
+    def found(*args, **kw):
+        fp = find(*args, **kw)
+        samples.append(weakref.ref(fp.sample))
+        return fp
+
+    freed = []
+    monkeypatch.setattr(ex, "find_regular_position", found)
+    monkeypatch.setattr(ex, "regularity_report", lambda *a, **kw: freed.append(samples[-1]() is None)
+                        or report(*a, **kw))
+    ex.run_qs_experiment(bd.cross_polytope(8), None, 2, trials=10, seed=2, fp_samples=2000, report_samples=100)
+    ex.run_regularity_curve(bd.cross_polytope(8), alphas=(0.75, 1.0), samples=100, fp_samples=2000,
+                            k_grid=[1, 2, 4])
+    assert freed == [True, True, True]
+
+
 def test_qs_d90_ci_is_the_seeded_bootstrap_of_the_trials(tmp_path):
     # 200 resamples from default_rng(0), 0.9 quantile of each, 2.5 and 97.5 percentiles
     cfg = tmp_path / "c.json"

@@ -27,6 +27,13 @@ def test_position_map_basics():
         PositionMap.from_diag([1.0, -1.0])
 
 
+def test_position_map_diagonal_is_relative_to_scale():
+    R = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+    for scale in (1e-9, 1.0, 1e9):
+        assert not PositionMap(scale * R).diagonal
+        assert PositionMap(scale * np.diag([2.0, 0.5])).diagonal
+
+
 def test_position_map_apply():
     T = PositionMap.from_diag([2.0, 0.5])
     K = T.apply(bd.ball(2))
@@ -70,32 +77,67 @@ def test_ball_is_solved_at_saa_scale():
     assert res.objective <= res.objective_at_identity + 1e-12
 
 
+def _lbfgs_log_t(K, sample, gtol):
+    """log T of the diagonal ell-position by L-BFGS on the power-form
+    objective, the iterative route that solve_ell_position skips at p = 2."""
+    w = positions._lbfgs(_DiagObjective(K, sample), np.zeros(K.dim), maxiter=500, ftol=1e-18, gtol=gtol)[0]
+    return -(w - w.mean())
+
+
 def test_diagonal_ellipsoid_amgm_closed_form():
+    # keeps an analytic reference for the L-BFGS solver
     rng = np.random.default_rng(4)
     for _ in range(5):
         v = np.exp(rng.uniform(-1.5, 1.5, size=8))
-        res = solve_ell_position(bd.Ellipsoid(np.diag(v)), SAMPLE, tol=1e-9)
+        log_t = _lbfgs_log_t(bd.Ellipsoid(np.diag(v)), SAMPLE, 1e-10)
         # AM-GM on the SAA objective sum_i v_i m_i / t_i^2 under prod t = 1
         t_closed = np.sqrt(v * MOM2)
         t_closed /= np.exp(np.log(t_closed).mean())
-        err = np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max()
-        assert err <= 1e-5
+        assert np.abs(log_t - np.log(t_closed)).max() <= 1e-5
 
 
 def test_spec_example_ellipsoid_4_1_maps_to_round_ball():
     v = np.array([4.0, 1.0])
     s2 = GaussianSample(7, 20000, 2)
-    res = solve_ell_position(bd.Ellipsoid(np.diag(v)), s2, tol=1e-10)
     m2 = (s2.vectors() ** 2).mean(axis=0)
     t_closed = np.sqrt(v * m2)
     t_closed /= np.exp(np.log(t_closed).mean())
     # the exact-expectation solution is (sqrt 2, 1/sqrt 2): the SAA solution
-    # matches it to the sampling band and the solver matches the SAA form
-    assert np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max() <= 1e-6
+    # matches it to the sampling band, and both the closed-form solve and
+    # L-BFGS match the SAA form
+    res = solve_ell_position(bd.Ellipsoid(np.diag(v)), s2, tol=1e-10)
+    assert np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max() <= 1e-12
+    assert np.abs(_lbfgs_log_t(bd.Ellipsoid(np.diag(v)), s2, 1e-11) - np.log(t_closed)).max() <= 1e-6
     assert np.allclose(np.diag(res.T.matrix), [np.sqrt(2), 1 / np.sqrt(2)], rtol=0.05)
     # the positioned body is (nearly) round
     TK = res.T.apply(bd.Ellipsoid(np.diag(v)))
     assert TK.radii.R / TK.radii.r <= 1.05
+
+
+_L2_BODIES = [bd.Ellipsoid(np.diag(np.exp(np.random.default_rng(40 + i).uniform(-2.0, 2.0, 8))))
+              for i in range(5)] + [bd.WeightedLp(2.0, np.linspace(0.2, 5.0, 8))]
+
+
+def test_weighted_l2_position_is_exact_without_iterations(monkeypatch):
+    monkeypatch.setattr(positions, "_lbfgs", lambda *a, **k: pytest.fail("L-BFGS ran"))
+    monkeypatch.setattr(positions, "_power_table", lambda *a: pytest.fail("a power table was built"))
+    for K in _L2_BODIES:
+        res = solve_ell_position(K, SAMPLE, tol=1e-14)
+        assert res.iterations == 0 and res.converged and res.residual <= 1e-14
+        assert res.mode == "diagonal" and res.objective <= res.objective_at_identity
+    # so the fixed point, its balance pass and its certificate need neither either,
+    # and the fixed point checks to rounding
+    from regpos.regular import ell_position_certificate, find_regular_position
+
+    fp = find_regular_position(_L2_BODIES[0], 0.75, sample=SAMPLE)
+    assert fp.residual <= 1e-13 and ell_position_certificate(fp, _L2_BODIES[0]) <= 1e-13
+
+
+def test_weighted_l2_position_matches_lbfgs():
+    # the closed form against the iterative solver run directly, in log T
+    for K in _L2_BODIES:
+        res = solve_ell_position(K, SAMPLE)
+        assert np.abs(res.T.log_diag() - _lbfgs_log_t(K, SAMPLE, 1e-12)).max() <= 1e-7
 
 
 def test_b1_objective_at_identity_beats_perturbations():
@@ -175,8 +217,9 @@ def test_rotation_invariance_of_optimal_value():
 
 
 def test_nonconvergence_is_flagged_not_hidden():
+    # p = 1.5: a p = 2 body takes the exact closed form, which converges at any tol
     res = solve_ell_position(
-        bd.Ellipsoid(np.diag([100.0, 1.0, 0.01])),
+        bd.WeightedLp.from_weights(1.5, [100.0, 1.0, 0.01]),
         GaussianSample(5, 2000, 3),
         tol=1e-14,
         max_iter=2,
@@ -390,7 +433,8 @@ def test_balance_ell_large_p_block_takes_the_gauge(monkeypatch):
     gauge = bd.WeightedLp._gauge
     monkeypatch.setattr(bd.WeightedLp, "_gauge", lambda self, X: rows.append(len(X)) or gauge(self, X))
     got = positions._table_ell(K, s)
-    assert rows == [16384, 3616]
+    # the blocks of 16384 and 3616 rows, each in row tiles of 2^16 / 8 = 8192 rows
+    assert rows == [8192, 8192, 3616]
     assert got.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
 
 

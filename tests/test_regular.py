@@ -280,8 +280,9 @@ def test_balanced_interpolant_functionals_match_fresh_estimates():
 
 
 def test_divergence_reported_not_hidden():
+    # p = 1.5: at p = 2 the closed-form ell-position makes the fixed point exact to rounding
     fp = find_regular_position(
-        bd.Ellipsoid(np.diag([16.0, 1.0])), 1.0, seed=8, samples=2000, tol=1e-12
+        bd.WeightedLp.from_weights(1.5, [16.0, 1.0]), 1.0, seed=8, samples=2000, tol=1e-12
     )
     assert not fp.converged
     assert fp.residual > 1e-12
