@@ -6,8 +6,10 @@
 The config is a single JSON document (see README for per-subcommand keys).
 Each experiment writes one JSONL record stream plus a CSV summary into
 --out; outputs are byte-identical for identical (config, seed).  --threads is
-accepted and ignored.  Exit codes: 0 pass, 1 invariant failure, 2 configuration
-error.
+accepted and ignored.  Section surveys split each stack of sections across
+forked processes, one per CPU of the affinity mask (limit them with taskset),
+with byte-identical outputs at any CPU count.  Exit codes: 0 pass, 1
+invariant failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: every command evaluates its samples serially")
+                       help="accepted and ignored: Gaussian samples are summed on the calling "
+                            "thread, and section surveys use every CPU of the affinity mask")
         p.add_argument("--out", default=None, help="output directory for JSONL/CSV")
     args = parser.parse_args(argv)
     try:

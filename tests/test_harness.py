@@ -283,6 +283,25 @@ def test_cli_standard_error_outputs_identical_across_runs(cmd, cfg, tmp_path):
         assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
 
 
+@pytest.mark.parametrize("cmd, cfg", [
+    ("qs", {"body": {"preset": "b1", "dim": 8}, "k": 2, "trials": 40, "fp_samples": 2000, "report_samples": 100}),
+    ("sections", {"bodies": [{"preset": "b1", "dim": 8}, {"preset": "wlp1.5", "dim": 8}], "samples": 100}),
+])
+def test_cli_section_surveys_identical_across_worker_counts(cmd, cfg, tmp_path, monkeypatch):
+    from regpos import _ascent
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    outs = [str(tmp_path / f"o{i}") for i in range(2)]
+    for workers, out in zip((1, 2), outs):
+        monkeypatch.setattr(_ascent, "_WORKERS", workers)
+        assert main([cmd, "--config", str(path), "--seed", "3", "--out", out]) == 0
+    files = sorted(os.listdir(outs[0]))
+    assert files == [f"{cmd}.jsonl", f"{cmd}_summary.csv"]
+    for f in files:
+        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+
+
 def test_measured_bound_marker():
     assert measured(2.0, lower_bound=True) == {"value": 2.0, "bound": "lower"}
 

@@ -243,7 +243,9 @@ _REFERENCE_BODIES = [
     ("b1", bd.cross_polytope(8), SAMPLE),
     ("binf", bd.cube(8), SAMPLE),
     ("wlp1.5", bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 8)), SAMPLE),
-    ("ellipsoid", bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, 8))), SAMPLE),
+    # the ellipsoid x^T diag(a) x <= 1 as a direct LinearImage of the ball, which
+    # unlike Ellipsoid and WeightedLp has no closed-form ell-position
+    ("ellipsoid", bd.LinearImage(np.diag(np.linspace(0.5, 3.0, 8) ** -0.5), bd.Ellipsoid(np.eye(8))), SAMPLE),
     ("full", bd.linear_image(np.eye(4) + 0.3 * np.random.default_rng(12).standard_normal((4, 4)),
                              bd.WeightedLp(1.5, np.ones(4))), GaussianSample(103, 20000, 4)),
 ]
@@ -277,7 +279,11 @@ def test_lbfgs_stopping_rules():
 
 @pytest.mark.parametrize("name,K,sample", _REFERENCE_BODIES, ids=[b[0] for b in _REFERENCE_BODIES])
 def test_lbfgs_matches_scipy_reference(name, K, sample, monkeypatch):
+    calls = []
+    lbfgs = positions._lbfgs
+    monkeypatch.setattr(positions, "_lbfgs", lambda *a, **k: calls.append(1) or lbfgs(*a, **k))
     res = solve_ell_position(K, sample)
+    assert calls, "the solve never reached _lbfgs"
     assert res.mode == ("full" if name == "full" else "diagonal")
     # the cube's sampled objective is kinked wherever a sample's largest
     # coordinate changes, so neither solver brings its gradient to tol there
