@@ -12,15 +12,18 @@ a vertex search for weighted l_1 balls and a vertex walk for weighted cubes
 (_vertex.py).
 
 Each section's value is a function of its own basis, numerator and probes,
-so _extrema splits a stack into contiguous parts, one per usable CPU, and
-solves all parts but the first in forked children (_split); the outputs are
-the same bytes whatever the number of parts.
+so a stack is cut into contiguous parts.  survey plans a stack: its route,
+its parts, and the generator states its parts redraw their Haar bases and
+probes from.  run_surveys solves a batch of planned stacks from one queue of
+parts, in this process and in children forked once per batch; the outputs
+are the same bytes whatever the parts and the processes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +36,16 @@ SURVEY = (8, 50, 48, 40)       # stacks of Haar sections: cr_k, regularity repor
 RADIUS = (64, 200, 1000, 120)  # one radius of one body, section or projection
 SUPPORT = (32, 150, 400, 120)  # support-function maximizers (support_estimate)
 
-# sections per part: smaller stacks stay in the calling process, since a fork
-# costs about 3 ms at one BLAS thread and 5-10 ms at more, and with BLAS
-# threads a 2-way split gains only from about 128 sections of the ascent
-_MIN_PART = 64
-_WORKERS = None     # parts per stack when set (tests force it); else one per usable CPU
+# the routes, costliest per section first, each with the fewest sections per
+# part at n = 32 and the power of 32/n that scales it to other n, as a
+# section's cost grows with n: a fork costs 5-10 ms at default BLAS threads,
+# and in a sweep of 2-way splits at default BLAS threads (n in {8, 16, 32,
+# 64}, 64 to 2048 sections per stack) smaller parts did not gain
+_MIN_PART = {"ascent": (64, 1), "vertex_walk": (64, 1), "vertex_search": (256, 1), "eigen": (128, 2)}
+_WORKERS = None     # parts per stack and processes per batch when set (tests force it)
+# sections a part solves at once: this bounds a process's working set, and
+# larger stacks were no faster per section on any route in that sweep
+_SLAB = 256
 
 
 def _unit(W):
@@ -167,41 +175,47 @@ def _orthonormal(Zs):
     return Zs
 
 
+def _haar(G):
+    """Haar bases from a (count, n, m) standard Gaussian stack: the Q of its
+    batched QR, each column's sign set by the diagonal of R."""
+    Q, R = np.linalg.qr(G)
+    d = np.einsum("sii->si", R)
+    return Q * np.sign(np.where(d == 0, 1.0, d))[:, None, :]
+
+
+class Haar(NamedTuple):
+    """The bases haar_grassmannian_batch(rng, n, m, count) returns, as a recipe:
+    a survey draws the Gaussians from rng part by part, and each part
+    orthonormalizes its own."""
+
+    rng: np.random.Generator
+    n: int
+    m: int
+    count: int
+
+
 def _rows(Ps, a, b):
     """The numerators of sections a..b-1: a matrix stack is sliced, None or a body is shared."""
     return Ps if Ps is None or _is_body(Ps) else Ps[a:b]
 
 
-def _extrema(body, Zs, Ps, mode, rng, effort):
-    """(S,) extrema: exact eigenvalues for an ellipsoid or weighted l_2 ball
-    with a quadratic numerator, the vertex routes for maxima of a quadratic
-    numerator over sections of a weighted l_1 ball or cube of codimension
-    1..MAX_CODIM, else the ascent's from rng at effort (starts, iters,
-    probes, polish).  Every route is split across processes by _split."""
-    if mode not in ("max", "min"):
-        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
+def _route(body, Ps, mode, n, d):
+    """Exact eigenvalues for an ellipsoid or weighted l_2 ball with a quadratic
+    numerator, the vertex routes for maxima of a quadratic numerator over
+    sections of a weighted l_1 ball (search) or cube (walk) of codimension
+    1..MAX_CODIM, else the ascent."""
     if _quadratic_form(body) is not None and (not _is_body(Ps) or _quadratic_form(Ps) is not None):
-        return _split(lambda a, b: _ellipsoid_ratio(body, Zs[a:b], _rows(Ps, a, b), mode), Zs.shape[0])
+        return "eigen"
     if (body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and not _is_body(Ps)
-            and 1 <= Zs.shape[1] - Zs.shape[2] <= MAX_CODIM):
-        return _split(lambda a, b: vertex_maxima(body, Zs[a:b], _rows(Ps, a, b)), Zs.shape[0])
-    return _extremize(body, Zs, Ps, mode, rng, effort)[0]
-
-
-def _extremize(body, Zs, Ps, mode, rng, effort):
-    """(S,) ascent extrema and (S, n) extremizers: probe, ascend the top starts, polish the best.
-
-    The probes of the whole stack are drawn here, before the split, so each
-    section's result is a function of its own basis, numerator and probes."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    S, _, d = Zs.shape
-    probes = rng.standard_normal((S, effort[2], d))
-    return _split(lambda a, b: _ascend_part(body, Zs[a:b], _rows(Ps, a, b), mode, probes[a:b], effort, S == 1), S)
+            and 1 <= n - d <= MAX_CODIM):
+        return "vertex_search" if body.p == 1 else "vertex_walk"
+    return "ascent"
 
 
 def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
-    """_extremize on one part of a stack, from its (S, probes, d) Gaussian probes;
-    `stop` lets a lone problem end its ascents early (see ascend)."""
+    """(S,) ascent extrema and (S, n) extremizers of a stack (or part), from its
+    (S, probes, d) Gaussian probes: probe, ascend the top starts, polish the
+    best.  `stop` lets a lone problem end its ascents early (see ascend)."""
     starts, iters, _, polish = effort
     S, _, d = Zs.shape
     sign = 1.0 if mode == "max" else -1.0
@@ -220,73 +234,232 @@ def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
     return np.exp(sign * f.max(axis=1)), (best @ _mT(Zs))[:, 0]
 
 
-def _workers(S):
-    """How many parts _split cuts a stack of S sections into: one per CPU of
-    the affinity mask, none smaller than _MIN_PART; one without os.fork."""
+def _cpus():
+    """Processes a batch may run in: _WORKERS when set, else one per CPU of the
+    affinity mask; one without os.fork."""
     if not hasattr(os, "fork"):
         return 1
     if _WORKERS is not None:
-        return max(1, min(_WORKERS, S))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, S // _MIN_PART))
+        return _WORKERS
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _split(part, S):
-    """part(a, b) on contiguous parts of range(S), joined in order.
+def _least(route, n):
+    """The fewest sections per part for stacks of sections of R^n on route."""
+    size, power = _MIN_PART[route]
+    return size * (32 / n) ** power
 
-    part returns an array or a tuple of arrays, one row per section.  All
-    parts but the first run in forked children, which pickle their result
-    (or the exception they raised) into a pipe and leave by os._exit, so no
-    inherited buffer or exit handler runs twice.  A child's exception is
-    re-raised here; if this process raises first, the children are killed.
-    Every child is reaped before _split returns or raises.
+
+def _parts(S, route, n):
+    """How many equal contiguous parts a stack of S sections of R^n on route
+    is cut into: one per usable CPU, none smaller than _least unless _WORKERS
+    is set."""
+    P = _cpus() if _WORKERS is not None else min(_cpus(), int(S // _least(route, n)))
+    return max(1, min(P, S))
+
+
+def _states(rng, shapes):
+    """The state of rng before each of its standard normal draws of the given
+    shapes, which are drawn in order and dropped."""
+    states = []
+    for shape in shapes:
+        states.append(rng.bit_generator.state)
+        rng.standard_normal(shape)
+    return states
+
+
+def _generator(state):
+    """A generator in a state that _states recorded."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _spans(a, b, P):
+    """a..b-1 cut into P equal contiguous (start, stop) spans."""
+    return [(a + (b - a) * i // P, a + (b - a) * (i + 1) // P) for i in range(P)]
+
+
+def _join(results, extremizers):
+    """Results of consecutive sections, joined: arrays, or (extrema, extremizers) pairs."""
+    return tuple(map(np.concatenate, zip(*results))) if extremizers else np.concatenate(results)
+
+
+class Survey(NamedTuple):
+    """A planned stack of ratio extrema (see survey): its route, and per part the
+    sections a..b-1 with the generator states of their Haar Gaussians (None for
+    given bases) and of their ascent probes (None off the ascent)."""
+
+    body: object
+    bases: object        # the (S, n, d) stack, or None for a Haar recipe
+    Ps: object
+    mode: str
+    effort: tuple
+    route: str
+    extremizers: bool
+    shape: tuple         # (S, n, d)
+    parts: list          # (a, b, haar state, probe state) per part
+
+
+def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY, extremizers=False):
+    """Plan the ratio extrema over unit z in col(Z) for a stack of S sections,
+    for run_surveys.
+
+    bases is an (S, n, d) stack, whose columns each part checks for
+    orthonormality, or a Haar recipe.  A recipe's Gaussians are drawn from its
+    rng here, one part at a time: the state before each part is kept and the
+    draw dropped, and the part redraws it.  The ascent's probes come from rng
+    (None: seed 0) in the same way; rng may also be a function returning the
+    generator, called once the bases are drawn.  The route is the one _route
+    picks, or the ascent with `extremizers`, whose result is then the (S,)
+    extrema and the (S, n) extremizers.  A stack is cut into _parts equal
+    contiguous parts.  Each section's value depends only on its own basis,
+    numerator and probes, so the results are the same bytes for any parts."""
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
+    if isinstance(bases, Haar):
+        Zs, (S, n, d) = None, (bases.count, bases.n, bases.m)
+    else:
+        Zs = np.asarray(bases, dtype=float)
+        S, n, d = Zs.shape
+    route = "ascent" if extremizers else _route(body, Ps, mode, n, d)
+    P = _parts(S, route, n)
+    spans = _spans(0, S, P)
+    haar = [None] * P if Zs is not None else _states(bases.rng, [(b - a, n, d) for a, b in spans])
+    rng = rng() if callable(rng) else rng
+    probes = [None] * P
+    if route == "ascent":
+        probes = _states(np.random.default_rng(0) if rng is None else rng,
+                         [(b - a, effort[2], d) for a, b in spans])
+    parts = [(a, b, h, p) for (a, b), h, p in zip(spans, haar, probes)]
+    return Survey(body, Zs, Ps, mode, effort, route, extremizers, (S, n, d), parts)
+
+
+def _solve(job, a, b, haar, probes):
+    """Sections a..b-1 of a planned survey on its route, _SLAB at most at a
+    time, each slab drawing its Haar Gaussians and probes in turn."""
+    S, n, d = job.shape
+    haar = None if haar is None else _generator(haar)
+    probes = None if probes is None else _generator(probes)
+    out = []
+    for a, b in _spans(a, b, max(1, -(-(b - a) // _SLAB))):
+        Zs = _orthonormal(job.bases[a:b] if haar is None else _haar(haar.standard_normal((b - a, n, d))))
+        Ps = _rows(job.Ps, a, b)
+        if job.route == "eigen":
+            out.append(_ellipsoid_ratio(job.body, Zs, Ps, job.mode))
+        elif job.route != "ascent":
+            out.append(vertex_maxima(job.body, Zs, Ps))
+        else:
+            vals, X = _ascend_part(job.body, Zs, Ps, job.mode, probes.standard_normal((b - a, job.effort[2], d)),
+                                   job.effort, S == 1)
+            out.append((vals, X) if job.extremizers else vals)
+    return _join(out, job.extremizers)
+
+
+def run_surveys(surveys):
+    """The results of planned surveys, in order, from one batch.
+
+    The parts of every survey go into one queue, the costlier routes (in the
+    order of _MIN_PART) and then the larger parts first.  This process and up
+    to P - 1 forked children take parts from it (see _run), with P the usable
+    CPUs, at most one per part, and at most the batch's sections counted in
+    units of _least unless _WORKERS is set; so one stack keeps its equal
+    parts, one per process.  The parts are joined in order."""
+    parts = [(job, *part) for job in surveys for part in job.parts]
+    routes = list(_MIN_PART)
+    order = sorted(range(len(parts)), key=lambda i: (routes.index(parts[i][0].route), parts[i][1] - parts[i][2], i))
+    P = min(_cpus(), len(parts))
+    if _WORKERS is None:
+        P = min(P, int(sum(job.shape[0] / _least(job.route, job.shape[1]) for job in surveys)))
+    done = _run(lambda i: _solve(*parts[i]), order, max(P, 1))
+    results, i = [], 0
+    for job in surveys:
+        results.append(_join([done[j] for j in range(i, i + len(job.parts))], job.extremizers))
+        i += len(job.parts)
+    return results
+
+
+def _take(q):
+    """The next part from the queue pipe q, or None once it is empty: entries
+    are 4 bytes, written at most PIPE_BUF bytes at a time and read whole."""
+    entry = os.read(q, 4)
+    return int.from_bytes(entry, "little") if entry else None
+
+
+def _run(solve, order, P):
+    """{i: solve(i)} for every part i of order, taken in that order from one
+    queue by this process and P - 1 forked children.
+
+    A child solves parts until the queue is empty or a part raises, then
+    pickles its results (or the part and its exception, after emptying the
+    queue so that no other part starts) into its own pipe and leaves by
+    os._exit, so no inherited buffer or exit handler runs twice.  A child's
+    exception (the earliest part's, if several fail) is re-raised here; if
+    this process raises first, the children are killed.  Every child is
+    reaped before _run returns or raises.
     """
-    P = _workers(S)
     if P == 1:
-        return part(0, S)
-    bounds = [S * i // P for i in range(P + 1)]
-    children, results = [], []                  # (pid, read end) per forked part; joined parts
+        return {i: solve(i) for i in order}
+    q, qw = os.pipe()
+    children, done = [], {}                     # (pid, read end) per child; results by part
     try:
-        for a, b in zip(bounds[1:-1], bounds[2:]):
+        for _ in range(P - 1):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:                        # the child: never returns
-                _child(part, a, b, r, w)
+                _child(solve, q, (r, qw), w)
             os.close(w)
             children.append((pid, r))
-        results.append(part(bounds[0], bounds[1]))
+        queue = b"".join(i.to_bytes(4, "little") for i in order)
+        for s in range(0, len(queue), 512):     # POSIX writes of up to 512 bytes are atomic
+            os.write(qw, queue[s : s + 512])
+        os.close(qw)
+        qw = None
+        while (i := _take(q)) is not None:
+            done[i] = solve(i)
+        failed = []
         for _, r in children:
             with os.fdopen(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             if not data:
-                raise ChildProcessError("a forked part of a section stack ended without a result")
+                raise ChildProcessError("a forked part of a section survey ended without a result")
             ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
+            if ok:
+                done.update(value)
+            else:
+                failed.append(value)
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
     finally:
-        failed = len(results) < P
+        if qw is not None:
+            os.close(qw)
+        os.close(q)
         for pid, r in children:
-            if failed:
+            if len(done) < len(order):
                 import signal
 
                 os.kill(pid, signal.SIGKILL)
             os.close(r)
             os.waitpid(pid, 0)
-    if isinstance(results[0], tuple):
-        return tuple(np.concatenate(parts) for parts in zip(*results))
-    return np.concatenate(results)
+    return done
 
 
-def _child(part, a, b, r, w):
-    """Run part(a, b) in a forked child, send the pickled outcome down the pipe
-    (r, w), and exit; an outcome that does not pickle leaves the pipe empty."""
+def _child(solve, q, inherited, w):
+    """Solve parts from the queue q in a forked child, after closing the
+    inherited descriptors; send the pickled outcome down w and exit.  An
+    outcome that does not pickle leaves the pipe empty."""
     try:
-        os.close(r)
+        for fd in inherited:
+            os.close(fd)
+        done, i = {}, None
         try:
-            outcome = (True, part(a, b))
+            while (i := _take(q)) is not None:
+                done[i] = solve(i)
+            outcome = (True, done)
         except BaseException as exc:            # handed to the parent, which re-raises it
-            outcome = (False, exc)
+            while _take(q) is not None:
+                pass
+            outcome = (False, (i, exc))
         with os.fdopen(w, "wb") as pipe:
             pipe.write(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
     finally:
@@ -302,16 +475,21 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
     l_2 balls with a quadratic numerator; else maxima are lower bounds and
     minima upper bounds.
     """
-    return _extrema(body, _orthonormal(Zs), Ps, mode, rng, SURVEY)
+    return run_surveys([survey(body, Zs, Ps, mode, rng)])[0]
 
 
 def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=RADIUS[0], iters=RADIUS[1],
                    probes=RADIUS[2], polish=RADIUS[3]):
     """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
     and P a (q, n) matrix or a body, at the RADIUS effort unless overridden."""
-    Zs = np.eye(body.dim)[None] if Z is None else _orthonormal(np.asarray(Z, dtype=float)[None])
+    Zs = np.eye(body.dim)[None] if Z is None else np.asarray(Z, dtype=float)[None]
     Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
-    return float(_extrema(body, Zs, Ps, mode, rng, (starts, iters, probes, polish))[0])
+    return float(run_surveys([survey(body, Zs, Ps, mode, rng, (starts, iters, probes, polish))])[0][0])
+
+
+def _extremize(body, Zs, Ps, mode, rng, effort):
+    """(S,) ascent extrema and (S, n) extremizers of a stack, on any body."""
+    return run_surveys([survey(body, Zs, Ps, mode, rng, effort, extremizers=True)])[0]
 
 
 def support_estimate(body, Y):

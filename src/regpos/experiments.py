@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bodies as bd
 from . import subspaces as sp
+from ._ascent import run_surveys
 from .gaussian import (
     FixedSample,
     GaussianSample,
@@ -29,6 +30,10 @@ from .interpolation import SurrogateBody, interpolate, property_suite
 from .positions import ell_product, solve_ell_position
 from .records import ExperimentRecord, JsonlWriter, measured
 from .regular import (
+    _need_samples,
+    _radii,
+    _radius_survey,
+    _report_plan,
     balanced_interpolant_functionals,
     ell_position_certificate,
     find_regular_position,
@@ -508,18 +513,21 @@ def _check_positions(seed):
         return False, f"ball position drift {drift:.2e} above the SAA band"
     if res.objective > res.objective_at_identity + 1e-12:
         return False, "objective exceeds the identity start"
-    # diagonal ellipsoids against the AM-GM closed form with sample moments
+    # diagonal ellipsoids against the AM-GM closed form with sample moments:
+    # as an Ellipsoid, which takes that closed form itself, and as a direct
+    # LinearImage of the ball, which L-BFGS solves
     G = sample.vectors()
     m2 = (G * G).mean(axis=0)
     rng = _rng(seed, 52)
     for _ in range(3):
         v = np.exp(rng.uniform(-1.5, 1.5, size=8))
-        res = solve_ell_position(bd.Ellipsoid(np.diag(v)), sample, tol=1e-9)
         t_closed = np.sqrt(v * m2)
         t_closed /= np.exp(np.log(t_closed).mean())
-        err = float(np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max())
-        if err > 1e-5:
-            return False, f"ellipsoid closed-form mismatch {err:.2e}"
+        for K in (bd.Ellipsoid(np.diag(v)), bd.LinearImage(np.diag(v**-0.5), bd.ball(8))):
+            res = solve_ell_position(K, sample, tol=1e-9)
+            err = float(np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max())
+            if err > 1e-5:
+                return False, f"{K.family} closed-form mismatch {err:.2e}"
     # local optimality at the SAA optimum under det-1 perturbations
     K = bd.WeightedLp.from_weights(1.5, 1.0 + np.arange(8) / 7.0)
     res = solve_ell_position(K, sample, tol=1e-9)
@@ -710,20 +718,24 @@ def run_qs_experiment(
     Kbar, theta, fp_converged, fp_residual = fp.body, fp.theta, fp.converged, fp.residual
     del fp
     Kpol = Kbar.polar()
-    report = regularity_report(Kbar, alpha, samples=report_samples, c=c, seed=seed + 1)
-    Rbar = report.P_emp * (n / k) ** alpha
-    threshold = Rbar**2
-
+    # the report's surveys and the six flag surveys run in one batch
+    report_surveys, finish_report = _report_plan(Kbar, alpha, None, report_samples, c, seed + 1)
     rng = _rng(seed, 3)
     F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
     Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
-
-    R_a_body = sp.section_out_radii(Kbar, E2_bases, rng, Pts)  # R((P_F Kbar) cap E)
-    R_b_body = sp.section_out_radii(Kbar, F_bases, rng, Pts)   # R(P_E (Kbar cap F))
-    R_a_pol = sp.section_out_radii(Kpol, E2_bases, rng, Pts)
-    R_b_pol = sp.section_out_radii(Kpol, F_bases, rng, Pts)
-    RF_body = sp.section_out_radii(Kbar, F_bases, rng)         # R(Kbar cap F)
-    RF_pol = sp.section_out_radii(Kpol, F_bases, rng)
+    flag_surveys = [
+        sp.section_survey(Kbar, E2_bases, rng, Pts),  # R((P_F Kbar) cap E)
+        sp.section_survey(Kbar, F_bases, rng, Pts),   # R(P_E (Kbar cap F))
+        sp.section_survey(Kpol, E2_bases, rng, Pts),
+        sp.section_survey(Kpol, F_bases, rng, Pts),
+        sp.section_survey(Kbar, F_bases, rng),        # R(Kbar cap F)
+        sp.section_survey(Kpol, F_bases, rng),
+    ]
+    radii = run_surveys(report_surveys + flag_surveys)
+    report = finish_report(radii[: len(report_surveys)])
+    R_a_body, R_b_body, R_a_pol, R_b_pol, RF_body, RF_pol = radii[len(report_surveys) :]
+    Rbar = report.P_emp * (n / k) ** alpha
+    threshold = Rbar**2
 
     d_sop = np.maximum(R_a_body * R_b_pol, 1.0)  # (P_F Kbar) cap E
     d_pos = np.maximum(R_b_body * R_a_pol, 1.0)  # P_E (Kbar cap F)
@@ -979,24 +991,28 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None
 def run_section_tables(bodies, k_grid=None, samples=400, c=0.5, seed=0, writer=None):
     """Random Gelfand tables cr_k with CIs per body, and c_k_upper: the least
     section radius sampled, a lower bound on the minimum over the sampled F
-    of R(K cap F)."""
-    rows = []
+    of R(K cap F).  Every survey of the tables runs in one batch."""
+    _need_samples(samples)
+    plans = []
     for name, K in bodies:
-        grid = default_k_grid(K.dim) if k_grid is None else k_grid
-        for k in grid:
-            g = random_gelfand(K, int(k), samples, c, rng=_rng(seed, K.dim, k, 5))
-            rows.append({
-                "body": name, "n": K.dim, "k": int(k), "cr_k": g.value,
-                "ci_lo": g.ci[0], "ci_hi": g.ci[1], "level": g.level,
-                "clamped": g.clamped, "c_k_upper": g.upper,
-            })
-            if writer is not None:
-                writer.write(ExperimentRecord(
-                    experiment="sections", seed=seed, body=K.spec(),
-                    params={"k": int(k), "c": c, "samples": samples},
-                    measured={
-                        "cr_k": measured(g.value, ci=g.ci),
-                        "c_k_upper": measured(g.upper, lower_bound=True),
-                    },
-                ))
+        for k in default_k_grid(K.dim) if k_grid is None else k_grid:
+            rng = _rng(seed, K.dim, k, 5)
+            plans.append((name, K, int(k), rng, _radius_survey(K, int(k), samples, rng)))
+    rows = []
+    for (name, K, k, rng, _), values in zip(plans, _radii([plan for *_, plan in plans])):
+        g = random_gelfand(K, k, samples, c, rng=rng, values=values)
+        rows.append({
+            "body": name, "n": K.dim, "k": k, "cr_k": g.value,
+            "ci_lo": g.ci[0], "ci_hi": g.ci[1], "level": g.level,
+            "clamped": g.clamped, "c_k_upper": g.upper,
+        })
+        if writer is not None:
+            writer.write(ExperimentRecord(
+                experiment="sections", seed=seed, body=K.spec(),
+                params={"k": k, "c": c, "samples": samples},
+                measured={
+                    "cr_k": measured(g.value, ci=g.ci),
+                    "c_k_upper": measured(g.upper, lower_bound=True),
+                },
+            ))
     return rows

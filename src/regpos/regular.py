@@ -23,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
+from ._ascent import Haar, Survey, run_surveys
 from .gaussian import EllEstimate, GaussianSample, _bootstrap_ci
 from .interpolation import interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
-from .subspaces import haar_grassmannian_batch, section_out_radii
+from .subspaces import section_survey
 
 __all__ = [
     "FixedPointResult",
@@ -146,23 +147,39 @@ class GelfandEstimate:
     upper: float     # least sampled radius: a lower bound on min over the sampled F of R(K cap F)
 
 
-def section_radius_sample(K, k: int, samples: int, rng):
-    """R(K cap F) over Haar F in G_{n, n-k+1} at the SURVEY effort: an (samples,) array."""
+def _radius_survey(K, k: int, samples: int, rng):
+    """section_radius_sample planned on rng: every radius is R when k = 1 (an
+    array), else a section survey of Haar bases drawn from rng."""
     n = K.dim
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     m = n - k + 1
     if m == n:
         return np.full(samples, K.radii.R)
-    return section_out_radii(K, haar_grassmannian_batch(rng, n, m, samples), rng)
+    return section_survey(K, Haar(rng, n, m, samples), rng)
+
+
+def _radii(plans):
+    """The radii of each plan of _radius_survey, every survey in one batch."""
+    radii = iter(run_surveys([p for p in plans if isinstance(p, Survey)]))
+    return [p if isinstance(p, np.ndarray) else next(radii) for p in plans]
+
+
+def section_radius_sample(K, k: int, samples: int, rng):
+    """R(K cap F) over Haar F in G_{n, n-k+1} at the SURVEY effort: an (samples,) array."""
+    return _radii([_radius_survey(K, k, samples, rng)])[0]
+
+
+def _need_samples(samples):
+    if samples < 100:
+        raise ValueError("need at least 100 subspace samples")
 
 
 def random_gelfand(K, k: int, samples: int, c: float = 0.5, *, rng, values=None) -> GelfandEstimate:
     """Empirical quantile of R(K cap F) at level max(exp(-c k), 10/samples),
     with a 200-resample bootstrap CI; clamping is recorded.  The radii are
     `values` if given, else section_radius_sample draws them from rng."""
-    if samples < 100:
-        raise ValueError("need at least 100 subspace samples")
+    _need_samples(samples)
     if values is None:
         values = section_radius_sample(K, k, samples, rng)
     elif np.shape(values) != (samples,):
@@ -207,34 +224,52 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
                       c: float = 0.5, seed: int = 0) -> RegularityReport:
     """Per-k random Gelfand estimates for the position body and its polar,
     the fitted regularity exponent, and the measured constant
-    P_emp = max_k k^alpha cr_k / n^alpha over both bodies."""
+    P_emp = max_k k^alpha cr_k / n^alpha over both bodies; its surveys run
+    in one batch."""
+    surveys, report = _report_plan(Kbar, alpha, k_grid, samples, c, seed)
+    return report(run_surveys(surveys))
+
+
+def _report_plan(Kbar, alpha, k_grid, samples, c, seed):
+    """regularity_report's section surveys, planned on their generators, and
+    the function that makes the report from their radii, in order."""
     n = Kbar.dim
     if k_grid is None:
         k_grid = default_k_grid(n)
+    _need_samples(samples)
     duo = {"body": Kbar, "polar": Kbar.polar()}
-    cr = {name: [] for name in duo}
+    plans = []
     for bi, (name, B) in enumerate(duo.items()):
         for k in k_grid:
             rng = np.random.default_rng(np.random.SeedSequence([seed, bi, int(k)]))
-            cr[name].append(random_gelfand(B, int(k), samples, c, rng=rng))
-    logs = np.log(np.asarray(k_grid, dtype=float) / n)
-    slopes, slope_se = {}, {}
-    for name in duo:
-        y = np.log(np.array([g.value for g in cr[name]]))
-        if len(y) > 2:
-            coef, cov = np.polyfit(-logs, y, 1, cov=True)
-            slope_se[name] = float(np.sqrt(cov[0, 0]))
-        else:
-            # a line through two points leaves no residual to estimate it from
-            coef = np.polyfit(-logs, y, 1)
-            slope_se[name] = float("nan")
-        slopes[name] = float(coef[0])
-    P_emp = max(
-        (k / n) ** alpha * g.value
-        for name in duo
-        for k, g in zip(k_grid, cr[name])
-    )
-    return RegularityReport(
-        alpha=float(alpha), c=float(c), n=n, k_grid=list(map(int, k_grid)),
-        cr=cr, slopes=slopes, slope_se=slope_se, P_emp=float(P_emp),
-    )
+            plans.append((name, B, int(k), rng, _radius_survey(B, int(k), samples, rng)))
+
+    def report(radii):
+        radii = iter(radii)
+        cr = {name: [] for name in duo}
+        for name, B, k, rng, plan in plans:
+            values = next(radii) if isinstance(plan, Survey) else plan
+            cr[name].append(random_gelfand(B, k, samples, c, rng=rng, values=values))
+        logs = np.log(np.asarray(k_grid, dtype=float) / n)
+        slopes, slope_se = {}, {}
+        for name in duo:
+            y = np.log(np.array([g.value for g in cr[name]]))
+            if len(y) > 2:
+                coef, cov = np.polyfit(-logs, y, 1, cov=True)
+                slope_se[name] = float(np.sqrt(cov[0, 0]))
+            else:
+                # a line through two points leaves no residual to estimate it from
+                coef = np.polyfit(-logs, y, 1)
+                slope_se[name] = float("nan")
+            slopes[name] = float(coef[0])
+        P_emp = max(
+            (k / n) ** alpha * g.value
+            for name in duo
+            for k, g in zip(k_grid, cr[name])
+        )
+        return RegularityReport(
+            alpha=float(alpha), c=float(c), n=n, k_grid=list(map(int, k_grid)),
+            cr=cr, slopes=slopes, slope_se=slope_se, P_emp=float(P_emp),
+        )
+
+    return [plan for *_, plan in plans if isinstance(plan, Survey)], report

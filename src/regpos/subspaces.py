@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
-from ._ascent import ratio_extremum, ratio_extremum_many
+from ._ascent import _haar, ratio_extremum, run_surveys, survey
 from .positions import _lbfgs
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "perp_identity_check",
     "subspace_intersection",
     "section_out_radii",
+    "section_survey",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -80,10 +81,7 @@ class Subspace:
 
 def haar_grassmannian_batch(rng, n, m, count):
     """(count, n, m) stack of Haar bases (batched QR)."""
-    G = rng.standard_normal((count, n, m))
-    Q, R = np.linalg.qr(G)
-    d = np.einsum("sii->si", R)
-    return Q * np.sign(np.where(d == 0, 1.0, d))[:, None, :]
+    return _haar(rng.standard_normal((count, n, m)))
 
 
 def haar_flag_batch(rng, n, k, count):
@@ -346,11 +344,16 @@ def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
 def section_out_radii(K: bd.ConvexBody, bases, rng, Ps=None):
     """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None: R(K cap F)) over unit z
     in col(bases[i]), for a (count, n, m) stack of section bases: the one
-    survey of section radii.  ratio_extremum_many (the ascent at the SURVEY
-    effort, where no exact or vertex route applies) runs on a substream seeded
-    by one draw from rng.  A (count,) array."""
-    sub = np.random.default_rng(rng.integers(2**63))
-    return ratio_extremum_many(K, bases, Ps=Ps, mode="max", rng=sub)
+    survey of section radii, a batch of one section_survey.  The ascent (at
+    the SURVEY effort, where no exact or vertex route applies) draws its probes
+    from a substream seeded by one draw from rng.  A (count,) array."""
+    return run_surveys([section_survey(K, bases, rng, Ps)])[0]
+
+
+def section_survey(K: bd.ConvexBody, bases, rng, Ps=None):
+    """section_out_radii planned for a batch of run_surveys: bases may also be
+    the recipe _ascent.Haar(rng, n, m, count), which is drawn first."""
+    return survey(K, bases, Ps, "max", lambda: np.random.default_rng(rng.integers(2**63)))
 
 
 # ----------------------------------------------------------------------

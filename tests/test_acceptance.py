@@ -44,12 +44,21 @@ def test_criterion_1_property_suites_green():
     _finish(1, not failed, detail, t0, budget=120.0)
 
 
-def test_criterion_2_ellipsoid_oracle_equivalence():
+def test_criterion_2_ellipsoid_oracle_equivalence(monkeypatch):
     t0 = time.perf_counter()
+    # an Ellipsoid takes the AM-GM closed form inside solve_ell_position; the
+    # same ellipsoid as a direct LinearImage of the ball goes through _lbfgs,
+    # which gives the closed form an independent reference
+    from regpos import positions
+
+    lbfgs_runs = []
+    lbfgs = positions._lbfgs
+    monkeypatch.setattr(positions, "_lbfgs", lambda *a, **k: lbfgs_runs.append(1) or lbfgs(*a, **k))
     rng = np.random.default_rng(271828)
     samples = {}
     mom2 = {}
     worst_solver = 0.0
+    worst_lbfgs = 0.0
     worst_fixed = 0.0
     for trial in range(100):
         n = int(rng.integers(2, 17))
@@ -59,11 +68,17 @@ def test_criterion_2_ellipsoid_oracle_equivalence():
         v = np.exp(rng.uniform(-1.5, 1.5, size=n))
         K = bd.Ellipsoid(np.diag(v))
         # solver vs the AM-GM closed form of the SAA objective
-        res = solve_ell_position(K, samples[n], tol=1e-9)
         t_closed = np.sqrt(v * mom2[n])
         t_closed /= np.exp(np.log(t_closed).mean())
+        res = solve_ell_position(K, samples[n], tol=1e-9)
         worst_solver = max(
             worst_solver, float(np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max())
+        )
+        runs = len(lbfgs_runs)
+        res = solve_ell_position(bd.LinearImage(np.diag(v**-0.5), bd.ball(n)), samples[n], tol=1e-9)
+        assert len(lbfgs_runs) > runs, "the LinearImage solve never reached _lbfgs"
+        worst_lbfgs = max(
+            worst_lbfgs, float(np.abs(np.log(np.diag(res.T.matrix)) - np.log(t_closed)).max())
         )
         # fixed point vs the hand-derived diag(v^(1/2))/geomean (SAA moments)
         alpha = 1.0 if trial % 2 == 0 else 0.75
@@ -71,11 +86,11 @@ def test_criterion_2_ellipsoid_oracle_equivalence():
         pred = np.sqrt(v) * mom2[n] ** (1.0 / (2.0 * (1.0 - fp.theta)))
         pred /= np.exp(np.log(pred).mean())
         worst_fixed = max(worst_fixed, float(np.abs(fp.T.log_diag() - np.log(pred)).max()))
-    ok = worst_solver <= 1e-4 and worst_fixed <= 1e-4
+    ok = worst_solver <= 1e-4 and worst_lbfgs <= 1e-4 and worst_fixed <= 1e-4
     _finish(
         2, ok,
-        f"100 ellipsoids: solver log-gap {worst_solver:.2e}, fixed-point log-gap "
-        f"{worst_fixed:.2e} (tolerance 1e-4)",
+        f"100 ellipsoids: solver log-gap {worst_solver:.2e}, L-BFGS log-gap {worst_lbfgs:.2e}, "
+        f"fixed-point log-gap {worst_fixed:.2e} (tolerance 1e-4)",
         t0, budget=300.0,
     )
 

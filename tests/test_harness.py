@@ -235,7 +235,7 @@ def test_qs_and_curve_free_the_fixed_point_sample_before_the_report(monkeypatch)
     from regpos import experiments as ex
 
     samples = []
-    find, report = ex.find_regular_position, ex.regularity_report
+    find = ex.find_regular_position
 
     def found(*args, **kw):
         fp = find(*args, **kw)
@@ -244,8 +244,11 @@ def test_qs_and_curve_free_the_fixed_point_sample_before_the_report(monkeypatch)
 
     freed = []
     monkeypatch.setattr(ex, "find_regular_position", found)
-    monkeypatch.setattr(ex, "regularity_report", lambda *a, **kw: freed.append(samples[-1]() is None)
-                        or report(*a, **kw))
+    # qs plans the report's surveys into its own batch; curve runs the report
+    for name in ("_report_plan", "regularity_report"):
+        report = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, report=report, **kw: freed.append(samples[-1]() is None)
+                            or report(*a, **kw))
     ex.run_qs_experiment(bd.cross_polytope(8), None, 2, trials=10, seed=2, fp_samples=2000, report_samples=100)
     ex.run_regularity_curve(bd.cross_polytope(8), alphas=(0.75, 1.0), samples=100, fp_samples=2000,
                             k_grid=[1, 2, 4])
@@ -286,20 +289,27 @@ def test_cli_standard_error_outputs_identical_across_runs(cmd, cfg, tmp_path):
 @pytest.mark.parametrize("cmd, cfg", [
     ("qs", {"body": {"preset": "b1", "dim": 8}, "k": 2, "trials": 40, "fp_samples": 2000, "report_samples": 100}),
     ("sections", {"bodies": [{"preset": "b1", "dim": 8}, {"preset": "wlp1.5", "dim": 8}], "samples": 100}),
+    ("curve", {"body": {"preset": "binf", "dim": 8}, "alphas": [0.75], "samples": 100, "fp_samples": 2000}),
 ])
 def test_cli_section_surveys_identical_across_worker_counts(cmd, cfg, tmp_path, monkeypatch):
+    # each command's surveys run in one batch (curve: one per alpha), whose
+    # parts are spread over 1, 2 and 3 processes
     from regpos import _ascent
 
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
-    outs = [str(tmp_path / f"o{i}") for i in range(2)]
-    for workers, out in zip((1, 2), outs):
+    outs = [str(tmp_path / f"o{i}") for i in range(3)]
+    for workers, out in zip((1, 2, 3), outs):
         monkeypatch.setattr(_ascent, "_WORKERS", workers)
         assert main([cmd, "--config", str(path), "--seed", "3", "--out", out]) == 0
     files = sorted(os.listdir(outs[0]))
-    assert files == [f"{cmd}.jsonl", f"{cmd}_summary.csv"]
-    for f in files:
-        assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(outs[1], f), shallow=False), f
+    assert files == sorted([f"{cmd}.jsonl", f"{cmd}_summary.csv"] + [f"{cmd}_alpha.csv"] * (cmd == "curve"))
+    for out in outs[1:]:
+        assert sorted(os.listdir(out)) == files
+        for f in files:
+            assert filecmp.cmp(os.path.join(outs[0], f), os.path.join(out, f), shallow=False), f
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_measured_bound_marker():
@@ -422,6 +432,20 @@ def test_corrupted_polar_fails_duality_suite():
 def test_property_suite_runner_reports_failures():
     results = run_property_suites(seed=0, names=["support_duality"])
     assert len(results) == 1 and results[0].passed
+
+
+def test_positions_suite_checks_the_closed_form_against_lbfgs(monkeypatch):
+    # the suite's ellipsoids take the AM-GM closed form, and the same
+    # ellipsoids as LinearImages of the ball are solved by _lbfgs against it
+    from regpos import positions
+
+    families = []
+    lbfgs = positions._lbfgs
+    monkeypatch.setattr(positions, "_lbfgs",
+                        lambda fun, *a, **k: families.append(fun.K.family) or lbfgs(fun, *a, **k))
+    results = run_property_suites(seed=0, names=["ell_position"])
+    assert len(results) == 1 and results[0].passed, results[0].detail
+    assert families.count("linear_image") >= 3
 
 
 def test_cli_props_failures_exit_1(tmp_path, capsys, monkeypatch):

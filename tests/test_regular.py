@@ -137,7 +137,7 @@ def test_qs_on_an_ellipsoid_takes_the_eigen_route(monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("the ascent ran on an ellipsoid")
 
-    monkeypatch.setattr(_ascent, "_extremize", no_ascent)
+    monkeypatch.setattr(_ascent, "_ascend_part", no_ascent)
     K, k, trials, seed = preset("ell_cond4", 16), 4, 30, 3
     s = run_qs_experiment(K, 0.75, k, trials=trials, seed=seed, fp_samples=2000, report_samples=100)
     Kbar = find_regular_position(K, 0.75, seed=seed, samples=2000).body

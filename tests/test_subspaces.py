@@ -381,7 +381,7 @@ def test_weighted_l2_ball_takes_the_eigen_route(monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("the ascent ran on a weighted l_2 ball")
 
-    monkeypatch.setattr(_ascent, "_extremize", no_ascent)
+    monkeypatch.setattr(_ascent, "_ascend_part", no_ascent)
     n = 10
     rng = np.random.default_rng(23)
     s, t = np.exp(rng.uniform(-1.0, 1.0, (2, n)))
@@ -483,13 +483,15 @@ def test_each_purpose_runs_at_its_effort(monkeypatch):
     from regpos.zoo import random_h_polytope
 
     efforts = []
-    extremize = _ascent._extremize
+    ascend = _ascent._ascend_part
 
-    def recording(body, Zs, Ps, mode, rng, effort):
+    def recording(body, Zs, Ps, mode, probes, effort, stop):
         efforts.append(effort)
-        return extremize(body, Zs, Ps, mode, rng, effort)
+        return ascend(body, Zs, Ps, mode, probes, effort, stop)
 
-    monkeypatch.setattr(_ascent, "_extremize", recording)
+    # every part in this process, so that each ascent is recorded here
+    monkeypatch.setattr(_ascent, "_WORKERS", 1)
+    monkeypatch.setattr(_ascent, "_ascend_part", recording)
 
     def run(call):
         efforts.clear()
