@@ -14,9 +14,9 @@ a vertex search for weighted l_1 balls and a vertex walk for weighted cubes
 Each section's value is a function of its own basis, numerator and probes,
 so a stack is cut into contiguous parts.  survey plans a stack: its route,
 its parts, and the generator states its parts redraw their Haar bases and
-probes from.  run_surveys solves a batch of planned stacks from one queue of
-parts, in this process and in children forked once per batch; the outputs
-are the same bytes whatever the parts and the processes.
+probes from.  run_surveys solves a batch of planned stacks, its parts dealt
+to this process and to children forked once per batch; the outputs are the
+same bytes whatever the parts and the processes.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ SUPPORT = (32, 150, 400, 120)  # support-function maximizers (support_estimate)
 # 64}, 64 to 2048 sections per stack) smaller parts did not gain
 _MIN_PART = {"ascent": (64, 1), "vertex_walk": (64, 1), "vertex_search": (256, 1), "eigen": (128, 2)}
 _WORKERS = None     # parts per stack and processes per batch when set (tests force it)
-# sections a part solves at once: this bounds a process's working set, and
-# larger stacks were no faster per section on any route in that sweep
+# sections a part solves at once, on every route: this bounds a process's
+# working set, and larger stacks were no faster per section in that sweep
 _SLAB = 256
 
 
@@ -226,10 +226,9 @@ def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
     f0 = np.concatenate([fun_grad(W[:, i : i + starts])[0] for i in range(0, W.shape[1], starts)], axis=1)
     order = np.argsort(-f0, axis=1)[:, :starts, None]
     W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters, stop=stop)
-    if polish:
-        top = np.argmax(f, axis=1)[:, None, None]
-        Wp, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2, stop=stop)
-        W, f = np.concatenate([W, Wp], axis=1), np.concatenate([f, fp], axis=1)
+    top = np.argmax(f, axis=1)[:, None, None]
+    Wp, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2, stop=stop)
+    W, f = np.concatenate([W, Wp], axis=1), np.concatenate([f, fp], axis=1)
     best = np.take_along_axis(W, np.argmax(f, axis=1)[:, None, None], axis=1)
     return np.exp(sign * f.max(axis=1)), (best @ _mT(Zs))[:, 0]
 
@@ -359,19 +358,18 @@ def _solve(job, a, b, haar, probes):
 def run_surveys(surveys):
     """The results of planned surveys, in order, from one batch.
 
-    The parts of every survey go into one queue, the costlier routes (in the
-    order of _MIN_PART) and then the larger parts first.  This process and up
-    to P - 1 forked children take parts from it (see _run), with P the usable
-    CPUs, at most one per part, and at most the batch's sections counted in
-    units of _least unless _WORKERS is set; so one stack keeps its equal
-    parts, one per process.  The parts are joined in order."""
+    The parts of every survey are ordered costlier routes (in the order of
+    _MIN_PART) and then larger parts first, and dealt in that order to P
+    processes (see _run), with P the usable CPUs, and at most the batch's
+    sections counted in units of _least unless _WORKERS is set; so one stack
+    keeps its equal parts, one per process.  The parts are joined in order."""
     parts = [(job, *part) for job in surveys for part in job.parts]
     routes = list(_MIN_PART)
     order = sorted(range(len(parts)), key=lambda i: (routes.index(parts[i][0].route), parts[i][1] - parts[i][2], i))
-    P = min(_cpus(), len(parts))
+    P = _cpus()
     if _WORKERS is None:
         P = min(P, int(sum(job.shape[0] / _least(job.route, job.shape[1]) for job in surveys)))
-    done = _run(lambda i: _solve(*parts[i]), order, max(P, 1))
+    done = _run(lambda i: _solve(*parts[i]), order, P)
     results, i = [], 0
     for job in surveys:
         results.append(_join([done[j] for j in range(i, i + len(job.parts))], job.extremizers))
@@ -379,43 +377,31 @@ def run_surveys(surveys):
     return results
 
 
-def _take(q):
-    """The next part from the queue pipe q, or None once it is empty: entries
-    are 4 bytes, written at most PIPE_BUF bytes at a time and read whole."""
-    entry = os.read(q, 4)
-    return int.from_bytes(entry, "little") if entry else None
-
-
 def _run(solve, order, P):
-    """{i: solve(i)} for every part i of order, taken in that order from one
-    queue by this process and P - 1 forked children.
+    """{i: solve(i)} for every part i of order, dealt at fork time: with P cut
+    to len(order), process c solves order[c::P], c = 0 being this process and
+    c = 1..P-1 children forked here.
 
-    A child solves parts until the queue is empty or a part raises, then
-    pickles its results (or the part and its exception, after emptying the
-    queue so that no other part starts) into its own pipe and leaves by
-    os._exit, so no inherited buffer or exit handler runs twice.  A child's
-    exception (the earliest part's, if several fail) is re-raised here; if
-    this process raises first, the children are killed.  Every child is
-    reaped before _run returns or raises.
+    A child solves its parts until one raises, then pickles its results (or
+    the part and its exception) into its own pipe and leaves by os._exit, so
+    no inherited buffer or exit handler runs twice.  A child's exception (the
+    earliest part's, if several fail) is re-raised here; if this process
+    raises first, the children are killed.  Every child is reaped before _run
+    returns or raises.
     """
-    if P == 1:
+    P = min(P, len(order))
+    if P <= 1:
         return {i: solve(i) for i in order}
-    q, qw = os.pipe()
     children, done = [], {}                     # (pid, read end) per child; results by part
     try:
-        for _ in range(P - 1):
+        for c in range(1, P):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:                        # the child: never returns
-                _child(solve, q, (r, qw), w)
+                _child(solve, order[c::P], w)
             os.close(w)
             children.append((pid, r))
-        queue = b"".join(i.to_bytes(4, "little") for i in order)
-        for s in range(0, len(queue), 512):     # POSIX writes of up to 512 bytes are atomic
-            os.write(qw, queue[s : s + 512])
-        os.close(qw)
-        qw = None
-        while (i := _take(q)) is not None:
+        for i in order[::P]:
             done[i] = solve(i)
         failed = []
         for _, r in children:
@@ -431,9 +417,6 @@ def _run(solve, order, P):
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
     finally:
-        if qw is not None:
-            os.close(qw)
-        os.close(q)
         for pid, r in children:
             if len(done) < len(order):
                 import signal
@@ -444,21 +427,16 @@ def _run(solve, order, P):
     return done
 
 
-def _child(solve, q, inherited, w):
-    """Solve parts from the queue q in a forked child, after closing the
-    inherited descriptors; send the pickled outcome down w and exit.  An
-    outcome that does not pickle leaves the pipe empty."""
+def _child(solve, parts, w):
+    """Solve the dealt parts in a forked child, send the pickled outcome down
+    w and exit.  An outcome that does not pickle leaves the pipe empty."""
     try:
-        for fd in inherited:
-            os.close(fd)
         done, i = {}, None
         try:
-            while (i := _take(q)) is not None:
+            for i in parts:
                 done[i] = solve(i)
             outcome = (True, done)
         except BaseException as exc:            # handed to the parent, which re-raises it
-            while _take(q) is not None:
-                pass
             outcome = (False, (i, exc))
         with os.fdopen(w, "wb") as pipe:
             pipe.write(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))

@@ -67,7 +67,6 @@ import numpy as np
 
 MAX_CODIM = 3      # sections of codimension 1..MAX_CODIM take this route
 _SEEDS = 4         # walkers per section
-_CHUNK = 256       # sections per batch, so that memory stays flat
 _MAX_SWAPS = 500   # a guard only: every swap raises the ratio, so walks end
 _PIVOT = 1e-9      # smallest pivot: |x_i| / max |x| (l_1), |T[b, j]| (cube)
 _GAIN = 1e-12      # smallest relative rise of the squared ratio that moves a walker
@@ -79,22 +78,17 @@ def vertex_maxima(body, Zs, Ps):
     nonzero z in col(Zs[i]), for a weighted l_1 or l_inf body and (S, n, d)
     orthonormal bases of codimension 1..MAX_CODIM."""
     walk = _l1_walk if body.p == 1 else _cube_walk
-    out = np.empty(Zs.shape[0])
-    for a in range(0, Zs.shape[0], _CHUNK):
-        b = a + _CHUNK
-        Z, P = Zs[a:b], None if Ps is None else Ps[a:b]
-        S, n, d = Z.shape
-        ZT = np.swapaxes(Z, 1, 2)
-        A = _normal_basis(Z)                                                   # (S, c, n)
-        # walkers are seeded from the m coordinates of largest |P_F e_i| of their section
-        m = min(_SEEDS, n)
-        top = np.argsort(-np.vecdot(Z, Z), axis=1, kind="stable")[:, :m]
-        V = np.take_along_axis(Z, top[:, :, None], axis=1) @ ZT                # P_F e_i, (S, m, n)
-        X = walk(body.scales, A, P, V)
-        Y = (X.reshape(S, m, n) @ Z) @ ZT                                      # Z Z^T x, (S, m, n)
-        PY = Y if P is None else Y @ np.swapaxes(P, 1, 2)
-        out[a:b] = (np.sqrt(np.vecdot(PY, PY)) / body._gauge(Y.reshape(-1, n)).reshape(S, m)).max(axis=1)
-    return out
+    S, n, d = Zs.shape
+    ZT = np.swapaxes(Zs, 1, 2)
+    A = _normal_basis(Zs)                                                      # (S, c, n)
+    # walkers are seeded from the m coordinates of largest |P_F e_i| of their section
+    m = min(_SEEDS, n)
+    top = np.argsort(-np.vecdot(Zs, Zs), axis=1, kind="stable")[:, :m]
+    V = np.take_along_axis(Zs, top[:, :, None], axis=1) @ ZT                   # P_F e_i, (S, m, n)
+    X = walk(body.scales, A, Ps, V)
+    Y = (X.reshape(S, m, n) @ Zs) @ ZT                                         # Z Z^T x, (S, m, n)
+    PY = Y if Ps is None else Y @ np.swapaxes(Ps, 1, 2)
+    return (np.sqrt(np.vecdot(PY, PY)) / body._gauge(Y.reshape(-1, n)).reshape(S, m)).max(axis=1)
 
 
 def _normal_basis(Z):

@@ -6,9 +6,9 @@
 The config is a single JSON document (see README for per-subcommand keys).
 Each experiment writes one JSONL record stream plus a CSV summary into
 --out; outputs are byte-identical for identical (config, seed).  --threads is
-accepted and ignored.  The section surveys of a run share one queue of
-parts, taken by the calling process and children forked once per batch, one
-per further CPU of the affinity mask (limit them with taskset), with
+accepted and ignored.  The section surveys of a run are cut into parts,
+dealt to the calling process and to children forked once per batch, one per
+further CPU of the affinity mask (limit them with taskset), with
 byte-identical outputs at any CPU count.  Exit codes: 0 pass, 1
 invariant failure, 2 configuration error.
 """

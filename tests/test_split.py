@@ -1,14 +1,13 @@
-"""Batches of section surveys (_ascent.survey, _ascent.run_surveys): one
-queue of parts in forked processes gives the same bytes at every worker
-count, redraws exactly the Gaussians of the serial path, holds no more than
-a part's draws in the calling process, and leaves no child behind."""
+"""Batches of section surveys (_ascent.survey, _ascent.run_surveys): parts
+dealt to forked processes give the same bytes at every worker count, redraw
+exactly the Gaussians of the serial path, hold no more than a part's draws
+in the calling process, and leave no child behind."""
 
 from __future__ import annotations
 
 import copy
 import json
 import os
-import time
 import tracemalloc
 
 import numpy as np
@@ -76,7 +75,7 @@ def test_extremizers_identical_across_worker_counts(monkeypatch):
 
 
 def test_a_batch_identical_to_its_surveys_one_by_one(monkeypatch):
-    # four routes in one queue: the same bytes as each survey alone, serially
+    # four routes in one batch: the same bytes as each survey alone, serially
     # and whole, whatever the processes and the slabs within a part
     jobs = [CASES[c] for c in ("ascent-max-matrix", "vertex-pinf-none", "eigen-body", "ascent-min-body")]
     alone = [_ascent.ratio_extremum_many(body, Zs, Ps, mode, np.random.default_rng(i))
@@ -107,17 +106,17 @@ def test_worker_count_never_exceeds_the_usable_cpus(monkeypatch):
     assert _ascent._parts(10_000, "ascent", 32) == 1
 
 
-def test_queue_hands_out_every_part_once(monkeypatch):
-    # more processes than CPUs race for 1000 parts of about 1 ms; the queue
-    # (4000 bytes) is written in pieces while the children already read it
-    def solve(i):
-        time.sleep(1e-3)
-        return i, os.getpid()
-
-    order = np.random.default_rng(43).permutation(1000).tolist()
-    done = _ascent._run(solve, order, 6)
-    assert sorted(done) == list(range(1000)) and all(done[i][0] == i for i in done)
-    assert len({pid for _, pid in done.values()}) > 1
+@pytest.mark.parametrize("P", [1, 2, 3, 6])
+def test_run_deals_every_part_once(P):
+    # process c solves order[c::P], c = 0 being this one; 6 processes for 5
+    # parts are cut to 5, one part each
+    order = np.random.default_rng(43).permutation(5).tolist()
+    done = _ascent._run(lambda i: (i, os.getpid()), order, P)
+    assert sorted(done) == list(range(5)) and all(done[i][0] == i for i in done)
+    P = min(P, len(order))
+    pids = [{done[i][1] for i in order[c::P]} for c in range(P)]
+    assert pids[0] == {os.getpid()} and all(len(p) == 1 for p in pids)
+    assert len(set.union(*pids)) == P
     _assert_no_children()
 
 
@@ -128,10 +127,26 @@ def _batch(seed=40):
     return [_ascent.survey(K, _ascent.Haar(rng, N, N - 4, 9), None, "max", rng) for _ in range(3)]
 
 
+def test_a_batch_forks_one_child_per_further_worker(monkeypatch):
+    monkeypatch.setattr(_ascent, "_WORKERS", 3)
+    forks, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    assert [v.shape for v in _ascent.run_surveys(_batch())] == [(9,)] * 3
+    assert len(forks) == 2
+    _assert_no_children()
+
+
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_a_failing_part_raises_in_the_caller_and_leaves_no_child(where, monkeypatch):
-    # the middle survey of a batch raises in a child or in this process; the
-    # other processes wait before each of their parts, which leaves it some
+    # the middle survey of a batch raises in the children or in this process:
+    # its three parts are dealt one to each process
     monkeypatch.setattr(_ascent, "_WORKERS", 3)
     assert [v.shape for v in _ascent.run_surveys(_batch())] == [(9,)] * 3
     _assert_no_children()
@@ -139,9 +154,7 @@ def test_a_failing_part_raises_in_the_caller_and_leaves_no_child(where, monkeypa
     middle, caller, solve = jobs[1], os.getpid(), _ascent._solve
 
     def solve_or_fail(job, *part):
-        if (os.getpid() == caller) != (where == "parent"):
-            time.sleep(0.2)
-        elif job is middle:
+        if job is middle and (os.getpid() == caller) == (where == "parent"):
             raise ValueError(f"bad sections in the survey of {job.shape[0]}")
         return solve(job, *part)
 
