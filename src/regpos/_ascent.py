@@ -11,12 +11,14 @@ maxima of a quadratic numerator over sections of codimension at most 3 take
 a vertex search for weighted l_1 balls and a vertex walk for weighted cubes
 (_vertex.py).
 
-Each section's value is a function of its own basis, numerator and probes,
-so a stack is cut into contiguous parts.  survey plans a stack: its route,
-its parts, and the generator states its parts redraw their Haar bases and
-probes from.  run_surveys solves a batch of planned stacks, its parts dealt
-to this process and to children forked once per batch; the outputs are the
-same bytes whatever the parts and the processes.
+Each section's value is a function of its own basis, numerator and probes.
+A stack's random numbers come in blocks of _BLOCK sections, each block from
+its own stream keyed by a seed and the block's index, so any process draws
+any block without the blocks before it.  survey plans a stack: its route,
+its parts (runs of whole blocks) and its seeds, drawing integers only.
+run_surveys solves a batch of planned stacks, its parts dealt to this
+process and to children forked once per batch; the outputs are the same
+bytes whatever the parts, the slabs and the processes.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ _WORKERS = None     # parts per stack and processes per batch when set (tests fo
 # sections a part solves at once, on every route: this bounds a process's
 # working set, and larger stacks were no faster per section in that sweep
 _SLAB = 256
+# sections per block of random numbers (see _normals): a part or a slab is a
+# run of whole blocks, and each block costs one SeedSequence per stream
+_BLOCK = 32
 
 
 def _unit(W):
@@ -184,19 +189,14 @@ def _haar(G):
 
 
 class Haar(NamedTuple):
-    """The bases haar_grassmannian_batch(rng, n, m, count) returns, as a recipe:
-    a survey draws the Gaussians from rng part by part, and each part
-    orthonormalizes its own."""
+    """count Haar bases of m-dimensional subspaces of R^n as a recipe: the
+    _haar of each block's (size, n, m) Gaussians, drawn from the block's
+    stream of seed (see _normals) by the part that solves it."""
 
-    rng: np.random.Generator
+    seed: int
     n: int
     m: int
     count: int
-
-
-def _rows(Ps, a, b):
-    """The numerators of sections a..b-1: a matrix stack is sliced, None or a body is shared."""
-    return Ps if Ps is None or _is_body(Ps) else Ps[a:b]
 
 
 def _route(body, Ps, mode, n, d):
@@ -250,33 +250,22 @@ def _least(route, n):
 
 
 def _parts(S, route, n):
-    """How many equal contiguous parts a stack of S sections of R^n on route
-    is cut into: one per usable CPU, none smaller than _least unless _WORKERS
-    is set."""
+    """How many near-equal runs of whole blocks a stack of S sections of R^n on
+    route is cut into: one per usable CPU, none smaller than _least unless
+    _WORKERS is set."""
     P = _cpus() if _WORKERS is not None else min(_cpus(), int(S // _least(route, n)))
-    return max(1, min(P, S))
+    return max(1, min(P, -(-S // _BLOCK)))
 
 
-def _states(rng, shapes):
-    """The state of rng before each of its standard normal draws of the given
-    shapes, which are drawn in order and dropped."""
-    states = []
-    for shape in shapes:
-        states.append(rng.bit_generator.state)
-        rng.standard_normal(shape)
-    return states
-
-
-def _generator(state):
-    """A generator in a state that _states recorded."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
-def _spans(a, b, P):
-    """a..b-1 cut into P equal contiguous (start, stop) spans."""
-    return [(a + (b - a) * i // P, a + (b - a) * (i + 1) // P) for i in range(P)]
+def _normals(seed, a, b, shape):
+    """The (b - a, *shape) standard normals of sections a..b-1 of a stack, a on
+    a block boundary: block j's rows from default_rng(SeedSequence(seed,
+    spawn_key=(j,)))."""
+    out = np.empty((b - a, *shape))
+    for s in range(a, b, _BLOCK):
+        stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(s // _BLOCK,)))
+        stream.standard_normal(out=out[s - a : s - a + _BLOCK])
+    return out
 
 
 def _join(results, extremizers):
@@ -285,19 +274,19 @@ def _join(results, extremizers):
 
 
 class Survey(NamedTuple):
-    """A planned stack of ratio extrema (see survey): its route, and per part the
-    sections a..b-1 with the generator states of their Haar Gaussians (None for
-    given bases) and of their ascent probes (None off the ascent)."""
+    """A planned stack of ratio extrema (see survey): its route, its parts as
+    the sections a..b-1 of runs of whole blocks, and its probe seed."""
 
     body: object
-    bases: object        # the (S, n, d) stack, or None for a Haar recipe
+    bases: object        # the (S, n, d) stack, or a Haar recipe
     Ps: object
     mode: str
     effort: tuple
     route: str
     extremizers: bool
     shape: tuple         # (S, n, d)
-    parts: list          # (a, b, haar state, probe state) per part
+    parts: list          # (a, b) per part
+    probe_seed: int      # the seed of the ascent's probes
 
 
 def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY, extremizers=False):
@@ -305,52 +294,56 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY, extremizer
     for run_surveys.
 
     bases is an (S, n, d) stack, whose columns each part checks for
-    orthonormality, or a Haar recipe.  A recipe's Gaussians are drawn from its
-    rng here, one part at a time: the state before each part is kept and the
-    draw dropped, and the part redraws it.  The ascent's probes come from rng
-    (None: seed 0) in the same way; rng may also be a function returning the
-    generator, called once the bases are drawn.  The route is the one _route
+    orthonormality, or a Haar recipe.  Ps is None, a body, or an (S, q, n)
+    stack of numerator matrices.  The ascent's probes come in blocks from one
+    seed drawn from rng here (None: seed 0), as a recipe's bases come from
+    its seed, so planning draws no Gaussians.  The route is the one _route
     picks, or the ascent with `extremizers`, whose result is then the (S,)
-    extrema and the (S, n) extremizers.  A stack is cut into _parts equal
-    contiguous parts.  Each section's value depends only on its own basis,
+    extrema and the (S, n) extremizers.  A stack is cut into _parts runs of
+    whole blocks.  Each section's value depends only on its own basis,
     numerator and probes, so the results are the same bytes for any parts."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if isinstance(bases, Haar):
-        Zs, (S, n, d) = None, (bases.count, bases.n, bases.m)
+        S, n, d = bases.count, bases.n, bases.m
     else:
-        Zs = np.asarray(bases, dtype=float)
-        S, n, d = Zs.shape
+        bases = np.asarray(bases, dtype=float)
+        S, n, d = bases.shape
+    if Ps is not None and not _is_body(Ps):
+        Ps = np.asarray(Ps, dtype=float)
+        if Ps.ndim != 3 or Ps.shape[0] != S or Ps.shape[2] != n:
+            raise ValueError(f"Ps must be an (S, q, n) stack with S = {S} and n = {n}, not of shape {Ps.shape}")
     route = "ascent" if extremizers else _route(body, Ps, mode, n, d)
-    P = _parts(S, route, n)
-    spans = _spans(0, S, P)
-    haar = [None] * P if Zs is not None else _states(bases.rng, [(b - a, n, d) for a, b in spans])
-    rng = rng() if callable(rng) else rng
-    probes = [None] * P
-    if route == "ascent":
-        probes = _states(np.random.default_rng(0) if rng is None else rng,
-                         [(b - a, effort[2], d) for a, b in spans])
-    parts = [(a, b, h, p) for (a, b), h, p in zip(spans, haar, probes)]
-    return Survey(body, Zs, Ps, mode, effort, route, extremizers, (S, n, d), parts)
+    blocks, P = -(-S // _BLOCK), _parts(S, route, n)
+    parts = [(blocks * i // P * _BLOCK, min(S, blocks * (i + 1) // P * _BLOCK)) for i in range(P)]
+    seed = 0 if rng is None else int(rng.integers(2**63))
+    return Survey(body, bases, Ps, mode, effort, route, extremizers, (S, n, d), parts, seed)
 
 
-def _solve(job, a, b, haar, probes):
-    """Sections a..b-1 of a planned survey on its route, _SLAB at most at a
-    time, each slab drawing its Haar Gaussians and probes in turn."""
+def _bases(job, a, b):
+    """The bases of sections a..b-1 of a planned survey, a on a block boundary."""
+    if isinstance(job.bases, Haar):
+        return _haar(_normals(job.bases.seed, a, b, job.shape[1:]))
+    return job.bases[a:b]
+
+
+def _solve(job, a, b):
+    """Sections a..b-1 of a planned survey on its route, in slabs of whole
+    blocks, at most _SLAB sections (or one block) at a time."""
     S, n, d = job.shape
-    haar = None if haar is None else _generator(haar)
-    probes = None if probes is None else _generator(probes)
+    step = _BLOCK * max(1, _SLAB // _BLOCK)
     out = []
-    for a, b in _spans(a, b, max(1, -(-(b - a) // _SLAB))):
-        Zs = _orthonormal(job.bases[a:b] if haar is None else _haar(haar.standard_normal((b - a, n, d))))
-        Ps = _rows(job.Ps, a, b)
+    for s in range(a, b, step) or [a]:           # an empty stack is one empty slab
+        t = min(s + step, b)
+        Zs = _orthonormal(_bases(job, s, t))
+        Ps = job.Ps if job.Ps is None or _is_body(job.Ps) else job.Ps[s:t]   # a body is shared
         if job.route == "eigen":
             out.append(_ellipsoid_ratio(job.body, Zs, Ps, job.mode))
         elif job.route != "ascent":
             out.append(vertex_maxima(job.body, Zs, Ps))
         else:
-            vals, X = _ascend_part(job.body, Zs, Ps, job.mode, probes.standard_normal((b - a, job.effort[2], d)),
-                                   job.effort, S == 1)
+            probes = _normals(job.probe_seed, s, t, (job.effort[2], d))
+            vals, X = _ascend_part(job.body, Zs, Ps, job.mode, probes, job.effort, S == 1)
             out.append((vals, X) if job.extremizers else vals)
     return _join(out, job.extremizers)
 
@@ -363,7 +356,7 @@ def run_surveys(surveys):
     processes (see _run), with P the usable CPUs, and at most the batch's
     sections counted in units of _least unless _WORKERS is set; so one stack
     keeps its equal parts, one per process.  The parts are joined in order."""
-    parts = [(job, *part) for job in surveys for part in job.parts]
+    parts = [(job, a, b) for job in surveys for a, b in job.parts]
     routes = list(_MIN_PART)
     order = sorted(range(len(parts)), key=lambda i: (routes.index(parts[i][0].route), parts[i][1] - parts[i][2], i))
     P = _cpus()
@@ -447,7 +440,8 @@ def _child(solve, parts, w):
 def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
     """Batched ratio extrema over unit z in col(Zs[i]) at the SURVEY effort: an (S,) array.
 
-    Zs is (S, n, d) with orthonormal columns; other bases raise ValueError.
+    Zs is (S, n, d) with orthonormal columns; other bases, and numerator
+    stacks of another shape, raise ValueError.
     The numerator is |z| when Ps is None, |Ps[i] z| for an (S, q, n) stack,
     or the gauge of Ps when it is a body.  Exact for ellipsoids and weighted
     l_2 balls with a quadratic numerator; else maxima are lower bounds and

@@ -6,11 +6,12 @@
 The config is a single JSON document (see README for per-subcommand keys).
 Each experiment writes one JSONL record stream plus a CSV summary into
 --out; outputs are byte-identical for identical (config, seed).  --threads is
-accepted and ignored.  The section surveys of a run are cut into parts,
-dealt to the calling process and to children forked once per batch, one per
-further CPU of the affinity mask (limit them with taskset), with
-byte-identical outputs at any CPU count.  Exit codes: 0 pass, 1
-invariant failure, 2 configuration error.
+accepted and ignored.  The section surveys of qs, sections, curve and
+lowmstar form one batch per run, cut into parts of whole blocks of sections
+with their own random numbers and dealt to the calling process and to
+children forked once per batch, one per further CPU of the affinity mask
+(limit them with taskset), with byte-identical outputs at any CPU count.
+Exit codes: 0 pass, 1 invariant failure, 2 configuration error.
 """
 
 from __future__ import annotations

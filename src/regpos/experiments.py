@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bodies as bd
 from . import subspaces as sp
-from ._ascent import run_surveys
+from ._ascent import run_surveys, survey
 from .gaussian import (
     FixedSample,
     GaussianSample,
@@ -38,7 +38,6 @@ from .regular import (
     ell_position_certificate,
     find_regular_position,
     random_gelfand,
-    regularity_report,
     section_radius_sample,
     default_k_grid,
 )
@@ -724,12 +723,12 @@ def run_qs_experiment(
     F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
     Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
     flag_surveys = [
-        sp.section_survey(Kbar, E2_bases, rng, Pts),  # R((P_F Kbar) cap E)
-        sp.section_survey(Kbar, F_bases, rng, Pts),   # R(P_E (Kbar cap F))
-        sp.section_survey(Kpol, E2_bases, rng, Pts),
-        sp.section_survey(Kpol, F_bases, rng, Pts),
-        sp.section_survey(Kbar, F_bases, rng),        # R(Kbar cap F)
-        sp.section_survey(Kpol, F_bases, rng),
+        survey(Kbar, E2_bases, Pts, rng=rng),  # R((P_F Kbar) cap E)
+        survey(Kbar, F_bases, Pts, rng=rng),   # R(P_E (Kbar cap F))
+        survey(Kpol, E2_bases, Pts, rng=rng),
+        survey(Kpol, F_bases, Pts, rng=rng),
+        survey(Kbar, F_bases, rng=rng),        # R(Kbar cap F)
+        survey(Kpol, F_bases, rng=rng),
     ]
     radii = run_surveys(report_surveys + flag_surveys)
     report = finish_report(radii[: len(report_surveys)])
@@ -820,42 +819,44 @@ def run_lowmstar_check(
     """C_emp = max_k sqrt(k) cr_k(K) / ell*(K) for the body zoo.
 
     Haar subspaces are shared across bodies at each (n, k) (common random
-    numbers); rows report per-(body, n, k) contributions.
+    numbers: one Haar seed); rows report per-(body, n, k) contributions.
+    The run's surveys form one batch; its bootstraps follow it.
     """
-    rows = []
-    summaries = {}
+    plans = []
     for n in n_list:
         zoo = default_zoo(n)
         sample = GaussianSample(seed + n, ell_samples, n)
         ells = {name: ell_star(K, 1, sample) for name, K in zoo}
+        del sample   # so no sample is alive when the batch forks
         for k in default_k_grid(n):
             rng = _rng(seed, n, k)
-            m = n - k + 1
-            bases = None if m == n else sp.haar_grassmannian_batch(rng, n, m, samples)
+            haar = int(rng.integers(2**63))
             for name, K in zoo:
-                values = np.full(samples, K.radii.R) if bases is None else sp.section_out_radii(K, bases, rng)
-                g = random_gelfand(K, k, samples, c, rng=rng, values=values)
-                ratio = np.sqrt(k) * g.value / ells[name].value
-                rows.append({
-                    "body": name, "n": n, "k": k, "cr_k": g.value,
-                    "cr_ci_lo": g.ci[0], "cr_ci_hi": g.ci[1], "level": g.level,
-                    "clamped": g.clamped, "ell_star": ells[name].value,
-                    "ell_star_se": ells[name].se, "sqrtk_cr_over_ellstar": ratio,
-                })
-                key = (name, n)
-                summaries[key] = max(summaries.get(key, 0.0), ratio)
-                if writer is not None:
-                    writer.write(ExperimentRecord(
-                        experiment="lowmstar", seed=seed, body=dict(zoo)[name].spec(),
-                        params={"n": n, "k": k, "c": c, "samples": samples},
-                        measured={
-                            "cr_k": measured(g.value, ci=g.ci),
-                            "ell_star": measured(ells[name].value, se=ells[name].se),
-                            # cr_k's bootstrap CI, scaled like the ratio
-                            "sqrtk_cr_over_ellstar": measured(ratio, ci=np.sqrt(k) * np.asarray(g.ci)
-                                                              / ells[name].value),
-                        },
-                    ))
+                plans.append((name, K, n, k, rng, ells[name], _radius_survey(K, k, samples, rng, haar)))
+    rows = []
+    summaries = {}
+    for (name, K, n, k, rng, es, _), values in zip(plans, _radii([plan for *_, plan in plans])):
+        g = random_gelfand(K, k, samples, c, rng=rng, values=values)
+        ratio = np.sqrt(k) * g.value / es.value
+        rows.append({
+            "body": name, "n": n, "k": k, "cr_k": g.value,
+            "cr_ci_lo": g.ci[0], "cr_ci_hi": g.ci[1], "level": g.level,
+            "clamped": g.clamped, "ell_star": es.value,
+            "ell_star_se": es.se, "sqrtk_cr_over_ellstar": ratio,
+        })
+        key = (name, n)
+        summaries[key] = max(summaries.get(key, 0.0), ratio)
+        if writer is not None:
+            writer.write(ExperimentRecord(
+                experiment="lowmstar", seed=seed, body=K.spec(),
+                params={"n": n, "k": k, "c": c, "samples": samples},
+                measured={
+                    "cr_k": measured(g.value, ci=g.ci),
+                    "ell_star": measured(es.value, se=es.se),
+                    # cr_k's bootstrap CI, scaled like the ratio
+                    "sqrtk_cr_over_ellstar": measured(ratio, ci=np.sqrt(k) * np.asarray(g.ci) / es.value),
+                },
+            ))
     c_emp = {key: val for key, val in sorted(summaries.items())}
     return {"rows": rows, "C_emp": c_emp, "C_emp_max": max(c_emp.values())}
 
@@ -879,15 +880,21 @@ def run_regularity_curve(
     """Sweep alpha, build the position, and emit per-(alpha, k) cr tables with
     P_emp(alpha) and the reference shape 1/sqrt(alpha - 1/2) (recorded, not
     asserted)."""
-    rows = []
-    curve = []
+    positions = []
     for ai, alpha in enumerate(alphas):
         fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples)
         # keep only the reported fields, so the sample and its power table are freed here
-        body, fp_row = fp.body, {"fp_converged": fp.converged, "fp_residual": fp.residual, "balance": fp.balance}
+        positions.append((fp.body, {"fp_converged": fp.converged, "fp_residual": fp.residual,
+                                    "balance": fp.balance}))
         del fp
-        rep = regularity_report(body, alpha, k_grid=k_grid, samples=samples,
-                                c=c, seed=seed + 1000 + ai)
+    # every alpha's report surveys run in one batch
+    plans = [_report_plan(body, alpha, k_grid, samples, c, seed + 1000 + ai)
+             for ai, (alpha, (body, _)) in enumerate(zip(alphas, positions))]
+    radii = iter(run_surveys([job for surveys, _ in plans for job in surveys]))
+    rows = []
+    curve = []
+    for alpha, (_, fp_row), (surveys, finish) in zip(alphas, positions, plans):
+        rep = finish([next(radii) for _ in surveys])
         for which in ("body", "polar"):
             for k, g in zip(rep.k_grid, rep.cr[which]):
                 rows.append({

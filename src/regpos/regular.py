@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bodies as bd
-from ._ascent import Haar, Survey, run_surveys
+from ._ascent import Haar, Survey, run_surveys, survey
 from .gaussian import EllEstimate, GaussianSample, _bootstrap_ci
 from .interpolation import interpolate, phi, theta_of_alpha
 from .positions import PositionMap, balance_scale, solve_ell_position
-from .subspaces import section_survey
 
 __all__ = [
     "FixedPointResult",
@@ -147,16 +146,18 @@ class GelfandEstimate:
     upper: float     # least sampled radius: a lower bound on min over the sampled F of R(K cap F)
 
 
-def _radius_survey(K, k: int, samples: int, rng):
+def _radius_survey(K, k: int, samples: int, rng, haar=None):
     """section_radius_sample planned on rng: every radius is R when k = 1 (an
-    array), else a section survey of Haar bases drawn from rng."""
+    array), else a section survey of the Haar bases of the seed `haar` (None:
+    one drawn from rng), with its probe seed drawn from rng after it."""
     n = K.dim
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     m = n - k + 1
     if m == n:
         return np.full(samples, K.radii.R)
-    return section_survey(K, Haar(rng, n, m, samples), rng)
+    haar = int(rng.integers(2**63)) if haar is None else haar
+    return survey(K, Haar(haar, n, m, samples), rng=rng)
 
 
 def _radii(plans):

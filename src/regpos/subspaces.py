@@ -33,7 +33,6 @@ __all__ = [
     "perp_identity_check",
     "subspace_intersection",
     "section_out_radii",
-    "section_survey",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -343,17 +342,11 @@ def geometric_distance_to_ball(S: bd.ConvexBody) -> float:
 
 def section_out_radii(K: bd.ConvexBody, bases, rng, Ps=None):
     """max |Ps[i] z| / gauge_K(z) (|z| when Ps is None: R(K cap F)) over unit z
-    in col(bases[i]), for a (count, n, m) stack of section bases: the one
-    survey of section radii, a batch of one section_survey.  The ascent (at
-    the SURVEY effort, where no exact or vertex route applies) draws its probes
-    from a substream seeded by one draw from rng.  A (count,) array."""
-    return run_surveys([section_survey(K, bases, rng, Ps)])[0]
-
-
-def section_survey(K: bd.ConvexBody, bases, rng, Ps=None):
-    """section_out_radii planned for a batch of run_surveys: bases may also be
-    the recipe _ascent.Haar(rng, n, m, count), which is drawn first."""
-    return survey(K, bases, Ps, "max", lambda: np.random.default_rng(rng.integers(2**63)))
+    in col(bases[i]), for a (count, n, m) stack of section bases and an
+    optional (count, q, n) stack Ps: the one survey of section radii.  The
+    ascent (at the SURVEY effort, where no exact or vertex route applies)
+    draws its probes from a seed drawn from rng.  A (count,) array."""
+    return run_surveys([survey(K, bases, Ps, "max", rng)])[0]
 
 
 # ----------------------------------------------------------------------

@@ -244,11 +244,9 @@ def test_qs_and_curve_free_the_fixed_point_sample_before_the_report(monkeypatch)
 
     freed = []
     monkeypatch.setattr(ex, "find_regular_position", found)
-    # qs plans the report's surveys into its own batch; curve runs the report
-    for name in ("_report_plan", "regularity_report"):
-        report = getattr(ex, name)
-        monkeypatch.setattr(ex, name, lambda *a, report=report, **kw: freed.append(samples[-1]() is None)
-                            or report(*a, **kw))
+    # qs and curve plan each report's surveys into the run's one batch
+    plan = ex._report_plan
+    monkeypatch.setattr(ex, "_report_plan", lambda *a, **kw: freed.append(samples[-1]() is None) or plan(*a, **kw))
     ex.run_qs_experiment(bd.cross_polytope(8), None, 2, trials=10, seed=2, fp_samples=2000, report_samples=100)
     ex.run_regularity_curve(bd.cross_polytope(8), alphas=(0.75, 1.0), samples=100, fp_samples=2000,
                             k_grid=[1, 2, 4])
@@ -289,11 +287,11 @@ def test_cli_standard_error_outputs_identical_across_runs(cmd, cfg, tmp_path):
 @pytest.mark.parametrize("cmd, cfg", [
     ("qs", {"body": {"preset": "b1", "dim": 8}, "k": 2, "trials": 40, "fp_samples": 2000, "report_samples": 100}),
     ("sections", {"bodies": [{"preset": "b1", "dim": 8}, {"preset": "wlp1.5", "dim": 8}], "samples": 100}),
-    ("curve", {"body": {"preset": "binf", "dim": 8}, "alphas": [0.75], "samples": 100, "fp_samples": 2000}),
+    ("curve", {"body": {"preset": "binf", "dim": 8}, "alphas": [0.75, 1.0], "samples": 100, "fp_samples": 2000}),
 ])
 def test_cli_section_surveys_identical_across_worker_counts(cmd, cfg, tmp_path, monkeypatch):
-    # each command's surveys run in one batch (curve: one per alpha), whose
-    # parts are spread over 1, 2 and 3 processes
+    # each command's surveys run in one batch, whose parts are spread over 1,
+    # 2 and 3 processes
     from regpos import _ascent
 
     path = tmp_path / "c.json"

@@ -1,7 +1,9 @@
 """Batches of section surveys (_ascent.survey, _ascent.run_surveys): parts
-dealt to forked processes give the same bytes at every worker count, redraw
-exactly the Gaussians of the serial path, hold no more than a part's draws
-in the calling process, and leave no child behind."""
+dealt to forked processes give the same bytes at every worker count, draw
+their Haar bases and probes block by block from seeds drawn at planning,
+hold no more than a part's draws in the calling process, and leave no child
+behind.  Tests that need several blocks from a few sections set _BLOCK
+small."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import copy
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -53,6 +56,7 @@ CASES = _cases()
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_extrema_identical_across_worker_counts(case, monkeypatch):
     body, Zs, Ps, mode = CASES[case]
+    monkeypatch.setattr(_ascent, "_BLOCK", 2)
     outs = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(_ascent, "_WORKERS", workers)
@@ -66,6 +70,7 @@ def test_extrema_identical_across_worker_counts(case, monkeypatch):
 def test_extremizers_identical_across_worker_counts(monkeypatch):
     K = bd.WeightedLp(3.0, np.linspace(1.0, 2.0, N))
     Zs = sp.haar_grassmannian_batch(np.random.default_rng(32), N, N - 3, S)
+    monkeypatch.setattr(_ascent, "_BLOCK", 2)
     outs = []
     for workers in (1, 3):
         monkeypatch.setattr(_ascent, "_WORKERS", workers)
@@ -76,11 +81,13 @@ def test_extremizers_identical_across_worker_counts(monkeypatch):
 
 def test_a_batch_identical_to_its_surveys_one_by_one(monkeypatch):
     # four routes in one batch: the same bytes as each survey alone, serially
-    # and whole, whatever the processes and the slabs within a part
+    # and whole, whatever the processes and the slabs (one block, two blocks,
+    # the whole part) within a part
+    monkeypatch.setattr(_ascent, "_BLOCK", 2)
     jobs = [CASES[c] for c in ("ascent-max-matrix", "vertex-pinf-none", "eigen-body", "ascent-min-body")]
     alone = [_ascent.ratio_extremum_many(body, Zs, Ps, mode, np.random.default_rng(i))
              for i, (body, Zs, Ps, mode) in enumerate(jobs)]
-    for workers, slab in ((1, 2), (2, 1), (3, _ascent._SLAB)):
+    for workers, slab in ((1, 1), (2, 4), (3, _ascent._SLAB)):
         monkeypatch.setattr(_ascent, "_WORKERS", workers)
         monkeypatch.setattr(_ascent, "_SLAB", slab)
         batch = _ascent.run_surveys([_ascent.survey(body, Zs, Ps, mode, np.random.default_rng(i))
@@ -121,10 +128,12 @@ def test_run_deals_every_part_once(P):
 
 
 def _batch(seed=40):
-    """Three ascent surveys on Haar recipes, three parts each at 3 workers."""
+    """Three ascent surveys on Haar recipes of 9 sections: with _BLOCK = 3,
+    three parts each at 3 workers."""
     rng = np.random.default_rng(seed)
     K = bd.WeightedLp(1.5, np.linspace(1.0, 2.0, N))
-    return [_ascent.survey(K, _ascent.Haar(rng, N, N - 4, 9), None, "max", rng) for _ in range(3)]
+    return [_ascent.survey(K, _ascent.Haar(int(rng.integers(2**63)), N, N - 4, 9), None, "max", rng)
+            for _ in range(3)]
 
 
 def test_a_batch_forks_one_child_per_further_worker(monkeypatch):
@@ -148,6 +157,7 @@ def test_a_failing_part_raises_in_the_caller_and_leaves_no_child(where, monkeypa
     # the middle survey of a batch raises in the children or in this process:
     # its three parts are dealt one to each process
     monkeypatch.setattr(_ascent, "_WORKERS", 3)
+    monkeypatch.setattr(_ascent, "_BLOCK", 3)
     assert [v.shape for v in _ascent.run_surveys(_batch())] == [(9,)] * 3
     _assert_no_children()
     jobs = _batch()
@@ -178,62 +188,152 @@ def test_children_never_flush_inherited_buffers(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_haar_recipe_parts_redraw_the_batch_bases(workers, monkeypatch):
+def test_haar_recipe_bases_are_the_haar_of_their_block_draws(workers, monkeypatch):
+    # 11 sections in blocks of 4, 4 and 3, each block from its own stream
     monkeypatch.setattr(_ascent, "_WORKERS", workers)
-    rng, ref = np.random.default_rng(42), np.random.default_rng(42)
-    job = _ascent.survey(bd.cube(N), _ascent.Haar(rng, N, N - 5, 11), None, "max", rng)
-    assert len(job.parts) == workers and job.bases is None
-    parts = [_ascent._haar(_ascent._generator(h).standard_normal((b - a, N, N - 5))) for a, b, h, _ in job.parts]
-    assert np.concatenate(parts).tobytes() == sp.haar_grassmannian_batch(ref, N, N - 5, 11).tobytes()
-    # then the probes of all 11 sections, drawn from the same generator
-    ref.standard_normal((11, _ascent.SURVEY[2], N - 5))
-    assert rng.bit_generator.state == ref.bit_generator.state
+    monkeypatch.setattr(_ascent, "_BLOCK", 4)
+    m = N - 5
+    draws = [np.random.default_rng(np.random.SeedSequence(42, spawn_key=(j,))).standard_normal((size, N, m))
+             for j, size in enumerate((4, 4, 3))]
+    bases = _ascent._haar(np.concatenate(draws))
+    job = _ascent.survey(bd.cube(N), _ascent.Haar(42, N, m, 11), None, "max", np.random.default_rng(7))
+    assert len(job.parts) == workers and job.route == "ascent"
+    assert _ascent._bases(job, 0, 11).tobytes() == bases.tobytes()
+    # the parts' bases, wherever they are solved: the same bytes as the stack given whole
+    given = _ascent.ratio_extremum_many(bd.cube(N), bases, rng=np.random.default_rng(7))
+    assert _ascent.run_surveys([job])[0].tobytes() == given.tobytes()
+    _assert_no_children()
 
 
-def _serial_draws(rng, K, k, samples):
-    """What the unbatched path draws from rng for one random_gelfand survey."""
-    if k > 1:
-        sp.haar_grassmannian_batch(rng, K.dim, K.dim - k + 1, samples)
-        rng.integers(2**63)
+def _bootstrap_states(monkeypatch):
+    """The generators random_gelfand draws from, each with its state at its
+    first bootstrap and its k."""
+    first = {}
+    for module in (regular, ex):
+        gelfand = module.random_gelfand
+
+        def recording(K, k, samples, c=0.5, *, rng, values=None, gelfand=gelfand):
+            first.setdefault(id(rng), (rng, rng.bit_generator.state, k))
+            return gelfand(K, k, samples, c, rng=rng, values=values)
+
+        monkeypatch.setattr(module, "random_gelfand", recording)
+    return first
 
 
-@pytest.mark.parametrize("caller", ["report", "sections"])
-def test_planning_leaves_each_generator_where_the_serial_path_did(caller, monkeypatch):
-    checked = []
-    module = regular if caller == "report" else ex
-    plan = module._radius_survey
+def _after_integers(rng, count):
+    """The state of a fresh generator on rng's seed after count integer draws."""
+    fresh = np.random.Generator(type(rng.bit_generator)(rng.bit_generator.seed_seq))
+    for _ in range(count):
+        fresh.integers(2**63)
+    return fresh.bit_generator.state
 
-    def checking(K, k, samples, rng):
-        before = copy.deepcopy(rng)
-        out = plan(K, k, samples, rng)
-        _serial_draws(before, K, k, samples)
-        checked.append(before.bit_generator.state == rng.bit_generator.state)
-        return out
 
-    monkeypatch.setattr(module, "_radius_survey", checking)
+@pytest.mark.parametrize("caller", ["report", "sections", "lowmstar", "qs"])
+def test_planning_moves_each_generator_only_by_its_integer_draws(caller, monkeypatch):
+    # planning draws a Haar seed and a probe seed per survey and no Gaussians,
+    # so at its first bootstrap each generator is exactly that many integer
+    # draws from its start; lowmstar draws one Haar seed per (n, k), shared
+    # by the zoo, and qs's flag generator draws the flags, then one probe
+    # seed per flag survey
+    first = _bootstrap_states(monkeypatch)
     K = bd.cross_polytope(16)
     if caller == "report":
         regular.regularity_report(K, 0.75, samples=100, seed=3)
-    else:
+    elif caller == "sections":
         ex.run_section_tables([("b1", K), ("wlp1.5", bd.WeightedLp(1.5, np.linspace(1.0, 2.0, 16)))],
                               samples=100, seed=3)
-    assert len(checked) == 8 and all(checked)
+    elif caller == "lowmstar":
+        ex.run_lowmstar_check(n_list=(8,), samples=100, seed=3, ell_samples=1000)
+    else:
+        flags = []
+        flag_batch = sp.haar_flag_batch
+
+        def flagging(rng, n, k, count):
+            out = flag_batch(rng, n, k, count)
+            flags.append((rng, copy.deepcopy(rng)))
+            return out
+
+        monkeypatch.setattr(sp, "haar_flag_batch", flagging)
+        ex.run_qs_experiment(K, 0.75, 2, trials=30, seed=4, fp_samples=2000, report_samples=100)
+        (rng, after_flags), = flags
+        for _ in range(6):
+            after_flags.integers(2**63)
+        assert rng.bit_generator.state == after_flags.bit_generator.state
+    surveys = {"report": 2 * 4, "sections": 2 * 4, "lowmstar": 3, "qs": 2 * 4}[caller]
+    assert len(first) == surveys
+    zoo = len(ex.default_zoo(8))
+    for rng, state, k in first.values():
+        draws = 1 + (k > 1) * zoo if caller == "lowmstar" else 2 * (k > 1)
+        assert state == _after_integers(rng, draws)
 
 
-def test_qs_planning_leaves_the_flag_generator_where_the_serial_path_did(monkeypatch):
-    flag_rngs = []
-    plan = sp.section_survey
-    monkeypatch.setattr(sp, "section_survey",
-                        lambda K, bases, rng, Ps=None: flag_rngs.append(rng) or plan(K, bases, rng, Ps))
-    n, k, trials, seed = 16, 2, 30, 4
-    ex.run_qs_experiment(bd.cross_polytope(n), 0.75, k, trials=trials, seed=seed, fp_samples=2000,
-                         report_samples=100)
-    assert len(flag_rngs) == 6 and all(r is flag_rngs[0] for r in flag_rngs)
-    ref = ex._rng(seed, 3)
-    sp.haar_flag_batch(ref, n, k, trials)
-    for _ in range(6):
-        ref.integers(2**63)
-    assert flag_rngs[0].bit_generator.state == ref.bit_generator.state
+def _lowmstar_surveys(monkeypatch):
+    """The surveys run_lowmstar_check plans, by (n, k)."""
+    planned = {}
+    plan = ex._radius_survey
+
+    def recording(K, k, samples, rng, haar=None):
+        job = plan(K, k, samples, rng, haar)
+        if isinstance(job, _ascent.Survey):
+            planned.setdefault((K.dim, k), []).append(job)
+        return job
+
+    monkeypatch.setattr(ex, "_radius_survey", recording)
+    return planned
+
+
+def test_lowmstar_zoo_sees_identical_bases_at_each_n_k(monkeypatch):
+    planned = _lowmstar_surveys(monkeypatch)
+    ex.run_lowmstar_check(n_list=(4, 8), samples=100, seed=2, ell_samples=1000)
+    assert sorted(planned) == [(4, 2), (8, 2), (8, 4)]
+    seeds = set()
+    for (n, k), jobs in planned.items():
+        assert len(jobs) == len(ex.default_zoo(n))
+        bases = [_ascent._bases(job, 0, 100).tobytes() for job in jobs]
+        assert bases == bases[:1] * len(jobs)
+        seeds.add(jobs[0].bases.seed)
+    assert len(seeds) == len(planned)
+
+
+def test_a_lowmstar_run_forks_once(monkeypatch):
+    # one batch for every survey of the run, with no Gaussian sample alive
+    monkeypatch.setattr(_ascent, "_WORKERS", 3)
+    samples, make = [], ex.GaussianSample
+
+    def tracked(*args):
+        sample = make(*args)
+        samples.append(weakref.ref(sample))
+        return sample
+
+    monkeypatch.setattr(ex, "GaussianSample", tracked)
+    forks, alive, fork = [], [], os.fork
+
+    def counting():
+        alive.append(any(s() is not None for s in samples))
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    out = ex.run_lowmstar_check(n_list=(4, 8), samples=100, seed=2, ell_samples=1000)
+    assert len(out["rows"]) == 8 * 5 and len(samples) == 2
+    assert len(forks) == 2 and alive == [False, False]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("body", [bd.WeightedLp(1.5, np.linspace(1.0, 2.0, N)), bd.cross_polytope(N)])
+def test_numerator_stacks_must_match_the_bases(body, workers, monkeypatch):
+    # 200 sections of codimension 2: the ascent on wlp1.5, the vertex search on B_1
+    monkeypatch.setattr(_ascent, "_WORKERS", workers)
+    rng = np.random.default_rng(44)
+    bases = sp.haar_grassmannian_batch(rng, N, N - 2, 200)
+    for shape in ((1, 3, N), (199, 3, N), (200, 3, N - 1), (200, N)):
+        with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
+            sp.section_out_radii(body, bases, rng, rng.standard_normal(shape))
+    assert sp.section_out_radii(body, bases, rng, rng.standard_normal((200, 3, N))).shape == (200,)
+    _assert_no_children()
 
 
 def test_report_batch_holds_no_full_draw_in_this_process(monkeypatch):
