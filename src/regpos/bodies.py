@@ -92,7 +92,6 @@ class ConvexBody:
 
     family = "abstract"
     exact = True            # gauge/support evaluate closed forms
-    convex_certified = True
 
     def __init__(self, dim: int):
         dim = int(dim)

@@ -155,8 +155,8 @@ def _cmd_props(args, cfg):
     known = [name for name, _ in ex._CHECKS]
 
     def suites(value):
-        if not isinstance(value, list) or not set(value) <= set(known):
-            raise ValueError(f"need a list of suite names from {known}")
+        if not isinstance(value, list) or not value or not set(value) <= set(known):
+            raise ValueError(f"need a non-empty list of suite names from {known}")
         return value
 
     results = ex.run_property_suites(seed=args.seed, names=_get(cfg, "names", None, suites))

@@ -4,11 +4,8 @@ theta(alpha) = 1 - 1/(2 alpha) and Phi(theta) = 1/tan(pi theta / 4).
 For weighted l_p balls (diagonal ellipsoids are the p = 2 case) the
 interpolated norm is again a weighted l_p norm: exponents combine
 harmonically, 1/p = (1-theta)/p0 + theta/p1, and the per-coordinate scales
-combine geometrically, s = s0^(1-theta) * s1^theta.  For any other pair the
-geometric-mean surrogate gauge ||x||_0^(1-theta) ||x||_1^theta is provided
-as an inner bound: it dominates the interpolated norm pointwise, so the
-surrogate body is contained in the true interpolant, but it is not
-certified convex.
+combine geometrically, s = s0^(1-theta) * s1^theta.  These are the only
+pairs with a closed-form interpolant here; any other pair is an error.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ __all__ = [
     "theta_of_alpha",
     "phi",
     "interpolate",
-    "SurrogateBody",
     "property_suite",
 ]
 
@@ -54,61 +50,15 @@ def interpolate(K0: bd.ConvexBody, K1: bd.ConvexBody, theta: float) -> bd.Convex
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     form0, form1 = K0.as_weighted_lp(), K1.as_weighted_lp()
-    if form0 is None or form1 is None:
-        raise ValueError("non-tractable pair: no closed-form interpolant; use the surrogate SurrogateBody")
+    for K, form in ((K0, form0), (K1, form1)):
+        if form is None:
+            raise ValueError(f"non-tractable family {K.family!r}: only weighted l_p balls and "
+                             "diagonal ellipsoids have a closed-form interpolant")
     p0, s0 = form0
     p1, s1 = form1
     ip = (1.0 - theta) * _inv_p(p0) + theta * _inv_p(p1)
     p = np.inf if ip == 0.0 else 1.0 / ip
     return bd.WeightedLp(p, s0 ** (1.0 - theta) * s1**theta)
-
-
-class SurrogateBody(bd.ConvexBody):
-    """Geometric-mean gauge ||x||_0^(1-theta) ||x||_1^theta.
-
-    An inner bound for the interpolant; not certified convex, and with no
-    certified dual, so support/polar are unavailable.
-    """
-
-    family = "surrogate"
-    convex_certified = False
-
-    def __init__(self, K0, K1, theta):
-        if K0.dim != K1.dim:
-            raise ValueError("surrogate endpoints must share a dimension")
-        super().__init__(K0.dim)
-        self.K0, self.K1, self.theta = K0, K1, float(theta)
-        self.exact = K0.exact and K1.exact
-        self.unconditional = K0.unconditional and K1.unconditional
-
-    def _gauge(self, X):
-        th = self.theta
-        return self.K0._gauge(X) ** (1.0 - th) * self.K1._gauge(X) ** th
-
-    def _gauge_subgrad(self, X):
-        th = self.theta
-        g0, y0 = self.K0._gauge_subgrad(X)
-        g1, y1 = self.K1._gauge_subgrad(X)
-        g = g0 ** (1.0 - th) * g1**th
-        safe0 = np.maximum(g0, 1e-300)[:, None]
-        safe1 = np.maximum(g1, 1e-300)[:, None]
-        Y = g[:, None] * ((1.0 - th) * y0 / safe0 + th * y1 / safe1)
-        Y[g == 0] = 0.0
-        return g, Y
-
-    def _support(self, Y):
-        raise NotImplementedError("surrogate body has no certified dual")
-
-    def _make_polar(self):
-        raise NotImplementedError("surrogate body has no certified dual")
-
-    def spec(self):
-        return {
-            "family": "surrogate",
-            "theta": self.theta,
-            "base0": self.K0.spec(),
-            "base1": self.K1.spec(),
-        }
 
 
 def property_suite(K0, K1, theta: float, rng=None, ndirs: int = 1000) -> dict:

@@ -326,29 +326,6 @@ def test_linear_image_closed_forms_for_polytopes_and_nested_images():
     assert nested.gauge(X) == pytest.approx(K.gauge(X @ np.linalg.inv(M2 @ M1).T), rel=1e-12)
 
 
-def test_surrogate_subgradient_is_the_gradient():
-    # smooth endpoints: the surrogate's subgradient is its gradient (central
-    # differences), with the Euler identity <y, x> = g(x) and a zero row at 0
-    from regpos.interpolation import SurrogateBody
-
-    rng = np.random.default_rng(56)
-    K = SurrogateBody(bd.WeightedLp(1.5, [1.0, 2.0, 3.0]), bd.Ellipsoid(np.diag([0.5, 1.0, 4.0])), 0.3)
-    X = np.vstack([rng.standard_normal((6, 3)), np.zeros(3)])
-    g, Y = K._gauge_subgrad(X)
-    assert g == pytest.approx(K.gauge(X), rel=1e-15)
-    assert np.einsum("mi,mi->m", Y, X) == pytest.approx(g, rel=1e-12)
-    assert np.array_equal(Y[-1], np.zeros(3))
-    h = 1e-6
-    for j, e in enumerate(np.eye(3)):
-        fd = (K.gauge(X[:-1] + h * e) - K.gauge(X[:-1] - h * e)) / (2 * h)
-        assert fd == pytest.approx(Y[:-1, j], abs=1e-7)
-
-
-# ----------------------------------------------------------------------
-# radii caches
-# ----------------------------------------------------------------------
-
-
 def test_radii_closed_forms():
     r, R, exact = bd.cross_polytope(2).radii
     assert exact and r == pytest.approx(1 / np.sqrt(2)) and R == pytest.approx(1.0)

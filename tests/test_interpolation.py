@@ -1,11 +1,10 @@
-"""Interpolation identities, the scalar maps and the geometric-mean surrogate."""
+"""Interpolation identities and the scalar maps."""
 
 import numpy as np
 import pytest
 
 from regpos import bodies as bd
 from regpos.interpolation import (
-    SurrogateBody,
     interpolate,
     phi,
     property_suite,
@@ -128,7 +127,7 @@ def test_two_sided_scaling():
 
 def test_nontractable_pair_raises():
     K0 = bd.PolytopeH(RNG.standard_normal((6, 3)))
-    with pytest.raises(ValueError, match="surrogate"):
+    with pytest.raises(ValueError, match="non-tractable family 'polytope_h': only weighted l_p balls"):
         interpolate(K0, bd.ball(3), 0.5)
 
 
@@ -141,7 +140,7 @@ def test_interpolate_rejects_bad_endpoints_and_theta():
     rng = np.random.default_rng(8)
     for K in (bd.PolytopeV(rng.standard_normal((5, 3))), bd.Ellipsoid(np.array([[2.0, 1.0], [1.0, 2.0]])),
               bd.Complexified(bd.cross_polytope(2))):
-        with pytest.raises(ValueError, match="surrogate"):
+        with pytest.raises(ValueError, match=f"family '{K.family}': only weighted l_p balls"):
             interpolate(bd.ball(K.dim), K, 0.5)
     # theta at the ends is allowed
     assert interpolate(bd.cross_polytope(3), bd.ball(3), 1.0).p == 2.0
@@ -154,37 +153,6 @@ def test_unconditional_invariance_of_interpolant():
     X = RNG.standard_normal((100, 3))
     signs = np.array([1.0, -1.0, 1.0])
     assert np.array_equal(Kth.gauge(X * signs), Kth.gauge(X))
-
-
-# ----------------------------------------------------------------------
-# surrogate
-# ----------------------------------------------------------------------
-
-
-def test_surrogate_equals_body_for_equal_pair():
-    K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0])
-    S = SurrogateBody(K, K, 0.3)
-    X = RNG.standard_normal((200, 2))
-    assert np.abs(S.gauge(X) - K.gauge(X)).max() <= 1e-12
-
-
-def test_surrogate_dominates_interpolant_gauge():
-    S = SurrogateBody(bd.cross_polytope(5), bd.ball(5), 0.45)
-    Kth = interpolate(bd.cross_polytope(5), bd.ball(5), 0.45)
-    X = unit_points(1000, 5)
-    assert np.min(S.gauge(X) - Kth.gauge(X)) >= -1e-12
-    # equality at coordinate basis vectors
-    I = np.eye(5)
-    assert np.abs(S.gauge(I) - Kth.gauge(I)).max() <= 1e-12
-
-
-def test_surrogate_has_no_certified_dual():
-    S = SurrogateBody(bd.cross_polytope(3), bd.ball(3), 0.5)
-    assert not S.convex_certified
-    with pytest.raises(NotImplementedError):
-        S.support([1.0, 0.0, 0.0])
-    with pytest.raises(NotImplementedError):
-        S.polar()
 
 
 def test_section_lower_bound_for_interpolants_with_ball():

@@ -13,7 +13,6 @@ from scipy.stats import kstest
 
 from regpos import bodies as bd
 from regpos import subspaces as sp
-from regpos.interpolation import SurrogateBody
 
 RNG = np.random.default_rng(555)
 
@@ -260,15 +259,32 @@ def test_projection_gauge_subgrad_is_a_subgradient(K):
 
 
 @pytest.mark.parametrize("K", [bd.PolytopeV(np.random.default_rng(43).standard_normal((7, 5))),
-                               SurrogateBody(bd.cube(5), bd.cross_polytope(5), 0.5)],
-                         ids=["polytope_v", "surrogate"])
+                               bd.Complexified(bd.cross_polytope(3))],
+                         ids=["polytope_v", "complexify"])
 def test_projection_gauge_subgrad_of_a_kinked_parent_without_lp_form_raises(K):
     # there the parent subgradient at the fiber minimizer need not be a
     # subgradient of the projection gauge, so none is returned
     assert sp._affine_rep(K) is None and not sp._smooth(K)
-    S = sp.SectionBody(K, sp.haar_grassmannian(np.random.default_rng(43), 5, 3), "projection")
+    S = sp.SectionBody(K, sp.haar_grassmannian(np.random.default_rng(43), K.dim, 3), "projection")
     with pytest.raises(NotImplementedError, match="LP form"):
         S._gauge_subgrad(np.ones((2, 3)))
+
+
+class _GeometricMean(bd.ConvexBody):
+    """The exact kinked gauge sqrt(|x|_inf |x|_1), which has no LP form."""
+
+    def _gauge(self, X):
+        A = np.abs(X)
+        return np.sqrt(A.max(axis=1) * A.sum(axis=1))
+
+    def _gauge_subgrad(self, X):
+        A = np.abs(X)
+        top, a, b = A.argmax(axis=1), A.max(axis=1), A.sum(axis=1)
+        g = np.sqrt(a * b)
+        Y = 0.5 * np.sqrt(a / np.maximum(b, 1e-300))[:, None] * np.sign(X)
+        rows = np.arange(len(X))
+        Y[rows, top] += 0.5 * np.sqrt(b / np.maximum(a, 1e-300)) * np.sign(X[rows, top])
+        return g, Y
 
 
 def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
@@ -283,7 +299,7 @@ def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
 
     monkeypatch.setattr(sp, "_lbfgs", spy)
     rng = np.random.default_rng(0)
-    K = SurrogateBody(bd.cube(5), bd.cross_polytope(5), 0.5)
+    K = _GeometricMean(5)
     S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
     U = rng.standard_normal((5, 3))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
