@@ -17,14 +17,12 @@ from .bodies import (
     PolytopeH,
     PolytopeV,
     LinearImage,
-    Complexified,
     DegenerateBodyError,
     ball,
     cube,
     cross_polytope,
     from_spec,
     linear_image,
-    relative_out_radius,
 )
 from .gaussian import EllEstimate, FixedSample, GaussianSample, ell, ell_star, mstar
 from .interpolation import interpolate, phi, property_suite, theta_of_alpha

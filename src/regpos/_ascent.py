@@ -1,15 +1,13 @@
 """One batched multistart ascent for ratio extrema on spheres.
 
 Every radius the experiments report reduces to one primitive: extremize
-num(z) / gauge(z) over unit z in the column span of Z, for a stack of S
-problems at once.  The numerator is |P z| (P = I when absent) or, for
-relative out-radii, another body's gauge.  Every iterate is a feasible
+|P z| / gauge(z) over unit z in the column span of Z, for a stack of S
+problems at once, with P = I when absent.  Every iterate is a feasible
 evaluation, so reported maxima are certified lower bounds and reported
-minima certified upper bounds.  Ellipsoids and weighted l_2 balls with a
-quadratic numerator take an exact stacked eigenvalue route instead, and
-maxima of a quadratic numerator over sections of codimension at most 3 take
-a vertex search for weighted l_1 balls and a vertex walk for weighted cubes
-(_vertex.py).
+minima certified upper bounds.  Ellipsoids and weighted l_2 balls take an
+exact stacked eigenvalue route instead, and maxima over sections of
+codimension at most 3 take a vertex search for weighted l_1 balls and a
+vertex walk for weighted cubes (_vertex.py).
 
 Each section's value is a function of its own basis, numerator and probes.
 A stack's random numbers come in blocks of _BLOCK sections, each block from
@@ -36,7 +34,6 @@ _EPS = 1e-300
 # ascent efforts (starts, iters, probes, polish), one per purpose
 SURVEY = (8, 50, 48, 40)       # stacks of Haar sections: cr_k, regularity reports, low-M*, QS
 RADIUS = (64, 200, 1000, 120)  # one radius of one body, section or projection
-SUPPORT = (32, 150, 400, 120)  # support-function maximizers (support_estimate)
 
 # the routes, costliest per section first, each with the fewest sections per
 # part at n = 32 and the power of 32/n that scales it to other n, as a
@@ -61,10 +58,6 @@ def _unit(W):
 
 def _mT(A):
     return np.swapaxes(A, -1, -2)
-
-
-def _is_body(P):
-    return hasattr(P, "_ascent_subgrad")
 
 
 def _tangent(G, W):
@@ -101,7 +94,7 @@ def ascend(fun_grad, W0, iters, step0=0.25, stop=True):
 
 
 def _ratio_fun_grad(body, Zs, Ps, sign):
-    """sign * log(num(z) / gauge(z)) at z = Z w, and its gradient in w.
+    """sign * log(|P z| / gauge(z)) at z = Z w, and its gradient in w.
 
     The columns of each Z are orthonormal, so a section numerator |Z w| is 1
     on unit w and its gradient is radial, which the ascent's tangent
@@ -109,31 +102,23 @@ def _ratio_fun_grad(body, Zs, Ps, sign):
     """
     # contiguous transposes: batched matmul on a transposed view is slower
     ZT = np.ascontiguousarray(_mT(Zs))
-    PsZ = None if Ps is None or _is_body(Ps) else Ps @ Zs
-    PsZT = None if PsZ is None else np.ascontiguousarray(_mT(PsZ))
-
-    def log_gauge(K, X, s):
-        """s * log gauge_K at the (S, t, n) points X and its gradient in w."""
-        g, Y = K._ascent_subgrad(X.reshape(-1, X.shape[-1]))
-        g = np.maximum(g.reshape(X.shape[:-1]), _EPS)
-        G = Y.reshape(X.shape) @ Zs
-        G *= (s / g)[..., None]
-        return s * np.log(g), G
+    PsZ = None if Ps is None else Ps @ Zs
+    PsZT = None if Ps is None else np.ascontiguousarray(_mT(PsZ))
 
     def fun_grad(W):
         X = W @ ZT
-        f, G = log_gauge(body, X, -sign)
+        g, Y = body._ascent_subgrad(X.reshape(-1, X.shape[-1]))
+        g = np.maximum(g.reshape(X.shape[:-1]), _EPS)
+        G = Y.reshape(X.shape) @ Zs
+        G *= (-sign / g)[..., None]
+        f = -sign * np.log(g)
         if Ps is None:
             return f, G
-        if PsZ is None:
-            fn, Gn = log_gauge(Ps, X, sign)
-        else:
-            Q = W @ PsZT
-            num2 = np.maximum(np.vecdot(Q, Q), _EPS)
-            fn = (0.5 * sign) * np.log(num2)
-            Gn = Q @ PsZ
-            Gn *= (sign / num2)[..., None]
-        f += fn
+        Q = W @ PsZT
+        num2 = np.maximum(np.vecdot(Q, Q), _EPS)
+        f += (0.5 * sign) * np.log(num2)
+        Gn = Q @ PsZ
+        Gn *= (sign / num2)[..., None]
         G += Gn
         return f, G
 
@@ -150,7 +135,7 @@ def _quadratic_form(body):
 
 
 def _ellipsoid_ratio(body, Zs, Ps, mode):
-    """Exact extrema for a quadratic gauge and a quadratic numerator, all S at once.
+    """Exact extrema for a quadratic gauge, all S at once.
 
     The squared ratio is w^T N w / w^T M w with M = Z^T A Z.  With Ps None,
     N = Z^T Z = I and the extrema are M's extreme eigenvalues to the power
@@ -161,11 +146,8 @@ def _ellipsoid_ratio(body, Zs, Ps, mode):
     M = ZT @ _quadratic_form(body) @ Zs
     if Ps is None:
         return np.linalg.eigvalsh(M)[:, 0 if mode == "max" else -1] ** -0.5
-    if _is_body(Ps):
-        N = ZT @ _quadratic_form(Ps) @ Zs
-    else:
-        PZ = Ps @ Zs
-        N = _mT(PZ) @ PZ
+    PZ = Ps @ Zs
+    N = _mT(PZ) @ PZ
     LinvT = _mT(np.linalg.inv(np.linalg.cholesky(M)))
     vals = np.linalg.eigvalsh(_mT(LinvT) @ N @ LinvT)
     return np.sqrt(np.maximum(vals[:, -1 if mode == "max" else 0], 0.0))
@@ -199,23 +181,21 @@ class Haar(NamedTuple):
     count: int
 
 
-def _route(body, Ps, mode, n, d):
-    """Exact eigenvalues for an ellipsoid or weighted l_2 ball with a quadratic
-    numerator, the vertex routes for maxima of a quadratic numerator over
-    sections of a weighted l_1 ball (search) or cube (walk) of codimension
-    1..MAX_CODIM, else the ascent."""
-    if _quadratic_form(body) is not None and (not _is_body(Ps) or _quadratic_form(Ps) is not None):
+def _route(body, mode, n, d):
+    """Exact eigenvalues for an ellipsoid or weighted l_2 ball, the vertex
+    routes for maxima over sections of a weighted l_1 ball (search) or cube
+    (walk) of codimension 1..MAX_CODIM, else the ascent."""
+    if _quadratic_form(body) is not None:
         return "eigen"
-    if (body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and not _is_body(Ps)
-            and 1 <= n - d <= MAX_CODIM):
+    if body.family == "weighted_lp" and body.p in (1, np.inf) and mode == "max" and 1 <= n - d <= MAX_CODIM:
         return "vertex_search" if body.p == 1 else "vertex_walk"
     return "ascent"
 
 
 def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
-    """(S,) ascent extrema and (S, n) extremizers of a stack (or part), from its
-    (S, probes, d) Gaussian probes: probe, ascend the top starts, polish the
-    best.  `stop` lets a lone problem end its ascents early (see ascend)."""
+    """(S,) ascent extrema of a stack (or part), from its (S, probes, d)
+    Gaussian probes: probe, ascend the top starts, polish the best.  `stop`
+    lets a lone problem end its ascents early (see ascend)."""
     starts, iters, _, polish = effort
     S, _, d = Zs.shape
     sign = 1.0 if mode == "max" else -1.0
@@ -227,10 +207,8 @@ def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
     order = np.argsort(-f0, axis=1)[:, :starts, None]
     W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters, stop=stop)
     top = np.argmax(f, axis=1)[:, None, None]
-    Wp, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2, stop=stop)
-    W, f = np.concatenate([W, Wp], axis=1), np.concatenate([f, fp], axis=1)
-    best = np.take_along_axis(W, np.argmax(f, axis=1)[:, None, None], axis=1)
-    return np.exp(sign * f.max(axis=1)), (best @ _mT(Zs))[:, 0]
+    _, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2, stop=stop)
+    return np.exp(sign * np.concatenate([f, fp], axis=1).max(axis=1))
 
 
 def _cpus():
@@ -268,11 +246,6 @@ def _normals(seed, a, b, shape):
     return out
 
 
-def _join(results, extremizers):
-    """Results of consecutive sections, joined: arrays, or (extrema, extremizers) pairs."""
-    return tuple(map(np.concatenate, zip(*results))) if extremizers else np.concatenate(results)
-
-
 class Survey(NamedTuple):
     """A planned stack of ratio extrema (see survey): its route, its parts as
     the sections a..b-1 of runs of whole blocks, and its probe seed."""
@@ -283,25 +256,23 @@ class Survey(NamedTuple):
     mode: str
     effort: tuple
     route: str
-    extremizers: bool
     shape: tuple         # (S, n, d)
     parts: list          # (a, b) per part
     probe_seed: int      # the seed of the ascent's probes
 
 
-def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY, extremizers=False):
+def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY):
     """Plan the ratio extrema over unit z in col(Z) for a stack of S sections,
     for run_surveys.
 
     bases is an (S, n, d) stack, whose columns each part checks for
-    orthonormality, or a Haar recipe.  Ps is None, a body, or an (S, q, n)
-    stack of numerator matrices.  The ascent's probes come in blocks from one
-    seed drawn from rng here (None: seed 0), as a recipe's bases come from
-    its seed, so planning draws no Gaussians.  The route is the one _route
-    picks, or the ascent with `extremizers`, whose result is then the (S,)
-    extrema and the (S, n) extremizers.  A stack is cut into _parts runs of
-    whole blocks.  Each section's value depends only on its own basis,
-    numerator and probes, so the results are the same bytes for any parts."""
+    orthonormality, or a Haar recipe.  Ps is None or an (S, q, n) stack of
+    numerator matrices.  The ascent's probes come in blocks from one seed
+    drawn from rng here (None: seed 0), as a recipe's bases come from its
+    seed, so planning draws no Gaussians.  The route is the one _route picks.
+    A stack is cut into _parts runs of whole blocks.  Each section's value
+    depends only on its own basis, numerator and probes, so the results are
+    the same bytes for any parts."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if isinstance(bases, Haar):
@@ -309,15 +280,16 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY, extremizer
     else:
         bases = np.asarray(bases, dtype=float)
         S, n, d = bases.shape
-    if Ps is not None and not _is_body(Ps):
+    if Ps is not None:
+        shape = np.shape(Ps)             # () for a body or any other non-array
+        if len(shape) != 3 or shape[0] != S or shape[2] != n:
+            raise ValueError(f"Ps must be None or an (S, q, n) stack with S = {S} and n = {n}, not of shape {shape}")
         Ps = np.asarray(Ps, dtype=float)
-        if Ps.ndim != 3 or Ps.shape[0] != S or Ps.shape[2] != n:
-            raise ValueError(f"Ps must be an (S, q, n) stack with S = {S} and n = {n}, not of shape {Ps.shape}")
-    route = "ascent" if extremizers else _route(body, Ps, mode, n, d)
+    route = _route(body, mode, n, d)
     blocks, P = -(-S // _BLOCK), _parts(S, route, n)
     parts = [(blocks * i // P * _BLOCK, min(S, blocks * (i + 1) // P * _BLOCK)) for i in range(P)]
     seed = 0 if rng is None else int(rng.integers(2**63))
-    return Survey(body, bases, Ps, mode, effort, route, extremizers, (S, n, d), parts, seed)
+    return Survey(body, bases, Ps, mode, effort, route, (S, n, d), parts, seed)
 
 
 def _bases(job, a, b):
@@ -336,16 +308,15 @@ def _solve(job, a, b):
     for s in range(a, b, step) or [a]:           # an empty stack is one empty slab
         t = min(s + step, b)
         Zs = _orthonormal(_bases(job, s, t))
-        Ps = job.Ps if job.Ps is None or _is_body(job.Ps) else job.Ps[s:t]   # a body is shared
+        Ps = None if job.Ps is None else job.Ps[s:t]
         if job.route == "eigen":
             out.append(_ellipsoid_ratio(job.body, Zs, Ps, job.mode))
         elif job.route != "ascent":
             out.append(vertex_maxima(job.body, Zs, Ps))
         else:
             probes = _normals(job.probe_seed, s, t, (job.effort[2], d))
-            vals, X = _ascend_part(job.body, Zs, Ps, job.mode, probes, job.effort, S == 1)
-            out.append((vals, X) if job.extremizers else vals)
-    return _join(out, job.extremizers)
+            out.append(_ascend_part(job.body, Zs, Ps, job.mode, probes, job.effort, S == 1))
+    return np.concatenate(out)
 
 
 def run_surveys(surveys):
@@ -365,7 +336,7 @@ def run_surveys(surveys):
     done = _run(lambda i: _solve(*parts[i]), order, P)
     results, i = [], 0
     for job in surveys:
-        results.append(_join([done[j] for j in range(i, i + len(job.parts))], job.extremizers))
+        results.append(np.concatenate([done[j] for j in range(i, i + len(job.parts))]))
         i += len(job.parts)
     return results
 
@@ -440,11 +411,10 @@ def _child(solve, parts, w):
 def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
     """Batched ratio extrema over unit z in col(Zs[i]) at the SURVEY effort: an (S,) array.
 
-    Zs is (S, n, d) with orthonormal columns; other bases, and numerator
-    stacks of another shape, raise ValueError.
-    The numerator is |z| when Ps is None, |Ps[i] z| for an (S, q, n) stack,
-    or the gauge of Ps when it is a body.  Exact for ellipsoids and weighted
-    l_2 balls with a quadratic numerator; else maxima are lower bounds and
+    Zs is (S, n, d) with orthonormal columns; other bases, and numerators
+    that are not an (S, q, n) stack, raise ValueError.
+    The numerator is |z| when Ps is None, else |Ps[i] z|.  Exact for
+    ellipsoids and weighted l_2 balls; else maxima are lower bounds and
     minima upper bounds.
     """
     return run_surveys([survey(body, Zs, Ps, mode, rng)])[0]
@@ -453,20 +423,8 @@ def ratio_extremum_many(body, Zs, Ps=None, mode="max", rng=None):
 def ratio_extremum(body, Z=None, P=None, mode="max", rng=None, starts=RADIUS[0], iters=RADIUS[1],
                    probes=RADIUS[2], polish=RADIUS[3]):
     """One problem of ratio_extremum_many, with Z (n, d) (None: the whole space)
-    and P a (q, n) matrix or a body, at the RADIUS effort unless overridden."""
+    and P None or a (q, n) matrix, at the RADIUS effort unless overridden."""
     Zs = np.eye(body.dim)[None] if Z is None else np.asarray(Z, dtype=float)[None]
-    Ps = P if P is None or _is_body(P) else np.asarray(P, dtype=float)[None]
+    Ps = None if P is None else np.asarray(P)[None]
     return float(run_surveys([survey(body, Zs, Ps, mode, rng, (starts, iters, probes, polish))])[0][0])
 
-
-def _extremize(body, Zs, Ps, mode, rng, effort):
-    """(S,) ascent extrema and (S, n) extremizers of a stack, on any body."""
-    return run_surveys([survey(body, Zs, Ps, mode, rng, effort, extremizers=True)])[0]
-
-
-def support_estimate(body, Y):
-    """Heuristic h_K(y) = max_z <z, y> / gauge(z) per row of Y, and boundary maximizers."""
-    S, n = Y.shape
-    vals, X = _extremize(body, np.broadcast_to(np.eye(n), (S, n, n)), Y[:, None, :], "max", None, SUPPORT)
-    points = X / np.maximum(body._gauge(X), _EPS)[:, None]
-    return vals, np.where(((points * Y).sum(-1) < 0)[:, None], -points, points)

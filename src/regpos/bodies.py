@@ -4,9 +4,8 @@ Every body here is origin-symmetric with the origin in its interior, so it
 is the unit ball of a norm; ``gauge`` evaluates that norm and ``support``
 the dual one.  The closed-form families (weighted l_p balls, ellipsoids,
 H/V-polytopes and their invertible linear images) carry closed-form polars.
-V-polytope gauges are solved by a small LP, and the circled
-complexification by a theta-grid with golden-section refinement; both are
-documented to relative error <= 1e-7.
+V-polytope gauges are solved by a small LP, documented to relative error
+<= 1e-7.
 
 Oracles accept a single vector or any array whose last axis matches the
 body's dimension.  Bodies are immutable after construction, so all oracles
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._ascent import ratio_extremum, support_estimate
+from ._ascent import ratio_extremum
 
 __all__ = [
     "ConvexBody",
@@ -28,12 +27,9 @@ __all__ = [
     "PolytopeH",
     "PolytopeV",
     "LinearImage",
-    "PolarBody",
-    "Complexified",
     "DegenerateBodyError",
     "Radii",
     "linear_image",
-    "relative_out_radius",
     "ball",
     "cube",
     "cross_polytope",
@@ -157,7 +153,7 @@ class ConvexBody:
         return self._polar_cache
 
     def _make_polar(self) -> "ConvexBody":
-        return PolarBody(self)
+        raise NotImplementedError(f"no closed-form polar for the {self.family!r} family")
 
     def scale(self, a: float) -> "ConvexBody":
         """The dilate a*K."""
@@ -502,7 +498,7 @@ class PolytopeV(ConvexBody):
 
 
 # ----------------------------------------------------------------------
-# linear images, polars, complexification
+# linear images
 # ----------------------------------------------------------------------
 
 
@@ -551,117 +547,6 @@ class LinearImage(ConvexBody):
         }
 
 
-class PolarBody(ConvexBody):
-    """Generic polar wrapper: gauge_{K polar} = h_K.  Used only for families
-    without a closed-form polar (e.g. the complexification)."""
-
-    family = "polar"
-
-    def __init__(self, base: ConvexBody):
-        super().__init__(base.dim)
-        self.base = base
-        self.exact = base.exact
-        self.unconditional = base.unconditional
-
-    def _gauge(self, X):
-        return self.base._support(X)
-
-    def _gauge_subgrad(self, X):
-        support_argmax = getattr(self.base, "_support_with_argmax", None)
-        if support_argmax is None:
-            raise NotImplementedError(f"no support maximizer for {self.base.family}")
-        return support_argmax(X)
-
-    def _support(self, Y):
-        return self.base._gauge(Y)
-
-    def _make_polar(self):
-        return self.base
-
-    def _compute_radii(self):
-        rb, Rb, exact = self.base.radii
-        return Radii(1.0 / Rb, 1.0 / rb, exact)
-
-    def spec(self):
-        return {"family": "polar", "base": self.base.spec()}
-
-
-class Complexified(ConvexBody):
-    """Circled extension of K to R^{2n}:
-    ||x + i y|| = max_theta ||cos(theta) x + sin(theta) y||_K,
-    evaluated on a 256-point grid over [0, pi) with golden-section refinement
-    (relative error <= 1e-7).  Satisfies K^C with K^C cap E_Re = P_{E_Re} K^C = K.
-    """
-
-    family = "complexify"
-    exact = False
-
-    GRID = 256
-    REFINE_ITERS = 48
-
-    def __init__(self, base: ConvexBody):
-        super().__init__(2 * base.dim)
-        self.base = base
-
-    def _combo_gauge(self, X, Y, theta):
-        # gauge_K(cos t * x + sin t * y) batched over rows for scalar theta array (m,)
-        C = np.cos(theta)[:, None]
-        S = np.sin(theta)[:, None]
-        return self.base._gauge(C * X + S * Y)
-
-    def _best_theta(self, X2):
-        n = self.base.dim
-        X, Y = X2[:, :n], X2[:, n:]
-        m = X2.shape[0]
-        thetas = np.linspace(0.0, np.pi, self.GRID, endpoint=False)
-        vals = np.empty((m, self.GRID))
-        for j, t in enumerate(thetas):
-            vals[:, j] = self.base._gauge(np.cos(t) * X + np.sin(t) * Y)
-        best = vals.argmax(axis=-1)
-        h = np.pi / self.GRID
-        lo = thetas[best] - h
-        hi = thetas[best] + h
-        # golden-section maximization of the 1-d section, vectorized over rows
-        invphi = (np.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        for _ in range(self.REFINE_ITERS):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            take_c = self._combo_gauge(X, Y, c) >= self._combo_gauge(X, Y, d)
-            b = np.where(take_c, d, b)
-            a = np.where(take_c, a, c)
-        theta = 0.5 * (a + b)
-        g = np.maximum(self._combo_gauge(X, Y, theta), vals.max(axis=-1))
-        return theta, g
-
-    def _gauge(self, X2):
-        return self._best_theta(X2)[1]
-
-    def _gauge_subgrad(self, X2):
-        n = self.base.dim
-        X, Y = X2[:, :n], X2[:, n:]
-        theta, g = self._best_theta(X2)
-        C = np.cos(theta)[:, None]
-        S = np.sin(theta)[:, None]
-        _, Yb = self.base._gauge_subgrad(C * X + S * Y)
-        return g, np.concatenate([C * Yb, S * Yb], axis=1)
-
-    def _support(self, Y2):
-        # heuristic via boundary search; flagged by exact = False
-        return support_estimate(self, Y2)[0]
-
-    def _support_with_argmax(self, Y2):
-        """Support values and their boundary maximizers, from one search."""
-        return support_estimate(self, Y2)
-
-    def _compute_radii(self):
-        # gauge(x, y) <= sqrt(g(x)^2 + g(y)^2) <= |(x,y)|/r with equality on E_Re
-        return Radii(self.base.radii.r, ratio_extremum(self, mode="max"), False)
-
-    def spec(self):
-        return {"family": "complexify", "base": self.base.spec()}
-
-
 # ----------------------------------------------------------------------
 # module-level operations
 # ----------------------------------------------------------------------
@@ -684,6 +569,8 @@ def _as_matrix(T, dim):
 def linear_image(T, K: ConvexBody) -> ConvexBody:
     """T(K) with closed-form family simplifications where available."""
     M = _as_matrix(T, K.dim)
+    if M.shape != (K.dim, K.dim):
+        raise ValueError("map shape does not match body dimension")
     d = np.diag(M)
     # a weighted l_p ball is unconditional: a sign flip of an axis maps it onto itself
     if isinstance(K, WeightedLp) and _is_diagonal(M) and np.all(d != 0):
@@ -698,14 +585,6 @@ def linear_image(T, K: ConvexBody) -> ConvexBody:
     if isinstance(K, LinearImage):
         return linear_image(M @ K.T, K.base)
     return LinearImage(M, K)
-
-
-def relative_out_radius(K: ConvexBody, L: ConvexBody, rng=None) -> float:
-    """R_L(K) = max_x ||x||_L / ||x||_K, the out-radius of K in the norm of L."""
-    if K.dim != L.dim:
-        raise ValueError("dimension mismatch between bodies")
-    # exact generalized eigenvalue route when both bodies are ellipsoids
-    return ratio_extremum(K, P=L, rng=rng)
 
 
 def ball(n: int) -> Ellipsoid:
@@ -748,6 +627,4 @@ def from_spec(spec: dict) -> ConvexBody:
         return from_spec(spec["base"]).polar()
     if fam == "linear_image":
         return linear_image(np.array(spec["matrix"], dtype=float), from_spec(spec["base"]))
-    if fam == "complexify":
-        return Complexified(from_spec(spec["base"]))
     raise ValueError(f"unknown body family {fam!r}")

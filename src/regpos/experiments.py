@@ -94,7 +94,6 @@ def _check_gauge_axioms(seed):
     cases = default_zoo(8) + [
         ("hpoly3", random_h_polytope(rng, 3, 10)),
         ("vpoly3", bd.PolytopeV(rng.standard_normal((8, 3)))),
-        ("cplx_b1", bd.Complexified(bd.cross_polytope(2))),
     ]
     worst = ("", 0.0)
     for name, K in cases:
@@ -175,46 +174,6 @@ def _check_linear_image_duality(seed):
     worst = max(worst, float(np.max(np.abs(ident.gauge(X) - K.gauge(X)) / K.gauge(X))))
     ok = worst <= 1e-9
     return ok, f"max residual {worst:.2e} over random GL_3 maps"
-
-
-def _check_complexification(seed):
-    rng = _rng(seed, 14)
-    details = []
-    for K in (bd.ball(2), bd.cross_polytope(2), bd.cube(2)):
-        C = bd.Complexified(K)
-        # intersection with the real plane is the body itself
-        X = _sphere(rng, 100, 2)
-        emb = np.hstack([X, np.zeros_like(X)])
-        r1 = float(np.max(np.abs(C.gauge(emb) - K.gauge(X)) / K.gauge(X)))
-        # orthogonal projection onto the real plane is the body itself
-        P = sp.project(C, sp.Subspace(np.vstack([np.eye(2), np.zeros((2, 2))])))
-        U = _sphere(rng, 12, 2)
-        r2 = float(np.max(np.abs(P.gauge(U) - K.gauge(U)) / K.gauge(U)))
-        # circled invariance under paired-plane rotations
-        W = rng.standard_normal((40, 4))
-        g0 = C.gauge(W)
-        for phi in (0.3, 1.1):
-            c, s = np.cos(phi), np.sin(phi)
-            Wr = np.hstack([c * W[:, :2] - s * W[:, 2:], s * W[:, :2] + c * W[:, 2:]])
-            r3 = float(np.max(np.abs(C.gauge(Wr) - g0) / g0))
-            if r3 > 1e-7:
-                return False, f"circled invariance residual {r3:.2e}"
-        if max(r1, r2) > 1e-6:
-            return False, f"alignment residual {max(r1, r2):.2e} for {K.family}"
-        details.append(max(r1, r2))
-    # pinned values
-    c2 = bd.Complexified(bd.ball(2))
-    sv = np.linalg.svd(np.array([[1.0, 0.3], [0.0, 0.8]]), compute_uv=False)[0]
-    got = c2.gauge([1.0, 0.0, 0.3, 0.8])
-    if abs(got - sv) > 1e-7:
-        return False, f"singular-value oracle mismatch {got} vs {sv}"
-    cb1 = bd.Complexified(bd.cross_polytope(2))
-    if abs(cb1.gauge([1, 0, 0, 1]) - np.sqrt(2)) > 1e-7:
-        return False, "B_1 complexification value mismatch"
-    seg = bd.Complexified(bd.cube(1))
-    if abs(seg.gauge([3.0, 4.0]) - 5.0) > 1e-6:
-        return False, "1-d complexification is not the modulus"
-    return True, f"alignment residuals {max(details):.2e}; pinned values ok"
 
 
 def _admissible_triple(rng, n):
@@ -617,7 +576,6 @@ _CHECKS = [
     ("support_duality", _check_support_duality),
     ("polar_involution", _check_polar_involution),
     ("linear_image_duality", _check_linear_image_duality),
-    ("complexification", _check_complexification),
     ("nested_projection_identity", _check_nested_projection),
     ("minimizer_commutant", _check_minimizer_commutant),
     ("al_star_inequalities", _check_al_star),

@@ -1,5 +1,5 @@
-"""Body oracle tests: gauges, supports, polarity, linear images,
-complexification and relative out-radii against stated oracles."""
+"""Body oracle tests: gauges, supports, polarity and linear images against
+stated oracles."""
 
 from decimal import Decimal, localcontext
 
@@ -121,6 +121,14 @@ def test_support_equals_polar_gauge_across_families():
         assert np.abs(K.support(U) - K.polar().gauge(U)).max() <= 1e-9
 
 
+def test_a_family_without_a_closed_form_polar_has_no_polar():
+    class Abstract(bd.ConvexBody):
+        family = "abstract_test"
+
+    with pytest.raises(NotImplementedError, match="'abstract_test' family"):
+        Abstract(3).polar()
+
+
 # ----------------------------------------------------------------------
 # linear images
 # ----------------------------------------------------------------------
@@ -153,80 +161,16 @@ def test_linear_image_singular_rejected():
         bd.LinearImage(np.zeros((2, 2)), bd.ball(2))
 
 
-# ----------------------------------------------------------------------
-# complexification
-# ----------------------------------------------------------------------
-
-
-def test_complexify_ball_singular_value_oracle():
-    C = bd.Complexified(bd.ball(2))
-    x = np.array([1.0, 0.2])
-    y = np.array([-0.4, 0.9])
-    # max_theta |cos t x + sin t y| is the top singular value of [x y]
-    oracle = np.linalg.svd(np.column_stack([x, y]), compute_uv=False)[0]
-    assert C.gauge(np.concatenate([x, y])) == pytest.approx(oracle, rel=1e-9)
-    assert C.gauge([1.0, 0.0, 0.0, 1.0]) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_complexify_segment_is_modulus():
-    seg = bd.Complexified(bd.cube(1))
-    assert seg.gauge([3.0, 4.0]) == pytest.approx(5.0, rel=1e-7)
-
-
-def test_complexify_cross_polytope_diagonal_max():
-    C = bd.Complexified(bd.cross_polytope(2))
-    # fine-grid oracle for max_theta (|cos| + |sin|)
-    ts = np.linspace(0, np.pi, 20001)
-    oracle = np.max(np.abs(np.cos(ts)) + np.abs(np.sin(ts)))
-    assert C.gauge([1.0, 0.0, 0.0, 1.0]) == pytest.approx(oracle, rel=1e-7)
-    assert oracle == pytest.approx(np.sqrt(2), rel=1e-8)
-
-
-def test_complexify_real_section_and_circledness():
-    K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0])
-    C = bd.Complexified(K)
-    X = sphere_points(50, 2)
-    emb = np.hstack([X, np.zeros_like(X)])
-    assert np.abs(C.gauge(emb) - K.gauge(X)).max() <= 1e-7
-    W = RNG.standard_normal((30, 4))
-    g0 = C.gauge(W)
-    phi = 0.77
-    c, s = np.cos(phi), np.sin(phi)
-    Wr = np.hstack([c * W[:, :2] - s * W[:, 2:], s * W[:, :2] + c * W[:, 2:]])
-    assert np.abs(C.gauge(Wr) - g0).max() <= 1e-7 * np.abs(g0).max()
-
-
-# ----------------------------------------------------------------------
-# relative out-radius
-# ----------------------------------------------------------------------
-
-
-def test_relative_out_radius_self():
-    K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0, 0.5])
-    assert bd.relative_out_radius(K, K) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_relative_out_radius_l1_in_l2():
-    assert bd.relative_out_radius(bd.cross_polytope(2), bd.ball(2)) == pytest.approx(1.0, rel=1e-9)
-    # maximize ||x||_1 over the circle: sqrt(2) at the diagonal
-    assert bd.relative_out_radius(bd.ball(2), bd.cross_polytope(2)) == pytest.approx(
-        np.sqrt(2), rel=1e-9
-    )
-
-
-def test_relative_out_radius_ellipsoid_pair_generalized_eig():
-    A = np.diag([1.0, 4.0, 0.25])
-    Bm = np.diag([2.0, 1.0, 1.0])
-    K, L = bd.Ellipsoid(A), bd.Ellipsoid(Bm)
-    from scipy.linalg import eigh
-
-    oracle = np.sqrt(eigh(Bm, A, eigvals_only=True)[-1])
-    assert bd.relative_out_radius(K, L) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_relative_out_radius_dimension_mismatch():
-    with pytest.raises(ValueError):
-        bd.relative_out_radius(bd.ball(2), bd.ball(3))
+@pytest.mark.parametrize("base", [bd.WeightedLp(1.0, [1.0, 1.0, 1.0]), bd.cube(3), bd.ball(3),
+                                  bd.PolytopeH(np.eye(3)), bd.PolytopeV(np.eye(3)),
+                                  bd.LinearImage(2.0 * np.eye(3), bd.WeightedLp(1.5, [1.0, 2.0, 3.0]))],
+                         ids=["l1", "cube", "ellipsoid", "polytope_h", "polytope_v", "linear_image"])
+def test_linear_image_rejects_a_map_of_the_wrong_shape(base):
+    # the closed-form shortcuts check the map's shape as the generic wrapper does
+    for M in ([[2.0]], np.eye(2), np.eye(4), np.ones((3, 4))):
+        with pytest.raises(ValueError, match="map shape does not match body dimension"):
+            bd.linear_image(np.asarray(M), base)
+    assert bd.linear_image(2.0, base).dim == 3
 
 
 # ----------------------------------------------------------------------
@@ -297,19 +241,6 @@ def test_linear_image_support_and_weighted_lp_form():
         assert bd.LinearImage(T2, K).as_weighted_lp() is None
 
 
-def test_polar_body_oracles_match_the_closed_form_polar():
-    K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0, 3.0])
-    P = bd.PolarBody(K)
-    X = sphere_points(30, 3, np.random.default_rng(54))
-    assert P.gauge(X) == pytest.approx(K.polar().gauge(X), rel=1e-12)
-    assert P.support(X) == pytest.approx(K.gauge(X), rel=1e-12)
-    assert P.polar() is K
-    r, R, exact = K.radii
-    assert P.radii == (1.0 / R, 1.0 / r, exact)
-    assert P.radii.r == pytest.approx(K.polar().radii.r, rel=1e-12)
-    assert P.radii.R == pytest.approx(K.polar().radii.R, rel=1e-12)
-
-
 def test_linear_image_closed_forms_for_polytopes_and_nested_images():
     # each closed form against the gauge of the generic wrapper, K.gauge(M^-1 x)
     rng = np.random.default_rng(55)
@@ -361,7 +292,6 @@ def test_spec_round_trip_families():
         bd.Ellipsoid(np.diag([1.0, 2.0])),
         bd.PolytopeH(rows),
         bd.PolytopeV(rows),
-        bd.Complexified(bd.cross_polytope(2)),
     ]
     for K in bodies:
         K2 = bd.from_spec(K.spec())
@@ -554,18 +484,3 @@ def test_zero_row_gives_zero_gauge_and_direction(K):
     for g, Y in (K._ascent_subgrad(X), K._gauge_subgrad(X)):
         assert g[0] == 0.0 and np.array_equal(Y[0], np.zeros(4))
         assert np.all(np.isfinite(Y))
-
-
-def test_polar_subgrad_runs_one_support_search(monkeypatch):
-    calls = []
-
-    def counting_search(body, Y):
-        calls.append(Y.shape)
-        return np.full(Y.shape[0], 2.0), Y / 2.0
-
-    monkeypatch.setattr(bd, "support_estimate", counting_search)
-    K = bd.Complexified(bd.cross_polytope(2)).polar()
-    X = RNG.standard_normal((5, 4))
-    g, Y = K._gauge_subgrad(X)
-    assert calls == [(5, 4)]
-    assert np.array_equal(g, np.full(5, 2.0)) and np.array_equal(Y, X / 2.0)

@@ -336,11 +336,11 @@ def test_run_qs_ball_all_distances_one_up_to_saa():
         assert 1.0 - 1e-9 <= o.d_projection_of_section <= rho + 1e-6
 
 
-def test_qs_distances_two_routes_agree_on_ellipsoids():
+def test_qs_distances_two_routes_agree_on_ellipsoids(ascent_extrema):
     # the same quantities through the exact eigen route (Ellipsoid family)
     # and through the generic multistart route (same body as a weighted l_2)
     from regpos import subspaces as sp
-    from regpos._ascent import _extremize, ratio_extremum_many
+    from regpos._ascent import ratio_extremum_many
 
     n, k, flags = 12, 3, 12
     w = np.linspace(1.0, 2.5, n)
@@ -354,7 +354,7 @@ def test_qs_distances_two_routes_agree_on_ellipsoids():
     Pts = np.swapaxes(Q[:, :, :m2], 1, 2)
     for Zs in (Dperp, Q):
         a = ratio_extremum_many(exact_body, Zs, Ps=Pts, mode="max")
-        b = _extremize(generic_body, Zs, Pts, "max", np.random.default_rng(1), (16, 120, 96, 120))[0]
+        b = ascent_extrema(generic_body, Zs, Pts, "max", np.random.default_rng(1), (16, 120, 96, 120))
         assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
 
 
@@ -529,6 +529,12 @@ _BAD_CONFIGS = [
     ("qs", {"body": _POLYTOPE, "k": 2}),
     ("curve", {"body": _POLYTOPE}),
     ("regpos", {"bodies": [{"preset": "b1", "dim": 4}, _POLYTOPE]}),
+    # a map of the wrong shape, on a base with a closed-form image
+    ("ellpos", {"bodies": [{"family": "linear_image", "matrix": [[2.0]],
+                            "base": {"family": "weighted_lp", "p": 1, "weights": [1, 1, 1]}}]}),
+    # no body family is a complexification
+    ("sections", {"bodies": [{"family": "complexify", "base": {"family": "weighted_lp", "p": 1, "weights": [1, 1]}}]}),
+    ("ellpos", {"bodies": [{"family": "complexify", "base": {"family": "weighted_lp", "p": 1, "weights": [1, 1]}}]}),
 ]
 
 

@@ -35,17 +35,17 @@ def _cases():
     rng = np.random.default_rng(31)
     s = np.linspace(1.0, 2.0, N)
     P = rng.standard_normal((S, 3, N))
+    D = np.broadcast_to(np.diag(np.sqrt(s)), (S, N, N))    # |D z| is the gauge of the ellipsoid {z^T diag(s) z <= 1}
     codim2 = sp.haar_grassmannian_batch(rng, N, N - 2, S)
     codim5 = sp.haar_grassmannian_batch(rng, N, N - 5, S)
     ell = bd.Ellipsoid(np.diag(s**2))
     wlp = bd.WeightedLp(1.5, s)
-    cases = {f"eigen-{tag}": (ell, codim5, Ps, "max") for tag, Ps in
-             (("none", None), ("matrix", P), ("body", bd.Ellipsoid(np.diag(s))))}
+    cases = {f"eigen-{tag}": (ell, codim5, Ps, "max") for tag, Ps in (("none", None), ("matrix", P), ("diag", D))}
     for body in (bd.WeightedLp(1.0, s), bd.WeightedLp(np.inf, s)):
         for tag, Ps in (("none", None), ("matrix", P)):
             cases[f"vertex-p{body.p}-{tag}"] = (body, codim2, Ps, "max")
     for mode in ("max", "min"):
-        for tag, Ps in (("none", None), ("matrix", P), ("body", bd.cube(N))):
+        for tag, Ps in (("none", None), ("matrix", P), ("diag", D)):
             cases[f"ascent-{mode}-{tag}"] = (wlp, codim5, Ps, mode)
     return cases
 
@@ -67,24 +67,13 @@ def test_extrema_identical_across_worker_counts(case, monkeypatch):
     _assert_no_children()
 
 
-def test_extremizers_identical_across_worker_counts(monkeypatch):
-    K = bd.WeightedLp(3.0, np.linspace(1.0, 2.0, N))
-    Zs = sp.haar_grassmannian_batch(np.random.default_rng(32), N, N - 3, S)
-    monkeypatch.setattr(_ascent, "_BLOCK", 2)
-    outs = []
-    for workers in (1, 3):
-        monkeypatch.setattr(_ascent, "_WORKERS", workers)
-        outs.append(_ascent._extremize(K, Zs, None, "max", np.random.default_rng(6), _ascent.SURVEY))
-    for a, b in zip(*outs):
-        assert a.tobytes() == b.tobytes()
-
-
 def test_a_batch_identical_to_its_surveys_one_by_one(monkeypatch):
     # four routes in one batch: the same bytes as each survey alone, serially
     # and whole, whatever the processes and the slabs (one block, two blocks,
     # the whole part) within a part
     monkeypatch.setattr(_ascent, "_BLOCK", 2)
-    jobs = [CASES[c] for c in ("ascent-max-matrix", "vertex-pinf-none", "eigen-body", "ascent-min-body")]
+    jobs = [CASES[c] for c in ("ascent-max-matrix", "vertex-pinf-none", "eigen-diag", "ascent-min-diag",
+                               "vertex-p1.0-matrix")]
     alone = [_ascent.ratio_extremum_many(body, Zs, Ps, mode, np.random.default_rng(i))
              for i, (body, Zs, Ps, mode) in enumerate(jobs)]
     for workers, slab in ((1, 1), (2, 4), (3, _ascent._SLAB)):
@@ -332,6 +321,13 @@ def test_numerator_stacks_must_match_the_bases(body, workers, monkeypatch):
     for shape in ((1, 3, N), (199, 3, N), (200, 3, N - 1), (200, N)):
         with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
             sp.section_out_radii(body, bases, rng, rng.standard_normal(shape))
+    for Ps in (bd.ball(N), bd.cube(N)):        # a numerator is |P z|, never a second body's gauge
+        with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
+            sp.section_out_radii(body, bases, rng, Ps)
+        with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
+            _ascent.ratio_extremum_many(body, bases, Ps)
+        with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
+            _ascent.ratio_extremum(body, bases[0], Ps)
     assert sp.section_out_radii(body, bases, rng, rng.standard_normal((200, 3, N))).shape == (200,)
     _assert_no_children()
 
