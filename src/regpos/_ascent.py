@@ -266,7 +266,8 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY):
     for run_surveys.
 
     bases is an (S, n, d) stack, whose columns each part checks for
-    orthonormality, or a Haar recipe.  Ps is None or an (S, q, n) stack of
+    orthonormality, or a Haar recipe, with 1 <= d <= n = body.dim (else
+    ValueError, before any part runs).  Ps is None or an (S, q, n) stack of
     numerator matrices.  The ascent's probes come in blocks from one seed
     drawn from rng here (None: seed 0), as a recipe's bases come from its
     seed, so planning draws no Gaussians.  The route is the one _route picks.
@@ -276,10 +277,14 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY):
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if isinstance(bases, Haar):
-        S, n, d = bases.count, bases.n, bases.m
+        shape = (bases.count, bases.n, bases.m)
     else:
         bases = np.asarray(bases, dtype=float)
-        S, n, d = bases.shape
+        shape = bases.shape
+    if len(shape) != 3 or not 1 <= shape[2] <= shape[1] == body.dim:
+        raise ValueError(f"bases must be an (S, n, d) stack or Haar recipe with 1 <= d <= n = {body.dim}, "
+                         f"not of shape {shape}")
+    S, n, d = shape
     if Ps is not None:
         shape = np.shape(Ps)             # () for a body or any other non-array
         if len(shape) != 3 or shape[0] != S or shape[2] != n:

@@ -1,6 +1,7 @@
 """Harness tests: record round trips, CLI subcommands, determinism of output
 files, and a negative control for the duality suite."""
 
+import ast
 import csv
 import filecmp
 import importlib
@@ -185,6 +186,9 @@ def test_qs_trial_radii_are_lower_bounds(tmp_path):
     assert summary["experiment"] == "qs_summary"
     for key in ("P_emp", "threshold"):
         assert summary["measured"][key]["bound"] == "lower" and "exact" not in summary["measured"][key]
+    # the 0.9 quantiles of the lower-bound distances carry their bootstrap CIs and the marker
+    for m in (summary["measured"]["d90_sop"], summary["measured"]["d90_pos"]):
+        assert set(m) == {"value", "ci", "bound"} and m["bound"] == "lower"
 
 
 def test_qs_summary_reports_the_fixed_point_and_largest_distances(tmp_path, capsys):
@@ -265,7 +269,7 @@ def test_qs_d90_ci_is_the_seeded_bootstrap_of_the_trials(tmp_path):
         idx = np.random.default_rng(0).integers(0, d.size, size=(200, d.size))
         stats = np.quantile(d[idx], 0.9, axis=1)
         ref = [float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))]
-        assert summary["measured"][key] == {"value": float(np.quantile(d, 0.9)), "ci": ref}
+        assert summary["measured"][key] == {"value": float(np.quantile(d, 0.9)), "ci": ref, "bound": "lower"}
 
 
 @pytest.mark.parametrize("cmd, cfg", [
@@ -379,7 +383,8 @@ def test_run_lowmstar_structure(tmp_path):
     for rec in recs:
         ratio, cr = rec["measured"]["sqrtk_cr_over_ellstar"], rec["measured"]["cr_k"]
         scale = np.sqrt(rec["params"]["k"]) / rec["measured"]["ell_star"]["value"]
-        assert "exact" not in ratio
+        assert "exact" not in ratio and "bound" not in ratio     # ell* is an estimate
+        assert set(cr) == {"value", "ci", "bound"} and cr["bound"] == "lower"
         assert ratio["value"] == pytest.approx(scale * cr["value"], rel=1e-12)
         assert ratio["ci"] == pytest.approx([scale * cr["ci"][0], scale * cr["ci"][1]], rel=1e-12)
 
@@ -653,7 +658,7 @@ def test_cli_negative_seed_exit_2_before_any_run(cmd, capsys, no_runs):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only by the routes that call it (LPs, Powell, quadrature)
+    # scipy is imported only by the routes that call it (the PolytopeV LP, quadrature)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = ("import sys, regpos, regpos.cli\n"
@@ -661,6 +666,22 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_is_imported_only_by_the_polytope_lp_and_the_props_quadrature():
+    # README's "scipy is still needed by" list names these two modules
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "regpos")
+    importers = set()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for node in ast.walk(tree):
+                mods = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                        else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(m == "scipy" or m.startswith("scipy.") for m in mods):
+                    importers.add(name)
+    assert importers == {"bodies.py", "experiments.py"}
 
 
 def test_perfbench_tracer_binds_its_names():
@@ -726,10 +747,13 @@ def test_cli_sections_deterministic_outputs(tmp_path):
     assert files == sorted(os.listdir(d2)) and files
     for f in files:
         assert filecmp.cmp(os.path.join(d1, f), os.path.join(d2, f), shallow=False), f
-    # the least sampled radius is a minimum of lower-bound radii
+    # the least sampled radius is a minimum, and cr_k a quantile, of lower-bound radii
+    # (the ellipsoid's exact ones included)
     with open(os.path.join(d1, "sections.jsonl")) as fh:
-        markers = [json.loads(line)["measured"]["c_k_upper"] for line in fh]
-    assert markers and all(set(m) == {"value", "bound"} and m["bound"] == "lower" for m in markers)
+        recs = [json.loads(line)["measured"] for line in fh]
+    assert recs and all(set(m["c_k_upper"]) == {"value", "bound"} and m["c_k_upper"]["bound"] == "lower"
+                        for m in recs)
+    assert all(set(m["cr_k"]) == {"value", "ci", "bound"} and m["cr_k"]["bound"] == "lower" for m in recs)
     # a different seed changes the records
     d3 = str(tmp_path / "r3")
     assert main(["sections", "--config", str(cfg), "--seed", "10", "--out", d3]) == 0

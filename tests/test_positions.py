@@ -8,7 +8,6 @@ import pytest
 
 from regpos import bodies as bd
 from regpos import positions
-from regpos import subspaces as sp
 from regpos.gaussian import FixedSample, GaussianSample, ell, ell_star
 from regpos.positions import PositionMap, _DiagObjective, balance_scale, ell_product, solve_ell_position
 
@@ -291,35 +290,6 @@ def test_lbfgs_matches_scipy_reference(name, K, sample, monkeypatch):
     monkeypatch.setattr(positions, "_lbfgs", _scipy_lbfgs)
     ref = solve_ell_position(K, sample)
     assert res.objective == pytest.approx(ref.objective, rel=1e-6)
-
-
-def test_fiber_min_lbfgs_matches_scipy_reference(monkeypatch):
-    # a smooth exact parent: the fiber minimum goes through _lbfgs
-    K = bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 6))
-    F = sp.haar_grassmannian(np.random.default_rng(5), 6, 3)
-    P = sp.SectionBody(K, F, "projection")
-    X0 = np.random.default_rng(6).standard_normal((5, 3)) @ F.basis.T
-    ref = []
-    for x0 in X0:
-        def fun(w):
-            g, y = K._gauge_subgrad((x0 + P._comp @ w)[None, :])
-            return float(g[0]), P._comp.T @ y[0]
-
-        ref.append(_scipy_lbfgs(fun, np.zeros(3), maxiter=400, ftol=1e-16, gtol=1e-12)[1])
-    calls = []
-    monkeypatch.setattr(sp, "_lbfgs", lambda *a, **k: calls.append(1) or positions._lbfgs(*a, **k))
-    # on this exact smooth parent _lbfgs stops at rounding, short of its
-    # iteration cap, so no point takes the Powell polish
-    import scipy.optimize
-
-    minimize = scipy.optimize.minimize
-    powell = []
-    monkeypatch.setattr(scipy.optimize, "minimize",
-                        lambda *a, **k: powell.append(k.get("method")) or minimize(*a, **k))
-    for x0, r in zip(X0, ref):
-        assert P._fiber_min_one(x0)[0] == pytest.approx(r, rel=1e-9)
-    assert len(calls) == len(X0)
-    assert powell == []
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import re
 import tracemalloc
 import weakref
 
@@ -329,6 +330,26 @@ def test_numerator_stacks_must_match_the_bases(body, workers, monkeypatch):
         with pytest.raises(ValueError, match=r"\(S, q, n\) stack"):
             _ascent.ratio_extremum(body, bases[0], Ps)
     assert sp.section_out_radii(body, bases, rng, rng.standard_normal((200, 3, N))).shape == (200,)
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("body", [bd.cross_polytope(N), bd.cube(N), bd.WeightedLp(1.5, np.linspace(1.0, 2.0, N)),
+                                  bd.ball(N)], ids=["b1", "cube", "wlp1.5", "ball"])
+def test_bases_must_be_sections_of_the_body(body):
+    # an empty section, another ambient dimension, one unstacked basis and a
+    # recipe with more columns than rows are refused before any part runs
+    rng = np.random.default_rng(45)
+    bad = [np.zeros((2, N, 0)), sp.haar_grassmannian_batch(rng, N - 2, 3, 5), sp.haar_grassmannian(rng, N, 3).basis,
+           sp.haar_grassmannian(rng, N - 2, 3).basis]
+    for bases in bad:
+        with pytest.raises(ValueError, match=re.escape(f"1 <= d <= n = {N}, not of shape {np.shape(bases)}")):
+            sp.section_out_radii(body, bases, rng)
+        with pytest.raises(ValueError, match=r"\(S, n, d\) stack"):
+            _ascent.ratio_extremum_many(body, bases, mode="min")
+    for recipe in (_ascent.Haar(7, N, N + 1, 40), _ascent.Haar(7, N - 1, 3, 40), _ascent.Haar(7, N, 0, 40)):
+        with pytest.raises(ValueError, match=r"\(S, n, d\) stack or Haar recipe"):
+            _ascent.survey(body, recipe)
+    assert _ascent.run_surveys([_ascent.survey(body, _ascent.Haar(7, N, 3, 40))])[0].shape == (40,)
     _assert_no_children()
 
 

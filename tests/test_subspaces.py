@@ -143,49 +143,40 @@ def test_b1_diagonal_section_radii():
 
 
 def test_projection_gauge_fiber_minimum_matches_closed_forms():
+    # the gauge of P_F K at y is the least ||x||_K over the fiber P_F x = y:
+    # every closed form lies at or below the parent gauge at random fiber
+    # points, and for the Schur form the fiber minimizer x = A^-1 F c is explicit
     n = 5
     F = sp.haar_grassmannian(RNG, n, 3)
-    U = RNG.standard_normal((20, 3))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    # ellipsoid: Schur-complement quadratic form
+    C = F.complement().basis
+    Y = RNG.standard_normal((20, 3))
+    T = np.eye(n) + 0.3 * RNG.standard_normal((n, n))
     A = bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, n)))
     exact = sp.project(A, F)
     oracle_form = np.linalg.inv(F.basis.T @ np.linalg.inv(A.A) @ F.basis)
     assert np.abs(exact.A - 0.5 * (oracle_form + oracle_form.T)).max() <= 1e-10
-    generic = sp.SectionBody(A, F, "projection")
-    assert np.abs(generic.gauge(U) - exact.gauge(U)).max() <= 1e-7
-    # l_1 ball: V-polytope of projected vertices
-    K1 = bd.cross_polytope(n)
-    exact1 = sp.project(K1, F)
-    generic1 = sp.SectionBody(K1, F, "projection")
-    assert np.abs(generic1.gauge(U) - exact1.gauge(U)).max() <= 1e-7
-    # cube: LP fiber minimum against the zonotope support-dual route
-    Kinf = bd.cube(n)
-    gen_inf = sp.SectionBody(Kinf, F, "projection")
-    # h_{P_F K} = h_K on the carrier: support of the cube is the l_1 norm
-    hs = gen_inf.support(U)
-    assert np.abs(hs - np.abs(U @ F.basis.T).sum(axis=1)).max() <= 1e-9
+    Xstar = Y @ oracle_form @ F.basis.T @ np.linalg.inv(A.A)
+    assert np.abs(Xstar @ F.basis - Y).max() <= 1e-10
+    np.testing.assert_allclose(exact.gauge(Y), A.gauge(Xstar), rtol=1e-10)
+    V = bd.PolytopeV(RNG.standard_normal((7, n)))
+    for K in (A, bd.cross_polytope(n), bd.WeightedLp(1.0, np.linspace(1.0, 2.0, n)), V, bd.LinearImage(T, V)):
+        P = sp.project(K, F)
+        for _ in range(5):
+            X = Y @ F.basis.T + RNG.standard_normal((20, n - 3)) @ C.T
+            assert np.all(P.gauge(Y) <= K.gauge(X) * (1 + 1e-9))
 
 
 def test_projection_support_restriction_identity():
+    # h_{P_F K} = h_K on F, for each closed-form projection
     n = 6
     F = sp.haar_grassmannian(RNG, n, 4)
-    K = bd.WeightedLp.from_weights(1.5, np.linspace(1, 2, n))
-    P = sp.project(K, F)
+    T = np.eye(n) + 0.3 * RNG.standard_normal((n, n))
+    VK = bd.PolytopeV(RNG.standard_normal((8, n)))
     V = RNG.standard_normal((30, 4))
-    assert np.abs(P.support(V) - K.support(V @ F.basis.T)).max() <= 1e-9
-
-
-def test_section_support_equals_projected_polar():
-    n = 5
-    F = sp.haar_grassmannian(RNG, n, 3)
-    K = bd.WeightedLp.from_weights(3.0, np.linspace(1, 2, n))
-    S = sp.section(K, F)
-    V = RNG.standard_normal((10, 3))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    lhs = S.support(V)
-    rhs = sp.project(K.polar(), F).gauge(V)
-    assert np.abs(lhs - rhs).max() <= 1e-6
+    for K in (bd.WeightedLp.from_weights(1.0, np.linspace(1, 2, n)), bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, n))),
+              VK, bd.LinearImage(T, VK)):
+        P = sp.project(K, F)
+        np.testing.assert_allclose(P.support(V), K.support(V @ F.basis.T), rtol=1e-9, atol=0.0)
 
 
 def test_section_out_radius_eigen_oracle():
@@ -213,49 +204,20 @@ def test_generic_section_radius_matches_eigen_oracle():
 
 
 def test_generic_projection_radii_match_schur_closed_form():
-    # R(P_F A) and r(P_F A) of the generic projection body against the
-    # eigenvalues of its Schur form (B^T A^-1 B)^-1
+    # R(P_F A) and r(P_F A) of the Schur form (B^T A^-1 B)^-1 against the
+    # survey engine's exact eigen route: R is the maximum of |P_F z| / ||z||_A,
+    # and r = 1 / R(A polar cap F)
+    from regpos._ascent import ratio_extremum
+
     rng = np.random.default_rng(41)
     A = bd.Ellipsoid(np.diag(np.linspace(0.5, 3.0, 6)))
     F = sp.haar_grassmannian(rng, 6, 3)
     lam = np.linalg.eigvalsh(np.linalg.inv(F.basis.T @ np.linalg.inv(A.A) @ F.basis))
-    S = sp.SectionBody(A, F, "projection")
-    assert sp.out_radius(S, rng=rng) == pytest.approx(lam[0] ** -0.5, rel=1e-9)
-    assert sp.in_radius(S, rng=rng) == pytest.approx(lam[-1] ** -0.5, rel=1e-9)
-
-
-def test_projection_lp_fiber_max_kind_through_affine_parents():
-    # onto a line v: P_v K = [-h_K(v), h_K(v)], so the carrier gauge is |t| / h_K(v);
-    # h of the cube {|s x|_inf <= 1} is sum |v_i| / s_i, and h_{T K}(v) = h_K(T^T v)
-    rng = np.random.default_rng(42)
-    n = 4
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    s = np.linspace(1.0, 2.0, n)
-    T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
-    cases = [(bd.cube(n), np.abs(v).sum()),
-             (bd.PolytopeH(np.diag(s)), (np.abs(v) / s).sum()),
-             (bd.LinearImage(T, bd.cube(n)), np.abs(T.T @ v).sum())]
-    t = np.array([[1.0], [-2.0], [0.5]])
-    for K, h in cases:
-        assert sp._affine_rep(K)[0] == "max"
-        S = sp.SectionBody(K, sp.Subspace(v[:, None]), "projection")
-        assert S.gauge(t) == pytest.approx(np.abs(t[:, 0]) / h, rel=1e-9)
-
-
-@pytest.mark.parametrize("K", [bd.cube(5), bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 5))],
-                         ids=["lp_fiber", "lbfgs_fiber"])
-def test_projection_gauge_subgrad_is_a_subgradient(K):
-    # g(x) = <y, x> at the point and g(z) >= <y, z> everywhere, with g the
-    # projection gauge and y the parent subgradient at the fiber minimizer
-    rng = np.random.default_rng(43)
-    S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
-    X = rng.standard_normal((6, 3))
-    Z = rng.standard_normal((20, 3))
-    g, Y = S._gauge_subgrad(X)
-    assert g == pytest.approx(S.gauge(X), rel=1e-9)
-    assert np.einsum("mi,mi->m", Y, X) == pytest.approx(g, rel=1e-6)
-    assert np.all(S.gauge(Z)[:, None] >= Z @ Y.T - 1e-6)
+    S = sp.project(A, F)
+    assert sp.out_radius(S) == pytest.approx(lam[0] ** -0.5, rel=1e-12)
+    assert sp.in_radius(S) == pytest.approx(lam[-1] ** -0.5, rel=1e-12)
+    assert ratio_extremum(A, P=F.basis.T, mode="max") == pytest.approx(lam[0] ** -0.5, rel=1e-12)
+    assert 1.0 / ratio_extremum(A.polar(), Z=F.basis, mode="max") == pytest.approx(lam[-1] ** -0.5, rel=1e-12)
 
 
 class _GeometricMean(bd.ConvexBody):
@@ -275,56 +237,37 @@ class _GeometricMean(bd.ConvexBody):
         return g, Y
 
 
-@pytest.mark.parametrize("K", [bd.PolytopeV(np.random.default_rng(43).standard_normal((7, 5))), _GeometricMean(6)],
-                         ids=["polytope_v", "geometric_mean"])
-def test_projection_gauge_subgrad_of_a_kinked_parent_without_lp_form_raises(K):
-    # there the parent subgradient at the fiber minimizer need not be a
-    # subgradient of the projection gauge, so none is returned
-    assert sp._affine_rep(K) is None and not sp._smooth(K)
-    S = sp.SectionBody(K, sp.haar_grassmannian(np.random.default_rng(43), K.dim, 3), "projection")
-    with pytest.raises(NotImplementedError, match="LP form"):
-        S._gauge_subgrad(np.ones((2, 3)))
-
-
-def test_powell_polish_lowers_the_lbfgs_value(monkeypatch):
-    # a kinked exact parent without an LP form: L-BFGS stalls on the kinks of
-    # sqrt(|x|_inf |x|_1) and the derivative-free polish takes it lower
-    lbfgs, lbfgs_values = sp._lbfgs, []
-
-    def spy(*args, **kwargs):
-        out = lbfgs(*args, **kwargs)
-        lbfgs_values.append(out[1])
-        return out
-
-    monkeypatch.setattr(sp, "_lbfgs", spy)
-    rng = np.random.default_rng(0)
-    K = _GeometricMean(5)
-    S = sp.SectionBody(K, sp.haar_grassmannian(rng, 5, 3), "projection")
-    U = rng.standard_normal((5, 3))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    gaps = []
-    for x0 in U @ S.carrier.basis.T:
-        val, w = S._fiber_min_one(x0)
-        # the reported value is the parent gauge at a point of the fiber
-        assert val == K.gauge(x0 + S._comp @ w)
-        gaps.append(lbfgs_values[-1] / val - 1.0)
-    assert min(gaps) >= 0.0 and max(gaps) > 1e-3
-
-
 def test_project_polytope_v_closed_forms_match_lp_fibers():
-    # P_F conv(+-u_j) = conv(+-P_F u_j), for a V-polytope and a linear image of one,
-    # against the LP fiber minimum over the same body written as a weighted l_1 ball
+    # P_F conv(+-u_j) = conv(+-P_F u_j), for a V-polytope, a weighted l_1 ball
+    # and a linear image of a V-polytope: onto a line v, P_v K = [-h_K(v), h_K(v)],
+    # so the carrier gauge is |t| / h_K(v), with h_{TK}(v) = h_K(T^T v)
     rng = np.random.default_rng(44)
     n, s = 5, np.linspace(1.0, 2.0, 5)
-    F = sp.haar_grassmannian(rng, n, 3)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
     T = np.eye(n) + 0.3 * rng.standard_normal((n, n))
     V = bd.PolytopeV(np.diag(1.0 / s))
-    U = rng.standard_normal((10, 3))
-    L1 = bd.WeightedLp(1.0, s)
-    for K, same in ((V, L1), (bd.LinearImage(T, V), bd.LinearImage(T, L1))):
-        P = sp.project(K, F)
+    t = np.array([[1.0], [-2.0], [0.5]])
+    for K, h in ((V, np.abs(v / s).max()), (bd.WeightedLp(1.0, s), np.abs(v / s).max()),
+                 (bd.LinearImage(T, V), np.abs(T.T @ v / s).max())):
+        P = sp.project(K, sp.Subspace(v[:, None]))
         assert isinstance(P, bd.PolytopeV)
-        assert P.gauge(U) == pytest.approx(sp.SectionBody(same, F, "projection").gauge(U), rel=1e-7)
+        assert P.gauge(t) == pytest.approx(np.abs(t[:, 0]) / h, rel=1e-9)
+
+
+def test_project_without_a_closed_form_raises():
+    # a projection radius of these families is a survey over K, not a body; the
+    # polar of K cap F is P_F of the polar, and the cube's has no closed form
+    rng = np.random.default_rng(46)
+    F = sp.haar_grassmannian(rng, 5, 3)
+    for K in (bd.cube(5), bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 5)),
+              bd.PolytopeH(rng.standard_normal((8, 5)))):
+        with pytest.raises(NotImplementedError, match=f"no closed-form projection for the '{K.family}' family"):
+            sp.project(K, F)
+    S = sp.section(bd.cross_polytope(5), F)
+    for call in (S.polar, lambda: S.support(np.ones(3))):
+        with pytest.raises(NotImplementedError, match="no closed-form projection for the 'weighted_lp' family"):
+            call()
 
 
 def test_whole_body_radii_come_from_radii():
@@ -558,13 +501,6 @@ def test_perp_identity_random_ellipsoids():
         E1, E2 = _admissible_pair(rng, 6, 4, 4)
         worst = max(worst, sp.perp_identity_check(A, E1, E2, rng=rng, ndirs=80))
     assert worst <= 1e-6
-
-
-def test_perp_identity_nonellipsoid_body():
-    rng = np.random.default_rng(12)
-    K = bd.WeightedLp.from_weights(1.5, np.linspace(1.0, 2.0, 5))
-    E1, E2 = _admissible_pair(rng, 5, 4, 4)
-    assert sp.perp_identity_check(K, E1, E2, rng=rng, ndirs=30) <= 1e-6
 
 
 def test_perp_identity_hypothesis_violation():
