@@ -4,7 +4,9 @@ Every radius the experiments report reduces to one primitive: extremize
 |P z| / gauge(z) over unit z in the column span of Z, for a stack of S
 problems at once, with P = I when absent.  Every iterate is a feasible
 evaluation, so reported maxima are certified lower bounds and reported
-minima certified upper bounds.  Ellipsoids and weighted l_2 balls take an
+minima certified upper bounds.  Each ascent starts from the best-valued of
+its seeds: Gaussian probes and the section's coordinate projections P_F e_i
+(see _seeds), ranked by value alone.  Ellipsoids and weighted l_2 balls take an
 exact stacked eigenvalue route instead, and maxima over sections of
 codimension at most 3 take a vertex search for weighted l_1 balls and a
 vertex walk for weighted cubes (_vertex.py).
@@ -34,6 +36,21 @@ _EPS = 1e-300
 # ascent efforts (starts, iters, probes, polish), one per purpose
 SURVEY = (8, 50, 48, 40)       # stacks of Haar sections: cr_k, regularity reports, low-M*, QS
 RADIUS = (64, 200, 1000, 120)  # one radius of one body, section or projection
+# rows of the probe pass evaluated at once, which bounds its working set
+_PROBE_ROWS = 8
+
+
+def _starts(body, mode, effort):
+    """The starts an ascent takes: half the SURVEY's for maxima on weighted
+    l_p balls with p < 2 or p = inf, whose coordinate projections (and, for
+    p = inf, sign roundings) among the seeds lie near their maximizers, and
+    effort[0] otherwise: for 2 < p < inf fewer starts cost accuracy whatever
+    the seeds, and minima and RADIUS solves keep every start."""
+    if (effort == SURVEY and mode == "max" and body.family == "weighted_lp"
+            and (body.p < 2 or np.isinf(body.p))):
+        return effort[0] // 2
+    return effort[0]
+
 
 # the routes, costliest per section first, each with the fewest sections per
 # part at n = 32 and the power of 32/n that scales it to other n, as a
@@ -93,8 +110,10 @@ def ascend(fun_grad, W0, iters, step0=0.25, stop=True):
     return W, f
 
 
-def _ratio_fun_grad(body, Zs, Ps, sign):
-    """sign * log(|P z| / gauge(z)) at z = Z w, and its gradient in w.
+def _ratio_objective(body, Zs, Ps, sign):
+    """(value, fun_grad) of sign * log(|P z| / gauge(z)) at z = Z w: value(W)
+    the values alone, through the gauge, and fun_grad(W) the values and
+    their gradients in w, through the ascent's search directions.
 
     The columns of each Z are orthonormal, so a section numerator |Z w| is 1
     on unit w and its gradient is radial, which the ascent's tangent
@@ -104,6 +123,15 @@ def _ratio_fun_grad(body, Zs, Ps, sign):
     ZT = np.ascontiguousarray(_mT(Zs))
     PsZ = None if Ps is None else Ps @ Zs
     PsZT = None if Ps is None else np.ascontiguousarray(_mT(PsZ))
+
+    def value(W):
+        X = W @ ZT
+        g = np.maximum(body._gauge(X.reshape(-1, X.shape[-1])).reshape(X.shape[:-1]), _EPS)
+        f = -sign * np.log(g)
+        if Ps is not None:
+            Q = W @ PsZT
+            f += (0.5 * sign) * np.log(np.maximum(np.vecdot(Q, Q), _EPS))
+        return f
 
     def fun_grad(W):
         X = W @ ZT
@@ -122,7 +150,7 @@ def _ratio_fun_grad(body, Zs, Ps, sign):
         G += Gn
         return f, G
 
-    return fun_grad
+    return value, fun_grad
 
 
 def _quadratic_form(body):
@@ -192,18 +220,34 @@ def _route(body, mode, n, d):
     return "ascent"
 
 
+def _seeds(body, Zs, probes):
+    """The (S, probes + n, d) unit seeds of a stack's ascents, in w: its
+    (S, probes, d) Gaussian probes and the n rows of each Z, the coordinate
+    projections P_F e_i, which are the shadows on F of a weighted l_1 ball's
+    vertices +-e_i / s_i.  For a weighted cube the first half of the probes
+    g become the shadows Z^T (sign(Z g) / s) of the cube's vertices.  A zero
+    row (P_F e_i = 0) stays zero."""
+    if body.family == "weighted_lp" and np.isinf(body.p):
+        half = probes.shape[1] // 2
+        V = np.sign(Zs @ _mT(probes[:, :half]))
+        V /= body.scales[:, None]
+        probes = np.concatenate([_mT(V) @ Zs, probes[:, half:]], axis=1)
+    return _unit(np.concatenate([probes, Zs], axis=1))
+
+
 def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
     """(S,) ascent extrema of a stack (or part), from its (S, probes, d)
-    Gaussian probes: probe, ascend the top starts, polish the best.  `stop`
-    lets a lone problem end its ascents early (see ascend)."""
-    starts, iters, _, polish = effort
-    S, _, d = Zs.shape
+    Gaussian probes: rank the seeds (see _seeds) by value alone, ascend the
+    top _starts, polish the best.  A zero seed ranks last.  `stop` lets a
+    lone problem end its ascents early (see ascend)."""
+    _, iters, _, polish = effort
+    starts = _starts(body, mode, effort)
     sign = 1.0 if mode == "max" else -1.0
-    fun_grad = _ratio_fun_grad(body, Zs, Ps, sign)
+    value, fun_grad = _ratio_objective(body, Zs, Ps, sign)
 
-    W = _unit(np.concatenate([probes, np.broadcast_to(np.eye(d), (S, d, d))], axis=1))
-    # probe `starts` rows at a time, so no evaluation is wider than the ascent's
-    f0 = np.concatenate([fun_grad(W[:, i : i + starts])[0] for i in range(0, W.shape[1], starts)], axis=1)
+    W = _seeds(body, Zs, probes)
+    f0 = np.concatenate([value(W[:, i : i + _PROBE_ROWS]) for i in range(0, W.shape[1], _PROBE_ROWS)], axis=1)
+    f0[np.vecdot(W, W) < 0.5] = -np.inf
     order = np.argsort(-f0, axis=1)[:, :starts, None]
     W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters, stop=stop)
     top = np.argmax(f, axis=1)[:, None, None]

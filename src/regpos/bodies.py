@@ -83,6 +83,19 @@ def _soft_max_ascent(L, lift):
     return g, Y
 
 
+def _one_power(Z, p):
+    """(m, R^(p-1), S) of the rows of Z = |s x| for 1 < p < inf, with m the
+    row max, R = Z / m (in place) and S = sum R^p: the gauge is m S^(1/p).
+
+    Dividing by m keeps the powers in range, and the one power p - 1 per
+    entry is a square root at p = 1.5 and a square at p = 3; zero rows give
+    S = 0."""
+    m = Z.max(axis=-1)
+    Z /= np.where(m > 0, m, 1.0)[:, None]
+    Y = Z ** (p - 1.0)
+    return m, Y, np.vecdot(Y, Z)
+
+
 class ConvexBody:
     """Oracle bundle for one origin-symmetric convex body."""
 
@@ -253,11 +266,8 @@ class WeightedLp(ConvexBody):
             return Z.sum(axis=-1)
         if p == 2:
             return np.sqrt((Z * Z).sum(axis=-1))
-        # normalize by the row max to keep powers in range
-        m = Z.max(axis=-1)
-        safe = np.where(m > 0, m, 1.0)
-        g = safe * ((Z / safe[:, None]) ** p).sum(axis=-1) ** (1.0 / p)
-        return np.where(m > 0, g, 0.0)
+        m, _, S = _one_power(Z, p)
+        return m * S ** (1.0 / p)
 
     def _gauge_subgrad(self, X):
         s = self.scales
@@ -273,12 +283,8 @@ class WeightedLp(ConvexBody):
             rows = np.arange(X.shape[0])
             Y[rows, idx] = s[idx] * np.sign(X[rows, idx])
             return Z[rows, idx], Y
-        m = Z.max(axis=-1)
-        # one power per entry: with R = |s x| / m and S = sum R^p, the gauge is
-        # m S^(1/p) and the gradient s sign(x) R^(p-1) S^((1-p)/p)
-        Z /= np.where(m > 0, m, 1.0)[:, None]
-        Y = Z ** (p - 1.0)
-        S = np.vecdot(Y, Z)
+        # the gradient is s sign(x) R^(p-1) S^((1-p)/p)
+        m, Y, S = _one_power(Z, p)
         S[m == 0] = 1.0     # S >= 1 on nonzero rows, whose largest R is exactly 1
         Y *= (S ** ((1.0 - p) / p))[:, None]
         Y *= s

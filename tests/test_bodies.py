@@ -36,6 +36,21 @@ def test_gauge_weighted_l3():
     assert K.gauge([1.0, 1.0]) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 6.0])
+def test_weighted_lp_gauge_matches_subgradient_value_and_power_sum(p):
+    # _gauge takes the one-power form of _gauge_subgrad, on random rows and on
+    # sparse rows with zero entries (an all-zero one among them)
+    rng = np.random.default_rng([35, int(10 * p)])
+    K = bd.WeightedLp(p, rng.uniform(0.5, 2.0, 7))
+    X = rng.standard_normal((200, 7))
+    sparse = X * (rng.random(X.shape) < 0.3)
+    sparse[0] = 0.0
+    for rows in (X, sparse):
+        g = K._gauge(rows.copy())
+        np.testing.assert_allclose(g, K._gauge_subgrad(rows.copy())[0], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(g, (np.abs(K.scales * rows) ** p).sum(axis=1) ** (1.0 / p), rtol=1e-13, atol=0.0)
+
+
 def test_gauge_zero_iff_origin():
     K = bd.WeightedLp.from_weights(1.5, [1.0, 2.0, 3.0])
     assert K.gauge(np.zeros(3)) == 0.0

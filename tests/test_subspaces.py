@@ -436,18 +436,23 @@ def test_each_purpose_runs_at_its_effort(monkeypatch):
     from regpos import _ascent
     from regpos.experiments import run_lowmstar_check
     from regpos.regular import section_radius_sample
-    from regpos.zoo import random_h_polytope
+    from regpos.zoo import preset, random_h_polytope
 
-    efforts = []
-    ascend = _ascent._ascend_part
+    efforts, rows = [], []
+    ascend_part, ascend = _ascent._ascend_part, _ascent.ascend
 
     def recording(body, Zs, Ps, mode, probes, effort, stop):
         efforts.append(effort)
-        return ascend(body, Zs, Ps, mode, probes, effort, stop)
+        return ascend_part(body, Zs, Ps, mode, probes, effort, stop)
+
+    def spying(fun_grad, W0, *args, **kwargs):
+        rows.append(np.shape(W0)[-2])
+        return ascend(fun_grad, W0, *args, **kwargs)
 
     # every part in this process, so that each ascent is recorded here
     monkeypatch.setattr(_ascent, "_WORKERS", 1)
     monkeypatch.setattr(_ascent, "_ascend_part", recording)
+    monkeypatch.setattr(_ascent, "ascend", spying)
 
     def run(call):
         efforts.clear()
@@ -465,6 +470,47 @@ def test_each_purpose_runs_at_its_effort(monkeypatch):
     assert run(lambda: random_h_polytope(rng, 3).radii) == {_ascent.RADIUS}
     with pytest.raises(TypeError):
         _ascent.ratio_extremum_many(K, bases, starts=8)
+
+    def starts(call):
+        # the rows each ascent starts from, besides the polish's one row
+        rows.clear()
+        call()
+        assert rows[1::2] == [1] * (len(rows) // 2)
+        return set(rows[::2])
+
+    # codimension 4, past the vertex routes of B_1 and the cube
+    n, Zs = 8, sp.haar_grassmannian_batch(np.random.default_rng(27), 8, 4, 5)
+    for name in ("b1", "wlp1", "wlp1.5", "binf"):
+        K = preset(name, n)
+        assert starts(lambda: sp.section_out_radii(K, Zs, rng)) == {_ascent.SURVEY[0] // 2}, name
+        assert starts(lambda: _ascent.ratio_extremum_many(K, Zs, mode="min")) == {_ascent.SURVEY[0]}, name
+        assert starts(lambda: _ascent.ratio_extremum(K, Z=Zs[0])) == {_ascent.RADIUS[0]}, name
+    for K in (preset("wlp3", n), random_h_polytope(rng, n)):
+        assert starts(lambda: sp.section_out_radii(K, Zs, rng)) == {_ascent.SURVEY[0]}
+        assert starts(lambda: _ascent.ratio_extremum(K, Z=Zs[0], mode="min")) == {_ascent.RADIUS[0]}
+
+
+def test_survey_slab_memory_is_bounded():
+    # one SURVEY slab of cube sections at codimension 7: the probe pass
+    # evaluates _PROBE_ROWS seeds at a time, so its peak stays near the
+    # ascent's.  The bound is 1.1 x 10 500 910 bytes, the peak of the same
+    # slab with the basis-column probes ranked 8 rows at a time by value and
+    # gradient, before the seeds became coordinate projections (an unchunked
+    # probe pass peaks above it)
+    import tracemalloc
+
+    from regpos import _ascent
+
+    n, d, S = 32, 25, 256
+    Zs = sp.haar_grassmannian_batch(np.random.default_rng(0), n, d, S)
+    probes = np.random.default_rng(1).standard_normal((S, _ascent.SURVEY[2], d))
+    tracemalloc.start()
+    try:
+        _ascent._ascend_part(bd.cube(n), Zs, None, "max", probes, _ascent.SURVEY, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 10_500_910
 
 
 # ----------------------------------------------------------------------
