@@ -12,13 +12,15 @@ codimension at most 3 take a vertex search for weighted l_1 balls and a
 vertex walk for weighted cubes (_vertex.py).
 
 Each section's value is a function of its own basis, numerator and probes.
-A stack's random numbers come in blocks of _BLOCK sections, each block from
+Every ascent runs its effort's full iterations, alone or stacked.  A
+stack's random numbers come in blocks of _BLOCK sections, each block from
 its own stream keyed by a seed and the block's index, so any process draws
-any block without the blocks before it.  survey plans a stack: its route,
-its parts (runs of whole blocks) and its seeds, drawing integers only.
-run_surveys solves a batch of planned stacks, its parts dealt to this
-process and to children forked once per batch; the outputs are the same
-bytes whatever the parts, the slabs and the processes.
+any block without the blocks before it.  survey plans a stack: its route
+and its seeds, drawing integers only.  run_surveys solves a batch of
+planned stacks: it cuts each stack into parts (runs of whole blocks) for
+the batch's processes and deals them to this process and to children
+forked once per batch; the outputs are the same bytes whatever the parts,
+the slabs and the processes.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _starts(body, mode, effort):
 # and in a sweep of 2-way splits at default BLAS threads (n in {8, 16, 32,
 # 64}, 64 to 2048 sections per stack) smaller parts did not gain
 _MIN_PART = {"ascent": (64, 1), "vertex_walk": (64, 1), "vertex_search": (256, 1), "eigen": (128, 2)}
-_WORKERS = None     # parts per stack and processes per batch when set (tests force it)
+_WORKERS = None     # parts per stack and processes per batch when set (tests force it; see _cuts)
 # sections a part solves at once, on every route: this bounds a process's
 # working set, and larger stacks were no faster per section in that sweep
 _SLAB = 256
@@ -83,13 +85,12 @@ def _tangent(G, W):
     return G
 
 
-def ascend(fun_grad, W0, iters, step0=0.25, stop=True):
+def ascend(fun_grad, W0, iters, step0=0.25):
     """Maximize f over unit rows by projected gradient with per-row adaptive steps.
 
     fun_grad maps (..., d) unit rows to fresh (f, grad) arrays of shapes (...),
-    (..., d).  G holds the tangent gradient at the accepted rows W.  With
-    `stop` the ascent ends early once every step is below 1e-12; stacks of
-    problems pass False, so that no problem's result depends on another's.
+    (..., d).  G holds the tangent gradient at the accepted rows W.  Every
+    row takes all iters steps, so no row's result depends on another's.
     """
     W = _unit(np.array(W0, dtype=float))
     f, G = fun_grad(W)
@@ -105,8 +106,6 @@ def ascend(fun_grad, W0, iters, step0=0.25, stop=True):
         np.copyto(G, _tangent(Gc, cand), where=bm)
         steps *= np.where(better, 1.3, 0.5)
         np.minimum(steps, 2.0, out=steps)
-        if stop and float(steps.max(initial=0.0)) < 1e-12:
-            break
     return W, f
 
 
@@ -182,8 +181,7 @@ def _ellipsoid_ratio(body, Zs, Ps, mode):
 
 
 def _orthonormal(Zs):
-    """Zs as a float (S, n, d) stack, after checking Z^T Z = I to 1e-8 for every Z."""
-    Zs = np.asarray(Zs, dtype=float)
+    """The (S, n, d) stack Zs, after checking Z^T Z = I to 1e-8 for every Z."""
     gram = _mT(Zs) @ Zs
     if gram.size and np.abs(gram - np.eye(Zs.shape[-1])).max() > 1e-8:
         raise ValueError("subspace bases must have orthonormal columns (Z^T Z = I to 1e-8)")
@@ -235,11 +233,11 @@ def _seeds(body, Zs, probes):
     return _unit(np.concatenate([probes, Zs], axis=1))
 
 
-def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
+def _ascend_part(body, Zs, Ps, mode, probes, effort):
     """(S,) ascent extrema of a stack (or part), from its (S, probes, d)
     Gaussian probes: rank the seeds (see _seeds) by value alone, ascend the
-    top _starts, polish the best.  A zero seed ranks last.  `stop` lets a
-    lone problem end its ascents early (see ascend)."""
+    top _starts, polish the best, each for its effort's full iterations.  A
+    zero seed ranks last."""
     _, iters, _, polish = effort
     starts = _starts(body, mode, effort)
     sign = 1.0 if mode == "max" else -1.0
@@ -249,19 +247,16 @@ def _ascend_part(body, Zs, Ps, mode, probes, effort, stop):
     f0 = np.concatenate([value(W[:, i : i + _PROBE_ROWS]) for i in range(0, W.shape[1], _PROBE_ROWS)], axis=1)
     f0[np.vecdot(W, W) < 0.5] = -np.inf
     order = np.argsort(-f0, axis=1)[:, :starts, None]
-    W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters, stop=stop)
+    W, f = ascend(fun_grad, np.take_along_axis(W, order, axis=1), iters=iters)
     top = np.argmax(f, axis=1)[:, None, None]
-    _, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2, stop=stop)
+    _, fp = ascend(fun_grad, np.take_along_axis(W, top, axis=1), iters=polish, step0=1e-2)
     return np.exp(sign * np.concatenate([f, fp], axis=1).max(axis=1))
 
 
 def _cpus():
-    """Processes a batch may run in: _WORKERS when set, else one per CPU of the
-    affinity mask; one without os.fork."""
+    """The CPUs of the affinity mask; one without os.fork."""
     if not hasattr(os, "fork"):
         return 1
-    if _WORKERS is not None:
-        return _WORKERS
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -271,12 +266,26 @@ def _least(route, n):
     return size * (32 / n) ** power
 
 
-def _parts(S, route, n):
-    """How many near-equal runs of whole blocks a stack of S sections of R^n on
-    route is cut into: one per usable CPU, none smaller than _least unless
-    _WORKERS is set."""
-    P = _cpus() if _WORKERS is not None else min(_cpus(), int(S // _least(route, n)))
-    return max(1, min(P, -(-S // _BLOCK)))
+def _cuts(surveys):
+    """(P, parts): the processes a batch of planned surveys runs in, and each
+    survey's parts, its sections a..b-1 as at most P near-equal runs (a, b)
+    of whole blocks.
+
+    P is _WORKERS when set (one without os.fork), else the CPUs of the
+    affinity mask, at most the batch's sections counted in units of _least;
+    no part is smaller than _least unless _WORKERS is set."""
+    forced = _WORKERS is not None and hasattr(os, "fork")
+    if forced:
+        P = _WORKERS
+    else:
+        P = min(_cpus(), int(sum(job.shape[0] / _least(job.route, job.shape[1]) for job in surveys)))
+    parts = []
+    for job in surveys:
+        S, n, _ = job.shape
+        blocks = -(-S // _BLOCK)
+        p = max(1, min(P if forced else min(P, int(S // _least(job.route, n))), blocks))
+        parts.append([(blocks * i // p * _BLOCK, min(S, blocks * (i + 1) // p * _BLOCK)) for i in range(p)])
+    return P, parts
 
 
 def _normals(seed, a, b, shape):
@@ -291,8 +300,7 @@ def _normals(seed, a, b, shape):
 
 
 class Survey(NamedTuple):
-    """A planned stack of ratio extrema (see survey): its route, its parts as
-    the sections a..b-1 of runs of whole blocks, and its probe seed."""
+    """A planned stack of ratio extrema (see survey): its route and its probe seed."""
 
     body: object
     bases: object        # the (S, n, d) stack, or a Haar recipe
@@ -301,7 +309,6 @@ class Survey(NamedTuple):
     effort: tuple
     route: str
     shape: tuple         # (S, n, d)
-    parts: list          # (a, b) per part
     probe_seed: int      # the seed of the ascent's probes
 
 
@@ -314,10 +321,10 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY):
     ValueError, before any part runs).  Ps is None or an (S, q, n) stack of
     numerator matrices.  The ascent's probes come in blocks from one seed
     drawn from rng here (None: seed 0), as a recipe's bases come from its
-    seed, so planning draws no Gaussians.  The route is the one _route picks.
-    A stack is cut into _parts runs of whole blocks.  Each section's value
-    depends only on its own basis, numerator and probes, so the results are
-    the same bytes for any parts."""
+    seed, so planning draws no Gaussians and queries no CPUs.  The route is
+    the one _route picks.  Each section's value depends only on its own
+    basis, numerator and probes, so the results are the same bytes however
+    run_surveys cuts the stack."""
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if isinstance(bases, Haar):
@@ -334,29 +341,27 @@ def survey(body, bases, Ps=None, mode="max", rng=None, effort=SURVEY):
         if len(shape) != 3 or shape[0] != S or shape[2] != n:
             raise ValueError(f"Ps must be None or an (S, q, n) stack with S = {S} and n = {n}, not of shape {shape}")
         Ps = np.asarray(Ps, dtype=float)
-    route = _route(body, mode, n, d)
-    blocks, P = -(-S // _BLOCK), _parts(S, route, n)
-    parts = [(blocks * i // P * _BLOCK, min(S, blocks * (i + 1) // P * _BLOCK)) for i in range(P)]
     seed = 0 if rng is None else int(rng.integers(2**63))
-    return Survey(body, bases, Ps, mode, effort, route, (S, n, d), parts, seed)
+    return Survey(body, bases, Ps, mode, effort, _route(body, mode, n, d), (S, n, d), seed)
 
 
 def _bases(job, a, b):
-    """The bases of sections a..b-1 of a planned survey, a on a block boundary."""
+    """The bases of sections a..b-1 of a planned survey, a on a block
+    boundary: a given stack's checked by _orthonormal, a Haar recipe's drawn."""
     if isinstance(job.bases, Haar):
         return _haar(_normals(job.bases.seed, a, b, job.shape[1:]))
-    return job.bases[a:b]
+    return _orthonormal(job.bases[a:b])
 
 
 def _solve(job, a, b):
     """Sections a..b-1 of a planned survey on its route, in slabs of whole
     blocks, at most _SLAB sections (or one block) at a time."""
-    S, n, d = job.shape
+    d = job.shape[2]
     step = _BLOCK * max(1, _SLAB // _BLOCK)
     out = []
     for s in range(a, b, step) or [a]:           # an empty stack is one empty slab
         t = min(s + step, b)
-        Zs = _orthonormal(_bases(job, s, t))
+        Zs = _bases(job, s, t)
         Ps = None if job.Ps is None else job.Ps[s:t]
         if job.route == "eigen":
             out.append(_ellipsoid_ratio(job.body, Zs, Ps, job.mode))
@@ -364,29 +369,27 @@ def _solve(job, a, b):
             out.append(vertex_maxima(job.body, Zs, Ps))
         else:
             probes = _normals(job.probe_seed, s, t, (job.effort[2], d))
-            out.append(_ascend_part(job.body, Zs, Ps, job.mode, probes, job.effort, S == 1))
+            out.append(_ascend_part(job.body, Zs, Ps, job.mode, probes, job.effort))
     return np.concatenate(out)
 
 
 def run_surveys(surveys):
     """The results of planned surveys, in order, from one batch.
 
-    The parts of every survey are ordered costlier routes (in the order of
-    _MIN_PART) and then larger parts first, and dealt in that order to P
-    processes (see _run), with P the usable CPUs, and at most the batch's
-    sections counted in units of _least unless _WORKERS is set; so one stack
-    keeps its equal parts, one per process.  The parts are joined in order."""
-    parts = [(job, a, b) for job in surveys for a, b in job.parts]
+    Each survey is cut into parts for the batch's P processes (see _cuts), so
+    one stack keeps its equal parts, one per process.  The parts of every
+    survey are ordered costlier routes (in the order of _MIN_PART) and then
+    larger parts first, and dealt in that order to the P processes when the
+    batch forks (see _run).  The parts are joined in order."""
+    P, cuts = _cuts(surveys)
+    parts = [(job, a, b) for job, cut in zip(surveys, cuts) for a, b in cut]
     routes = list(_MIN_PART)
     order = sorted(range(len(parts)), key=lambda i: (routes.index(parts[i][0].route), parts[i][1] - parts[i][2], i))
-    P = _cpus()
-    if _WORKERS is None:
-        P = min(P, int(sum(job.shape[0] / _least(job.route, job.shape[1]) for job in surveys)))
     done = _run(lambda i: _solve(*parts[i]), order, P)
     results, i = [], 0
-    for job in surveys:
-        results.append(np.concatenate([done[j] for j in range(i, i + len(job.parts))]))
-        i += len(job.parts)
+    for cut in cuts:
+        results.append(np.concatenate([done[j] for j in range(i, i + len(cut))]))
+        i += len(cut)
     return results
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bodies as bd
 from . import subspaces as sp
-from ._ascent import ratio_extremum, run_surveys, survey
+from ._ascent import ratio_extremum, survey
 from .gaussian import (
     FixedSample,
     GaussianSample,
@@ -34,6 +34,7 @@ from .regular import (
     _radii,
     _radius_survey,
     _report_plan,
+    _rng,
     balanced_interpolant_functionals,
     ell_position_certificate,
     find_regular_position,
@@ -56,10 +57,6 @@ __all__ = [
     "run_section_tables",
     "binomial_ci",
 ]
-
-
-def _rng(seed, *key):
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def binomial_ci(phat, trials, z=1.96):
@@ -515,8 +512,9 @@ def _check_fixed_point(seed):
         return False, f"ball fixed point off: T drift {np.abs(fp.T.log_diag()).max():.3f}, a = {fp.balance:.3f}"
     # diagonal ellipsoid closed form (with sample second moments)
     v = np.array([4.0, 1.0])
-    fp = find_regular_position(bd.Ellipsoid(np.diag(v)), 1.0, seed=int(seed) + 62, samples=20000, tol=1e-6)
-    m2 = (fp.sample.vectors() ** 2).mean(axis=0)
+    sample = GaussianSample(int(seed) + 62, 20000, 2)
+    fp = find_regular_position(bd.Ellipsoid(np.diag(v)), 1.0, sample=sample, tol=1e-6)
+    m2 = (sample.vectors() ** 2).mean(axis=0)
     pred = np.sqrt(v) * m2 ** (1.0 / (2 * (1 - fp.theta)))
     pred /= np.exp(np.log(pred).mean())
     err = float(np.abs(fp.T.log_diag() - np.log(pred)).max())
@@ -524,10 +522,11 @@ def _check_fixed_point(seed):
         return False, f"ellipsoid fixed point off the closed form by {err:.2e}"
     # B_1^8: its fixed point is the (SAA-)identity, and the certificate agrees
     K = bd.cross_polytope(8)
-    fp = find_regular_position(K, 0.75, seed=int(seed) + 63, samples=20000)
+    sample = GaussianSample(int(seed) + 63, 20000, 8)
+    fp = find_regular_position(K, 0.75, sample=sample)
     if not fp.converged:
         return False, "B_1^8 fixed point did not converge"
-    cert = ell_position_certificate(fp, K)
+    cert = ell_position_certificate(fp, K, sample)
     if cert > 5 * max(fp.residual, 1e-5):
         return False, f"certificate residual {cert:.2e} vs fixed-point residual {fp.residual:.2e}"
     if float(np.abs(fp.T.log_diag()).max()) > 0.1:
@@ -663,12 +662,9 @@ def run_qs_experiment(
         alpha = 0.5 + 1.0 / np.log(n / k)
 
     fp = find_regular_position(K, alpha, seed=seed, samples=fp_samples)
-    # keep only the reported fields, so the sample and its power table are freed here
-    Kbar, theta, fp_converged, fp_residual = fp.body, fp.theta, fp.converged, fp.residual
-    del fp
-    Kpol = Kbar.polar()
-    # the report's surveys and the six flag surveys run in one batch
-    report_surveys, finish_report = _report_plan(Kbar, alpha, None, report_samples, c, seed + 1)
+    Kbar, Kpol = fp.body, fp.body.polar()
+    # the report's plans and the six flag surveys run in one batch
+    report_plans, finish_report = _report_plan(Kbar, alpha, None, report_samples, c, seed + 1)
     rng = _rng(seed, 3)
     F_bases, E_bases, E2_bases = sp.haar_flag_batch(rng, n, k, trials)
     Pts = np.swapaxes(E_bases, 1, 2)  # (trials, n-2k+2, n) projector rows
@@ -680,9 +676,9 @@ def run_qs_experiment(
         survey(Kbar, F_bases, rng=rng),        # R(Kbar cap F)
         survey(Kpol, F_bases, rng=rng),
     ]
-    radii = run_surveys(report_surveys + flag_surveys)
-    report = finish_report(radii[: len(report_surveys)])
-    R_a_body, R_b_body, R_a_pol, R_b_pol, RF_body, RF_pol = radii[len(report_surveys) :]
+    radii = _radii(report_plans + flag_surveys)
+    report = finish_report(radii[: len(report_plans)])
+    R_a_body, R_b_body, R_a_pol, R_b_pol, RF_body, RF_pol = radii[len(report_plans) :]
     Rbar = report.P_emp * (n / k) ** alpha
     threshold = Rbar**2
 
@@ -705,12 +701,12 @@ def run_qs_experiment(
         for a, b, rf, rp in zip(d_sop, d_pos, RF_body, RF_pol)
     ]
     summary = QSSummary(
-        n=n, k=k, alpha=float(alpha), theta=theta, trials=trials,
+        n=n, k=k, alpha=float(alpha), theta=fp.theta, trials=trials,
         P_emp=report.P_emp, threshold=float(threshold), quantiles=quantiles,
         exceed_sop=exceed_sop, exceed_pos=exceed_pos,
         dmax_sop=dmax_sop, dmax_pos=dmax_pos,
         margin_sop=float(dmax_sop / threshold), margin_pos=float(dmax_pos / threshold),
-        fp_converged=fp_converged, fp_residual=fp_residual, outcomes=outcomes,
+        fp_converged=fp.converged, fp_residual=fp.residual, outcomes=outcomes,
     )
     if writer is not None:
         body_spec = K.spec()
@@ -746,8 +742,8 @@ def run_qs_experiment(
                 # exact in the recorded distances and threshold, as within_threshold is
                 "margin_sop": measured(summary.margin_sop, exact=True),
                 "margin_pos": measured(summary.margin_pos, exact=True),
-                "fp_residual": measured(fp_residual, exact=True),
-                "fp_converged": measured(float(fp_converged), exact=True),
+                "fp_residual": measured(fp.residual, exact=True),
+                "fp_converged": measured(float(fp.converged), exact=True),
             },
         ))
     return summary
@@ -776,9 +772,8 @@ def run_lowmstar_check(
     plans = []
     for n in n_list:
         zoo = default_zoo(n)
-        sample = GaussianSample(seed + n, ell_samples, n)
-        ells = {name: ell_star(K, 1, sample) for name, K in zoo}
-        del sample   # so no sample is alive when the batch forks
+        # one sample per n, freed with the comprehension: none is alive when the batch forks
+        ells = {name: ell_star(K, 1, sample) for name, K, sample in _shared_samples(zoo, seed + n, ell_samples)}
         for k in default_k_grid(n):
             rng = _rng(seed, n, k)
             haar = int(rng.integers(2**63))
@@ -832,21 +827,15 @@ def run_regularity_curve(
     """Sweep alpha, build the position, and emit per-(alpha, k) cr tables with
     P_emp(alpha) and the reference shape 1/sqrt(alpha - 1/2) (recorded, not
     asserted)."""
-    positions = []
-    for ai, alpha in enumerate(alphas):
-        fp = find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples)
-        # keep only the reported fields, so the sample and its power table are freed here
-        positions.append((fp.body, {"fp_converged": fp.converged, "fp_residual": fp.residual,
-                                    "balance": fp.balance}))
-        del fp
-    # every alpha's report surveys run in one batch
-    plans = [_report_plan(body, alpha, k_grid, samples, c, seed + 1000 + ai)
-             for ai, (alpha, (body, _)) in enumerate(zip(alphas, positions))]
-    radii = iter(run_surveys([job for surveys, _ in plans for job in surveys]))
+    fps = [find_regular_position(K, alpha, seed=seed + ai, samples=fp_samples) for ai, alpha in enumerate(alphas)]
+    # every alpha's report plans run in one batch
+    plans = [_report_plan(fp.body, alpha, k_grid, samples, c, seed + 1000 + ai)
+             for ai, (alpha, fp) in enumerate(zip(alphas, fps))]
+    radii = iter(_radii([plan for report_plans, _ in plans for plan in report_plans]))
     rows = []
     curve = []
-    for alpha, (_, fp_row), (surveys, finish) in zip(alphas, positions, plans):
-        rep = finish([next(radii) for _ in surveys])
+    for alpha, fp, (report_plans, finish) in zip(alphas, fps, plans):
+        rep = finish([next(radii) for _ in report_plans])
         for which in ("body", "polar"):
             for k, g in zip(rep.k_grid, rep.cr[which]):
                 rows.append({
@@ -857,7 +846,8 @@ def run_regularity_curve(
                 })
         curve.append({
             "alpha": alpha, "P_emp": rep.P_emp,
-            "reference_shape": 1.0 / np.sqrt(alpha - 0.5), **fp_row,
+            "reference_shape": 1.0 / np.sqrt(alpha - 0.5),
+            "fp_converged": fp.converged, "fp_residual": fp.residual, "balance": fp.balance,
         })
         if writer is not None:
             writer.write(ExperimentRecord(
@@ -868,7 +858,7 @@ def run_regularity_curve(
                     "P_emp": measured(rep.P_emp, lower_bound=True),
                     "slope_body": measured(rep.slopes["body"], se=rep.slope_se["body"]),
                     "slope_polar": measured(rep.slopes["polar"], se=rep.slope_se["polar"]),
-                    "fp_residual": measured(fp_row["fp_residual"], exact=True),
+                    "fp_residual": measured(fp.residual, exact=True),
                 },
             ))
     return {"rows": rows, "curve": curve}
@@ -920,7 +910,7 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None
     rows = []
     for name, K, sample in _shared_samples(bodies, seed, samples):
         fp = find_regular_position(K, alpha, sample=sample)
-        cert = ell_position_certificate(fp, K)
+        cert = ell_position_certificate(fp, K, sample)
         l, ls, bound = balanced_interpolant_functionals(fp)
         rows.append({
             "body": name, "n": K.dim, "alpha": alpha, "theta": fp.theta,
@@ -943,7 +933,6 @@ def run_regular_positions(bodies, alpha=0.75, samples=20000, seed=0, writer=None
                     "rad_bound_sqrt_2nphi": measured(bound, exact=True),
                 },
             ))
-        del fp   # so a sample is freed before the next dimension's is drawn
     return rows
 
 

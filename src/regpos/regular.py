@@ -67,7 +67,6 @@ class FixedPointResult:
     converged: bool
     balance: float
     body: bd.ConvexBody          # the position body a * T(K)
-    sample: GaussianSample
     ell_interp: EllEstimate      # ell and ell* of the balanced interpolant [body, B_2]_theta
     ell_star_interp: EllEstimate
 
@@ -88,6 +87,8 @@ def find_regular_position(
     On success [T(K), B_2]_theta is in SAA ell-position to solver tolerance,
     and the returned position body is a*T(K) with the balance scale a
     equalizing ell and ell* of the interpolant; the result carries both.
+    The sample (GaussianSample(seed, samples, K.dim) when none is given) is
+    not kept: ell_position_certificate takes it as an argument.
     """
     _require_tractable_unconditional(K)
     theta = theta_of_alpha(alpha)
@@ -102,7 +103,7 @@ def find_regular_position(
     return FixedPointResult(
         T=T, alpha=float(alpha), theta=theta, residual=residual,
         iterations=2, converged=residual <= tol, balance=a, body=TK.scale(a),
-        sample=sample, ell_interp=l, ell_star_interp=ls,
+        ell_interp=l, ell_star_interp=ls,
     )
 
 
@@ -118,14 +119,15 @@ def balanced_interpolant_functionals(result: FixedPointResult):
     return result.ell_interp, result.ell_star_interp, bound
 
 
-def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody) -> float:
-    """||log T'||_inf for T' the SAA ell-position map of [T(K), B_2]_theta.
+def ell_position_certificate(result: FixedPointResult, K: bd.ConvexBody, sample: GaussianSample) -> float:
+    """||log T'||_inf for T' the SAA ell-position map of [T(K), B_2]_theta on
+    sample, the one the fixed point was found on.
 
     Near a fixed point this re-solve must return (close to) the identity.
     For p = 2 the re-solve is the exact closed form, so the certificate is an
     algebraic check at rounding level.
     """
-    F = fixed_point_map(result.T.apply(K), PositionMap.identity(K.dim), result.theta, result.sample)
+    F = fixed_point_map(result.T.apply(K), PositionMap.identity(K.dim), result.theta, sample)
     return float(np.abs(np.log(np.diag(F.matrix))).max())
 
 
@@ -158,6 +160,11 @@ def _radius_survey(K, k: int, samples: int, rng, haar=None):
         return np.full(samples, K.radii.R)
     haar = int(rng.integers(2**63)) if haar is None else haar
     return survey(K, Haar(haar, n, m, samples), rng=rng)
+
+
+def _rng(seed, *key):
+    """The generator of a plan keyed by integers: default_rng(SeedSequence([seed, *key]))."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def _radii(plans):
@@ -227,13 +234,13 @@ def regularity_report(Kbar, alpha: float, k_grid=None, samples: int = 600,
     the fitted regularity exponent, and the measured constant
     P_emp = max_k k^alpha cr_k / n^alpha over both bodies; its surveys run
     in one batch."""
-    surveys, report = _report_plan(Kbar, alpha, k_grid, samples, c, seed)
-    return report(run_surveys(surveys))
+    plans, report = _report_plan(Kbar, alpha, k_grid, samples, c, seed)
+    return report(_radii(plans))
 
 
 def _report_plan(Kbar, alpha, k_grid, samples, c, seed):
-    """regularity_report's section surveys, planned on their generators, and
-    the function that makes the report from their radii, in order."""
+    """regularity_report's plans of _radius_survey, on their generators, and
+    the function that makes the report from their radii (see _radii), in order."""
     n = Kbar.dim
     if k_grid is None:
         k_grid = default_k_grid(n)
@@ -242,14 +249,12 @@ def _report_plan(Kbar, alpha, k_grid, samples, c, seed):
     plans = []
     for bi, (name, B) in enumerate(duo.items()):
         for k in k_grid:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, bi, int(k)]))
+            rng = _rng(seed, bi, k)
             plans.append((name, B, int(k), rng, _radius_survey(B, int(k), samples, rng)))
 
     def report(radii):
-        radii = iter(radii)
         cr = {name: [] for name in duo}
-        for name, B, k, rng, plan in plans:
-            values = next(radii) if isinstance(plan, Survey) else plan
+        for (name, B, k, rng, _), values in zip(plans, radii):
             cr[name].append(random_gelfand(B, k, samples, c, rng=rng, values=values))
         logs = np.log(np.asarray(k_grid, dtype=float) / n)
         slopes, slope_se = {}, {}
@@ -273,4 +278,4 @@ def _report_plan(Kbar, alpha, k_grid, samples, c, seed):
             cr=cr, slopes=slopes, slope_se=slope_se, P_emp=float(P_emp),
         )
 
-    return [plan for *_, plan in plans if isinstance(plan, Survey)], report
+    return [plan for *_, plan in plans], report

@@ -113,7 +113,7 @@ def test_criterion_3_fixed_point_certificate():
                 )
                 if fp.converged and fp.residual <= 1e-4:
                     converged += 1
-                    if ell_position_certificate(fp, K) <= 1e-3:
+                    if ell_position_certificate(fp, K, GaussianSample(7000 + seed, 20000, K.dim)) <= 1e-3:
                         cert_ok += 1
             details.append(f"{name}@a={alpha}: {converged}/10 converged, {cert_ok} certified")
             ok = ok and converged >= 9 and cert_ok == converged

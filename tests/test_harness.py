@@ -237,17 +237,19 @@ def test_qs_and_curve_free_the_fixed_point_sample_before_the_report(monkeypatch)
     import weakref
 
     from regpos import experiments as ex
+    from regpos import regular
+    from regpos.gaussian import GaussianSample
 
     samples = []
-    find = ex.find_regular_position
 
-    def found(*args, **kw):
-        fp = find(*args, **kw)
-        samples.append(weakref.ref(fp.sample))
-        return fp
+    def drawn(*args):
+        sample = GaussianSample(*args)
+        samples.append(weakref.ref(sample))
+        return sample
 
     freed = []
-    monkeypatch.setattr(ex, "find_regular_position", found)
+    # the samples find_regular_position draws
+    monkeypatch.setattr(regular, "GaussianSample", drawn)
     # qs and curve plan each report's surveys into the run's one batch
     plan = ex._report_plan
     monkeypatch.setattr(ex, "_report_plan", lambda *a, **kw: freed.append(samples[-1]() is None) or plan(*a, **kw))

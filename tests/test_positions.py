@@ -129,7 +129,7 @@ def test_weighted_l2_position_is_exact_without_iterations(monkeypatch):
     from regpos.regular import ell_position_certificate, find_regular_position
 
     fp = find_regular_position(_L2_BODIES[0], 0.75, sample=SAMPLE)
-    assert fp.residual <= 1e-13 and ell_position_certificate(fp, _L2_BODIES[0]) <= 1e-13
+    assert fp.residual <= 1e-13 and ell_position_certificate(fp, _L2_BODIES[0], SAMPLE) <= 1e-13
 
 
 def test_weighted_l2_position_matches_lbfgs():

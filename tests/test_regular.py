@@ -103,7 +103,7 @@ def test_find_regular_position_ellipsoid_closed_form():
     v = np.array([4.0, 1.0])
     fp = find_regular_position(bd.Ellipsoid(np.diag(v)), 1.0, seed=5, samples=20000, tol=1e-6)
     assert fp.converged and fp.iterations <= 200
-    m2 = (fp.sample.vectors() ** 2).mean(axis=0)
+    m2 = (GaussianSample(5, 20000, 2).vectors() ** 2).mean(axis=0)
     pred = np.sqrt(v) * m2 ** (1.0 / (2 * (1 - fp.theta)))
     pred /= np.exp(np.log(pred).mean())
     assert np.abs(fp.T.log_diag() - np.log(pred)).max() <= 1e-4
@@ -173,7 +173,7 @@ def test_power_table_built_once_per_sample_and_p(monkeypatch):
     K = bd.cross_polytope(6)
     sample = GaussianSample(9, 20000, 6)   # two blocks
     fp = find_regular_position(K, 0.75, sample=sample)
-    ell_position_certificate(fp, K)
+    ell_position_certificate(fp, K, sample)
     assert fp.iterations > 1
     assert len(builds) == sample.n_blocks() == 2 and len(set(builds)) == 1
     assert not any(A.flags.writeable for A, _ in positions._power_table(sample, builds[0]))
@@ -208,8 +208,8 @@ def test_regular_positions_share_one_sample_per_dimension(monkeypatch):
     expect = []
     for _, K in bodies:
         fp = find_regular_position(K, alpha, seed=seed, samples=samples)
-        expect.append([fp.residual, fp.balance, ell_position_certificate(fp, K),
-                       fp.ell_interp.value, fp.ell_star_interp.value])
+        cert = ell_position_certificate(fp, K, GaussianSample(seed, samples, K.dim))
+        expect.append([fp.residual, fp.balance, cert, fp.ell_interp.value, fp.ell_star_interp.value])
     drawn = []
     post_init = GaussianSample.__post_init__
     monkeypatch.setattr(GaussianSample, "__post_init__", lambda self: drawn.append(self.dim) or post_init(self))
@@ -217,6 +217,25 @@ def test_regular_positions_share_one_sample_per_dimension(monkeypatch):
     assert drawn == [6, 5]
     got = [[r["residual"], r["balance"], r["certificate"], r["ell_interp"], r["ell_star_interp"]] for r in rows]
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+
+
+def test_fixed_point_keeps_no_sample(monkeypatch):
+    # the sample find_regular_position draws, and the power table cached on
+    # it, are unreachable once the call returns
+    import gc
+    import weakref
+
+    refs = []
+
+    def drawn(*args):
+        sample = GaussianSample(*args)
+        refs.append(weakref.ref(sample))
+        return sample
+
+    monkeypatch.setattr(regular, "GaussianSample", drawn)
+    fp = find_regular_position(bd.cross_polytope(6), 0.75, seed=9, samples=4000)
+    gc.collect()
+    assert fp.converged and len(refs) == 1 and refs[0]() is None
 
 
 def test_find_regular_position_b1_symmetry_forces_identity():
@@ -227,7 +246,7 @@ def test_find_regular_position_b1_symmetry_forces_identity():
     # the SAA moment band
     assert np.abs(fp.T.log_diag()).max() <= 0.1
     assert fp.residual <= 1e-5
-    cert = ell_position_certificate(fp, K)
+    cert = ell_position_certificate(fp, K, GaussianSample(6, 20000, 8))
     assert cert <= 5 * max(fp.residual, 1e-5)
 
 
@@ -241,7 +260,8 @@ def test_certificate_reads_a_perturbed_position():
     delta -= delta.mean()
     delta *= 1e-3 / np.abs(delta).max()
     moved = replace(fp, T=PositionMap.from_diag(np.exp(fp.T.log_diag() + delta)))
-    assert ell_position_certificate(moved, K) == pytest.approx((1 - fp.theta) * 1e-3, rel=1e-4)
+    cert = ell_position_certificate(moved, K, GaussianSample(12, 20000, 16))
+    assert cert == pytest.approx((1 - fp.theta) * 1e-3, rel=1e-4)
 
 
 def test_find_regular_position_det_one_and_trace():
@@ -274,7 +294,8 @@ def test_balanced_interpolant_functionals_match_fresh_estimates():
         fp = find_regular_position(K, alpha, seed=22, samples=4000)
         l, ls, _ = balanced_interpolant_functionals(fp)
         Kth = interpolate(fp.body, bd.WeightedLp(2.0, np.ones(6)), fp.theta)
-        for got, fresh in ((l, ell(Kth, 1, fp.sample)), (ls, ell_star(Kth, 1, fp.sample))):
+        sample = GaussianSample(22, 4000, 6)
+        for got, fresh in ((l, ell(Kth, 1, sample)), (ls, ell_star(Kth, 1, sample))):
             assert got.value == pytest.approx(fresh.value, rel=1e-12)
             assert got.se == pytest.approx(fresh.se, rel=1e-12)
 

@@ -68,6 +68,18 @@ def test_extrema_identical_across_worker_counts(case, monkeypatch):
     _assert_no_children()
 
 
+@pytest.mark.parametrize("effort", ["SURVEY", "RADIUS"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_lone_section_is_the_first_of_a_stack(case, effort):
+    # a stack of one gives the bytes of the first section of a stack of two,
+    # both on the same block-0 probes: no value depends on the stack's size
+    body, Zs, Ps, mode = CASES[case]
+    one, two = (_ascent.run_surveys([_ascent.survey(body, Zs[:s], None if Ps is None else Ps[:s], mode,
+                                                    np.random.default_rng(9), getattr(_ascent, effort))])[0]
+                for s in (1, 2))
+    assert one.shape == (1,) and one.tobytes() == two[:1].tobytes()
+
+
 def test_a_batch_identical_to_its_surveys_one_by_one(monkeypatch):
     # four routes in one batch: the same bytes as each survey alone, serially
     # and whole, whatever the processes and the slabs (one block, two blocks,
@@ -86,21 +98,45 @@ def test_a_batch_identical_to_its_surveys_one_by_one(monkeypatch):
     _assert_no_children()
 
 
+def _parts(count, route, n):
+    """The parts run_surveys cuts a lone Haar stack of count sections of R^n on route into."""
+    body = {"eigen": bd.ball(n), "vertex_search": bd.cross_polytope(n), "vertex_walk": bd.cube(n),
+            "ascent": bd.WeightedLp(1.5, np.ones(n))}[route]
+    job = _ascent.survey(body, _ascent.Haar(0, n, n - 1, count))
+    assert job.route == route
+    return len(_ascent._cuts([job])[1][0])
+
+
 def test_worker_count_never_exceeds_the_usable_cpus(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     for route in _ascent._MIN_PART:
         for n in (8, 16, 32, 64):
             least = int(_ascent._least(route, n))
             for count in (0, 1, least, 2 * least, 10_000):
-                assert 1 <= _ascent._parts(count, route, n) <= max(1, min(cpus, count))
-            assert _ascent._parts(least * 2 - 1, route, n) == 1
+                assert 1 <= _parts(count, route, n) <= max(1, min(cpus, count))
+            assert _parts(least * 2 - 1, route, n) == 1
     # the eigen route and the l_1 search keep mid-sized stacks whole at n = 16
-    assert _ascent._parts(1023, "eigen", 16) == _ascent._parts(1023, "vertex_search", 16) == 1
+    assert _parts(1023, "eigen", 16) == _parts(1023, "vertex_search", 16) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert _ascent._parts(10_000, "ascent", 32) == 1
+    assert _parts(10_000, "ascent", 32) == 1
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(_ascent, "_WORKERS", 3)
-    assert _ascent._parts(10_000, "ascent", 32) == 1
+    assert _parts(10_000, "ascent", 32) == 1
+
+
+def test_planning_queries_no_cpus(monkeypatch):
+    # survey plans every route without the CPU mask; run_surveys reads it once per batch
+    def no_cpus(*args):
+        raise AssertionError("CPU query at planning")
+
+    monkeypatch.setattr(_ascent, "_cpus", no_cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", no_cpus)
+    jobs = [_ascent.survey(body, Zs, Ps, mode, np.random.default_rng(i))
+            for i, (body, Zs, Ps, mode) in enumerate(CASES[c] for c in sorted(CASES))]
+    jobs.append(_ascent.survey(bd.cube(N), _ascent.Haar(42, N, N - 5, 11)))
+    monkeypatch.undo()
+    assert [v.shape for v in _ascent.run_surveys(jobs)] == [(S,)] * len(CASES) + [(11,)]
+    _assert_no_children()
 
 
 @pytest.mark.parametrize("P", [1, 2, 3, 6])
@@ -187,7 +223,7 @@ def test_haar_recipe_bases_are_the_haar_of_their_block_draws(workers, monkeypatc
              for j, size in enumerate((4, 4, 3))]
     bases = _ascent._haar(np.concatenate(draws))
     job = _ascent.survey(bd.cube(N), _ascent.Haar(42, N, m, 11), None, "max", np.random.default_rng(7))
-    assert len(job.parts) == workers and job.route == "ascent"
+    assert len(_ascent._cuts([job])[1][0]) == workers and job.route == "ascent"
     assert _ascent._bases(job, 0, 11).tobytes() == bases.tobytes()
     # the parts' bases, wherever they are solved: the same bytes as the stack given whole
     given = _ascent.ratio_extremum_many(bd.cube(N), bases, rng=np.random.default_rng(7))

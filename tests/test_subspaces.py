@@ -441,9 +441,9 @@ def test_each_purpose_runs_at_its_effort(monkeypatch):
     efforts, rows = [], []
     ascend_part, ascend = _ascent._ascend_part, _ascent.ascend
 
-    def recording(body, Zs, Ps, mode, probes, effort, stop):
+    def recording(body, Zs, Ps, mode, probes, effort):
         efforts.append(effort)
-        return ascend_part(body, Zs, Ps, mode, probes, effort, stop)
+        return ascend_part(body, Zs, Ps, mode, probes, effort)
 
     def spying(fun_grad, W0, *args, **kwargs):
         rows.append(np.shape(W0)[-2])
@@ -506,7 +506,7 @@ def test_survey_slab_memory_is_bounded():
     probes = np.random.default_rng(1).standard_normal((S, _ascent.SURVEY[2], d))
     tracemalloc.start()
     try:
-        _ascent._ascend_part(bd.cube(n), Zs, None, "max", probes, _ascent.SURVEY, False)
+        _ascent._ascend_part(bd.cube(n), Zs, None, "max", probes, _ascent.SURVEY)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
